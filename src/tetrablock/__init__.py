@@ -92,6 +92,7 @@ from .models import (
     validate_symbol_pair,
 )
 from .poly3 import (
+    MonomialBasis,
     Poly3,
     cf_empirical_inf,
     cf_matrix_norm,

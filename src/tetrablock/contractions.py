@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import sup_on_closure
 from .linalg import as_matrix, herm_eig, matrix_from_json, matrix_to_json, op_norm
-from .poly3 import Poly3, eval_operator, poly_to_json, random_poly
+from .poly3 import MonomialBasis, Poly3, eval_operator, poly_to_json, random_poly
 
 __all__ = [
     "Triple",
@@ -458,14 +458,11 @@ def verify_dilation(
             f"embedding is not isometric (defect {gram_defect:.3e})"
         )
 
-    def powers(m: np.ndarray, d: int) -> list[np.ndarray]:
-        out = [np.eye(m.shape[0], dtype=np.complex128)]
-        for _ in range(d):
-            out.append(out[-1] @ m)
-        return out
-
-    small_pows = [powers(m, max_degree) for m in (small.t1, small.t2, small.t3)]
-    big_pows = [powers(m, max_degree) for m in (big.t1, big.t2, big.t3)]
+    small_basis = MonomialBasis(small)
+    big_basis = MonomialBasis(big)
+    # Absent (exactly zero) monomials compress as zero matrices.
+    small_zero = np.zeros((small.dim, small.dim), dtype=np.complex128)
+    big_zero = np.zeros((big.dim, big.dim), dtype=np.complex128)
 
     worst = 0.0
     worst_mono = (0, 0, 0)
@@ -474,10 +471,13 @@ def verify_dilation(
             for m3 in range(max_degree + 1 - m1 - m2):
                 if m1 + m2 + m3 == 0:
                     continue
-                big_mono = big_pows[0][m1] @ big_pows[1][m2] @ big_pows[2][m3]
-                small_mono = (
-                    small_pows[0][m1] @ small_pows[1][m2] @ small_pows[2][m3]
-                )
+                exp = (m1, m2, m3)
+                big_mono = big_basis.monomial(exp)
+                if big_mono is None:
+                    big_mono = big_zero
+                small_mono = small_basis.monomial(exp)
+                if small_mono is None:
+                    small_mono = small_zero
                 defect = op_norm(v.conj().T @ big_mono @ v - small_mono)
                 if defect > worst:
                     worst = defect
@@ -516,7 +516,7 @@ class Certificate:
 
 
 def violation_certificate(
-    t: Triple,
+    t: Triple | MonomialBasis,
     p: Poly3,
     *,
     config: ToolConfig = DEFAULT_CONFIG,
@@ -524,11 +524,14 @@ def violation_certificate(
 ) -> Certificate:
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
-    A violation is only certified after the sup estimate has been
-    recomputed with ten times the sample budget and the gap still
-    exceeds the configured margin.  The sup estimate can only
-    undershoot the true sup, so a certified gap is real; the margin
-    guards against refinement slack.
+    ``t`` is the triple or a :class:`MonomialBasis` of it shared across
+    calls.  A violation is only reported after the sup estimate has
+    been recomputed with ten times the sample budget and the gap still
+    exceeds the configured margin.  The sampled sup can only undershoot
+    the true sup, which inflates the gap, so a reported violation is
+    not rigorous; the margin and the resampling only make a spurious
+    one less likely.  Only the opposite outcome is rigorous, up to the
+    margin: lhs <= sampled sup + margin <= true sup + margin.
     """
     lhs = op_norm(eval_operator(p, t))
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -575,8 +578,10 @@ def falsify_spectral_set(
 
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
-    the trial count.  The triple's commutation defect is reported, not
-    enforced; operator evaluation assumes commutation.
+    the trial count.  All trials evaluate against one
+    :class:`MonomialBasis` of the triple, so each power and monomial
+    is multiplied out once per call.  The triple's commutation defect
+    is reported, not enforced; operator evaluation assumes commutation.
 
     Returns outcome "Violation" with a certificate on the first
     confirmed exceedance, else "NoViolationFound".
@@ -584,6 +589,7 @@ def falsify_spectral_set(
     trials = config.falsify_trials if trials is None else trials
     seed = config.seed if seed is None else seed
     comm = commutation_defect(t)
+    basis = MonomialBasis(t)
     worst_ratio = 0.0
     certificate = None
     outcome = "NoViolationFound"
@@ -599,7 +605,7 @@ def falsify_spectral_set(
             items.append((random_poly(degree, seed=grand[0]), grand[1]))
 
     for p, sup_seed in items:
-        cert = violation_certificate(t, p, config=config, seed=sup_seed)
+        cert = violation_certificate(basis, p, config=config, seed=sup_seed)
         ran += 1
         ratio = cert.lhs / max(cert.sup_refined, 1e-300)
         if ratio > worst_ratio:

@@ -5,9 +5,12 @@ A polynomial is held sparsely as ``{(m1, m2, m3): coefficient}``.
 Scalar evaluation is Horner-style, nested variable by variable;
 vectorized evaluation uses cumulative power tables; operator
 evaluation substitutes a commuting matrix triple, ordered as
-``T1^m1 T2^m2 T3^m3``.  Operator evaluation does not re-verify
-commutation: callers that need the defect should measure it once,
-not per evaluation.
+``T1^m1 T2^m2 T3^m3``.  The triple's monomials come from a
+``MonomialBasis``, which builds each power and monomial once and
+keeps exactly zero ones as absent, so callers evaluating many
+polynomials on one triple build the basis once and share it.
+Operator evaluation does not re-verify commutation: callers that
+need the defect should measure it once, not per evaluation.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "poly_from_json",
     "eval_scalar",
     "eval_scalar_many",
+    "MonomialBasis",
     "eval_operator",
     "random_poly",
     "cf_matrix_norm",
@@ -178,34 +182,78 @@ def _unpack_triple(t):
     return out
 
 
+class MonomialBasis:
+    """Memoized monomials ``T1^m1 T2^m2 T3^m3`` of one operator triple.
+
+    Each variable's power table grows on demand by ``P[k] = P[k-1] @ T``
+    from ``P[0] = I``, and each monomial is formed once as
+    ``(P1[m1] @ P2[m2]) @ P3[m3]``, then reused by every later
+    evaluation.  A power or monomial that comes out exactly zero is
+    stored as ``None`` ("absent"); absent entries are never multiplied
+    again, so a nilpotent triple keeps only its few nonzero monomials.
+    The basis keeps the triple as ``t1``/``t2``/``t3``, so it can stand
+    in wherever a triple is read.  ``monomials`` maps each exponent asked for so far to its matrix or
+    ``None``.
+    """
+
+    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers")
+
+    def __init__(self, t):
+        self.t1, self.t2, self.t3 = _unpack_triple(t)
+        self.dim = self.t1.shape[0]
+        eye = np.eye(self.dim, dtype=np.complex128)
+        self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
+        self._powers = ([eye], [eye], [eye])
+
+    def _power(self, i: int, k: int) -> np.ndarray | None:
+        table = self._powers[i]
+        base = (self.t1, self.t2, self.t3)[i]
+        while len(table) <= k:
+            prev = table[-1]
+            table.append(None if prev is None else _drop_zero(prev @ base))
+        return table[k]
+
+    def monomial(self, exp: tuple[int, int, int]) -> np.ndarray | None:
+        """The monomial for ``exp``, or ``None`` when it is exactly zero."""
+        if exp in self.monomials:
+            return self.monomials[exp]
+        p1, p2, p3 = (self._power(i, m) for i, m in enumerate(exp))
+        mono = None
+        if p1 is not None and p2 is not None and p3 is not None:
+            head = _drop_zero(p1 @ p2)
+            if head is not None:
+                mono = _drop_zero(head @ p3)
+        self.monomials[exp] = mono
+        return mono
+
+
+def _drop_zero(m: np.ndarray) -> np.ndarray | None:
+    # Stored matrices are shared by every caller, so they are read-only.
+    if not m.any():
+        return None
+    m.flags.writeable = False
+    return m
+
+
 def eval_operator(p: Poly3, t) -> np.ndarray:
     """Substitute a commuting operator triple into the polynomial.
 
-    Monomials are ordered ``T1^m1 T2^m2 T3^m3``; for genuinely
-    commuting triples the order is immaterial.  Commutation is the
-    caller's responsibility and is not re-checked here.
+    ``t`` is a triple (an object with ``.t1/.t2/.t3`` or a 3-sequence),
+    for which a throwaway :class:`MonomialBasis` is built, or a prebuilt
+    basis, whose memoized monomials are shared across calls.  The sum
+    ``acc += c * T^m`` runs in ``p.coeffs`` order and skips absent
+    (exactly zero) monomials: adding ``c * 0`` would leave ``acc``
+    unchanged, so the result is bit for bit that of multiplying every
+    monomial out.  Monomials are ordered ``T1^m1 T2^m2 T3^m3``; for
+    genuinely commuting triples the order is immaterial.  Commutation
+    is the caller's responsibility and is not re-checked here.
     """
-    t1, t2, t3 = _unpack_triple(t)
-    n = t1.shape[0]
-    acc = np.zeros((n, n), dtype=np.complex128)
-    if not p.coeffs:
-        return acc
-    d1 = max(exp[0] for exp in p.coeffs)
-    d2 = max(exp[1] for exp in p.coeffs)
-    d3 = max(exp[2] for exp in p.coeffs)
-    eye = np.eye(n, dtype=np.complex128)
-
-    def powers(m: np.ndarray, d: int) -> list[np.ndarray]:
-        out = [eye]
-        for _ in range(d):
-            out.append(out[-1] @ m)
-        return out
-
-    pow1 = powers(t1, d1)
-    pow2 = powers(t2, d2)
-    pow3 = powers(t3, d3)
-    for (m1, m2, m3), c in p.coeffs.items():
-        acc += c * (pow1[m1] @ pow2[m2] @ pow3[m3])
+    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
+    acc = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for exp, c in p.coeffs.items():
+        mono = basis.monomial(exp)
+        if mono is not None:
+            acc += c * mono
     return acc
 
 

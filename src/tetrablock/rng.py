@@ -1,16 +1,16 @@
 """Seed plumbing shared by every randomized routine.
 
 All randomness flows through ``numpy.random.Generator``.  Trial loops
-derive one child seed per trial with ``spawn_seeds`` so that trial k is
-reproducible on its own and insensitive to how many trials run before
-it.
+such as ``falsify_spectral_set`` derive one child seed per trial with
+``numpy.random.SeedSequence.spawn`` so that trial k is reproducible on
+its own and insensitive to how many trials run before it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_seeds"]
+__all__ = ["as_generator"]
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -18,8 +18,3 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` independent child seed sequences from a master seed."""
-    return np.random.SeedSequence(seed).spawn(n)

@@ -1,8 +1,11 @@
 """Triple structure checks, fundamental operators, dilation verification."""
 
+import json
+
 import numpy as np
 import pytest
 
+from tetrablock import contractions
 from tetrablock import (
     BadSplitError,
     DimensionMismatchError,
@@ -19,8 +22,10 @@ from tetrablock import (
     extract_fundamental,
     falsify_spectral_set,
     op_norm,
+    pipeline_report_to_json,
     purity_defect,
     random_symbol_pair,
+    run_pipeline,
     triple_from_json,
     triple_to_json,
     varopoulos_example,
@@ -28,6 +33,8 @@ from tetrablock import (
     violation_certificate,
     witness_symbol,
 )
+
+from conftest import power_table_eval_operator
 
 SYMBOLS = random_symbol_pair(2, seed=55)
 
@@ -204,6 +211,32 @@ def test_unitary_power_dilation_stops_at_degree_one():
     assert rep.max_compression_defect == pytest.approx(1.0 - t * t, abs=1e-12)
 
 
+def test_verify_dilation_treats_absent_monomials_as_zero():
+    # The witness sits as a direct summand of a bigger triple, so every
+    # compression is exact, including the witness's zero monomials.
+    w = build_witness(3).triple
+    d = np.diag([0.5, -0.25, 0.75])
+    zeros = np.zeros((w.dim, 3))
+
+    def with_block(m):
+        return np.block([[m, zeros], [zeros.T, d]])
+
+    big = Triple(t1=with_block(w.t1), t2=with_block(w.t2), t3=with_block(w.t3))
+    v = np.vstack([np.eye(w.dim), zeros.T])
+    rep = verify_dilation(w, big, v, max_degree=3)
+    assert rep.passed
+    assert rep.max_compression_defect == 0.0
+    # A zero monomial on either side compresses against 0.5^|m| on the
+    # other, so the worst defect is 0.5, first met at (0, 0, 1).
+    half = Triple(t1=[[0.5]], t2=[[0.5]], t3=[[0.5]])
+    zero = Triple(t1=[[0.0]], t2=[[0.0]], t3=[[0.0]])
+    for small, big in ((half, zero), (zero, half)):
+        rep = verify_dilation(small, big, [[1.0]], max_degree=3)
+        assert not rep.passed
+        assert rep.max_compression_defect == 0.5
+        assert rep.worst_monomial == (0, 0, 1)
+
+
 def test_verify_dilation_requires_isometric_embed():
     small = Triple(t1=[[0.5]], t2=[[0.5]], t3=[[0.5]])
     big = Triple(t1=np.eye(2), t2=np.eye(2), t3=np.eye(2))
@@ -245,3 +278,13 @@ def test_falsifier_reproducible():
     a = falsify_spectral_set(w.triple, trials=25, degree=2, seed=5)
     b = falsify_spectral_set(w.triple, trials=25, degree=2, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_pipeline_document_unchanged_by_shared_basis(monkeypatch, seed):
+    # The falsifier's shared monomial basis must give the same verdict
+    # document, byte for byte, as per-call power tables.
+    fast = json.dumps(pipeline_report_to_json(run_pipeline(4, trials=5, seed=seed)))
+    monkeypatch.setattr(contractions, "eval_operator", power_table_eval_operator)
+    slow = json.dumps(pipeline_report_to_json(run_pipeline(4, trials=5, seed=seed)))
+    assert fast == slow

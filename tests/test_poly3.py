@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrablock import (
+    MonomialBasis,
     Poly3,
+    build_witness,
     cf_empirical_inf,
     cf_matrix_norm,
     eval_operator,
@@ -17,6 +19,8 @@ from tetrablock import (
     random_poly,
 )
 from tetrablock.poly3 import _circle_sup
+
+from conftest import power_table_eval_operator, random_complex
 
 
 def naive_eval(p, x1, x2, x3):
@@ -76,6 +80,93 @@ def test_eval_operator_empty_poly_is_zero():
     p = Poly3({})
     z = np.zeros((3, 3))
     assert op_norm(eval_operator(p, (z, z, z))) == 0.0
+
+
+def _dense_triple(rng, n=6):
+    # Scaled so that powers up to degree ~6 stay O(1); nothing is zero.
+    return tuple(random_complex(rng, (n, n)) / np.sqrt(4.0 * n) for _ in range(3))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_basis_matches_power_tables_on_dense_triple(rng, scale):
+    # At the small scale the cubic monomials are ~1e-18 but not zero,
+    # so they must still be kept.
+    t = tuple(scale * m for m in _dense_triple(rng))
+    basis = MonomialBasis(t)
+    for k in range(6):
+        p = random_poly(3, seed=k)
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+    assert len(basis.monomials) == 20
+    assert all(m is not None for m in basis.monomials.values())
+
+
+def test_basis_matches_power_tables_on_witness():
+    t = build_witness(8).triple
+    basis = MonomialBasis(t)
+    for k in range(4):
+        p = random_poly(3, seed=k)
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+
+
+def test_basis_keeps_only_nonzero_witness_monomials():
+    # Every pairwise product of the witness operators is exactly zero and
+    # T2 itself is zero, so of the 20 degree-3 monomials only I, T1 and
+    # T3 survive.
+    t = build_witness(8).triple
+    basis = MonomialBasis(t)
+    p = random_poly(3, seed=1)
+    eval_operator(p, basis)
+    assert set(basis.monomials) == set(p.coeffs)
+    kept = {exp for exp, m in basis.monomials.items() if m is not None}
+    assert kept == {(0, 0, 0), (1, 0, 0), (0, 0, 1)}
+    for exp, m in basis.monomials.items():
+        dense = power_table_eval_operator(Poly3({exp: 1.0}), t)
+        if m is None:
+            assert not dense.any()
+        else:
+            assert dense.any() and np.array_equal(m, dense)
+
+
+def test_basis_grows_power_tables_after_first_use(rng):
+    t = _dense_triple(rng)
+    basis = MonomialBasis(t)
+    polys = [
+        random_poly(1, seed=3),
+        Poly3({(4, 0, 0): 1.0 - 2.0j, (0, 3, 2): 0.5, (1, 1, 5): -1.5j}),
+        random_poly(3, seed=4),
+        Poly3({(6, 1, 0): 2.0, (0, 0, 7): 1.0j}),
+    ]
+    for p in polys:
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+
+
+def test_basis_skips_partially_nilpotent_products(rng):
+    # T1 is nilpotent of order 3 and T1 T2 = 0 while T2, T3 are dense
+    # and nonsingular, so zero heads and zero powers both occur.
+    n = 4
+    t1 = np.zeros((n, n), dtype=np.complex128)
+    t1[0, 1] = t1[1, 2] = 0.5
+    t2 = np.zeros((n, n), dtype=np.complex128)
+    t2[3, :] = random_complex(rng, n)
+    t3 = random_complex(rng, (n, n)) / 4.0
+    t = (t1, t2, t3)
+    basis = MonomialBasis(t)
+    p = random_poly(4, seed=9)
+    assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+    assert basis.monomials[(3, 0, 0)] is None
+    assert basis.monomials[(1, 1, 0)] is None
+    assert basis.monomials[(0, 1, 1)] is not None
+
+
+def test_basis_empty_poly_and_tuple_input(rng):
+    t = _dense_triple(rng)
+    empty = Poly3({})
+    assert np.array_equal(eval_operator(empty, MonomialBasis(t)), np.zeros((6, 6)))
+    assert np.array_equal(eval_operator(empty, t), power_table_eval_operator(empty, t))
+    p = random_poly(3, seed=2)
+    want = power_table_eval_operator(p, t)
+    assert np.array_equal(eval_operator(p, t), want)
+    assert np.array_equal(eval_operator(p, list(t)), want)
 
 
 def test_poly_json_round_trip():
