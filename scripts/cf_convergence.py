@@ -1,10 +1,10 @@
 """Convergence of the empirical two-coefficient extension to its infimum.
 
-For a batch of seeded coefficient pairs, runs the staged search at a
-sweep of completion degrees and prints the ratio of each empirical
-value to the exact matrix-norm infimum.  The ratios should decrease
-towards 1 along each row and the final column should sit within a few
-tenths of a percent of 1.
+For a batch of seeded coefficient pairs, runs the convergence study
+(Lawson's iteration at a sweep of completion degrees) and prints the
+ratio of each empirical value to the exact matrix-norm infimum.  The
+ratios should decrease towards 1 along each row and the final column
+should sit within a few tenths of a percent of 1.
 
 Usage:
     python3 scripts/cf_convergence.py
@@ -18,18 +18,7 @@ import time
 
 import numpy as np
 
-from tetrablock import cf_empirical_inf, cf_matrix_norm
-
-
-def draw_pair(seed):
-    # Same calibrated distribution the acceptance suite uses: the
-    # second coefficient dominates, so the Blaschke tail of the true
-    # minimizer decays fast and low degrees already sit near the floor.
-    rng = np.random.default_rng(seed)
-    m1 = rng.uniform(0.5, 1.0)
-    m0 = m1 * rng.uniform(0.3, 0.95)
-    ph = np.exp(2j * np.pi * rng.random(2))
-    return m0 * ph[0], m1 * ph[1]
+from tetrablock import cf_convergence_study
 
 
 def main(argv=None) -> int:
@@ -46,18 +35,15 @@ def main(argv=None) -> int:
     final_ratios = []
     children = np.random.SeedSequence(args.seed).spawn(args.pairs)
     for i, child in enumerate(children):
-        pair_seed = int(child.generate_state(1)[0])
-        b0, b1 = draw_pair(pair_seed)
-        mu = cf_matrix_norm(b0, b1)
-        vals = [
-            cf_empirical_inf(b0, b1, d, grid=args.grid, seed=pair_seed)
-            for d in args.degrees
-        ]
-        ratios = [v / mu for v in vals]
+        rep = cf_convergence_study(
+            seed=child, degrees=tuple(args.degrees), grid=args.grid
+        )
+        mu = rep.matrix_norm
+        ratios = [v / mu for v in rep.values]
         final_ratios.append(ratios[-1])
         row = " ".join(f"{r:>9.5f}" for r in ratios)
-        print(f"{i:>4} {abs(b0):>6.3f} {abs(b1):>6.3f} {mu:>8.5f} {row}")
-        if vals != sorted(vals, reverse=True):
+        print(f"{i:>4} {abs(rep.b0):>6.3f} {abs(rep.b1):>6.3f} {mu:>8.5f} {row}")
+        if not rep.monotone:
             print(f"     warning: pair {i} is not monotone across degrees")
 
     dt = time.perf_counter() - t0

@@ -164,15 +164,11 @@ def _cmd_sup(args, config: ToolConfig) -> int:
 def _cmd_cf(args, config: ToolConfig) -> int:
     b0 = _parse_complex(args.b0)
     b1 = _parse_complex(args.b1)
-    seed = _resolve_seed(args, config)
     mu = cf_matrix_norm(b0, b1)
-    value = cf_empirical_inf(
-        b0, b1, args.degree, grid=config.cf_grid, seed=seed
-    )
+    value = cf_empirical_inf(b0, b1, args.degree, grid=config.cf_grid)
     doc = {
         "schema": SCHEMA_ID,
         "tool": "cf",
-        "seed": seed,
         "b0": _complex_json(b0),
         "b1": _complex_json(b1),
         "degree": args.degree,
@@ -280,7 +276,6 @@ def _cmd_model(args, config: ToolConfig) -> int:
     )
     builders = {
         "hardy": build_hardy_model,
-        "l2": build_circulant_model,
         "circulant": build_circulant_model,
     }
     model = builders[args.flavor](
@@ -421,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", required=True, help="matrix JSON file")
     p.add_argument("--a2", required=True, help="matrix JSON file")
     p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--flavor", choices=("hardy", "l2", "circulant"), default="hardy")
+    p.add_argument("--flavor", choices=("hardy", "circulant"), default="hardy")
     p.add_argument("--emit", default=None, help="write the triple JSON here")
     _add_common(p)
 

@@ -3,7 +3,7 @@
 A single frozen dataclass carries every knob the library reads, so a
 run is reproducible from (config, seed) alone.  The defaults are the
 pinned values used by the acceptance suite; override selectively via
-``ToolConfig(tol_opt=1e-8)`` or load from a JSON file with
+``ToolConfig(tol_solve=1e-8)`` or load from a JSON file with
 :func:`ToolConfig.from_json`.
 """
 
@@ -26,30 +26,19 @@ class ToolConfig:
         Tolerance for identities that hold exactly in exact arithmetic
         (commutation defects, isometry defects, residuals of structured
         equations).
-    tol_opt:
-        Tolerance for quantities produced by sampling or optimization,
-        where the error is dominated by grid resolution rather than
-        rounding.
     rank_tol:
         Eigenvalue cutoff used when extracting the range of a defect
         operator: eigenvalues of the squared defect at or below this
         value are treated as zero.
-    tol_unitary:
-        Residual bound for eigensolver self-checks (reconstruction and
-        orthonormality).
     tol_solve:
         Residual bound for the structured-equation solver that extracts
         fundamental operators.
     falsify_margin:
         A candidate inequality violation must clear the estimated sup
         by this margin before it is promoted to a verdict.
-    nr_grid:
-        Number of angles in the first-pass numerical radius scan.
-    nr_refine:
-        Bracket-refinement rounds after the numerical radius scan.
     cf_grid:
-        Circle-sampling resolution used by the sup-norm objective in
-        the minimal-norm interpolation search.
+        Number of roots of unity on which the minimal-norm extension
+        search fits and scores its polynomials.
     z_samples:
         Number of roots of unity used to certify contractivity of an
         operator pencil on the circle.
@@ -57,8 +46,6 @@ class ToolConfig:
         Default boundary sample count for polynomial sup estimates.
     falsify_trials:
         Default number of random triples tried by the falsifier.
-    model_depth:
-        Default truncation level N for finite functional models.
     seed:
         Master seed; every randomized routine derives per-trial seeds
         from it deterministically.
@@ -68,27 +55,20 @@ class ToolConfig:
     """
 
     tol_algebraic: float = 1e-9
-    tol_opt: float = 1e-6
     rank_tol: float = 1e-8
-    tol_unitary: float = 1e-10
     tol_solve: float = 1e-9
     falsify_margin: float = 1e-3
-    nr_grid: int = 720
-    nr_refine: int = 40
     cf_grid: int = 512
     z_samples: int = 64
     sup_samples: int = 4096
     falsify_trials: int = 200
-    model_depth: int = 8
     seed: int = 1729
     output_format: str = "json"
 
     def __post_init__(self):
         for name in (
             "tol_algebraic",
-            "tol_opt",
             "rank_tol",
-            "tol_unitary",
             "tol_solve",
             "falsify_margin",
         ):

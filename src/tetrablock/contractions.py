@@ -562,7 +562,6 @@ class FalsifyReport:
     worst_ratio: float
     commutation_defect: float
     certificate: Certificate | None
-    errors: str
 
 
 def falsify_spectral_set(
@@ -622,7 +621,6 @@ def falsify_spectral_set(
         worst_ratio=float(worst_ratio),
         commutation_defect=float(comm),
         certificate=certificate,
-        errors="none",
     )
 
 

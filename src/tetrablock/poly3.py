@@ -284,6 +284,10 @@ def random_poly(degree: int, *, seed=None, scale: float = 1.0) -> Poly3:
 # ---------------------------------------------------------------------------
 
 
+# Reweighted least-squares steps per degree in :func:`cf_empirical_inf`.
+_LAWSON_STEPS = 300
+
+
 def cf_matrix_norm(b0: complex, b1: complex) -> float:
     """Exact infimum of sup-norms over analytic extensions of b0 + b1*z.
 
@@ -343,83 +347,39 @@ def cf_empirical_inf(
     extra_degree: int,
     *,
     grid: int = 512,
-    seed: int = 0,
 ) -> float:
-    """Search for a low-sup-norm polynomial starting b0 + b1*z + ...
+    """Smallest circle sup found for a polynomial starting b0 + b1*z + ...
 
-    Free coefficients of degrees 2..extra_degree are optimized by a
-    staged compass pattern search: each stage appends one degree,
-    warm-starts from the previous stage's best point (padded with a
-    zero), and also tries two seeded random restarts, keeping whichever
-    refined sup is lower.  Within each start the objective is annealed
-    through grid L^p norms with escalating p before the true maximum;
-    the minimax landscape has tied peaks at its optimum, where a plain
-    max objective stalls coordinate descent.  Because the stage path
-    for a smaller ``extra_degree`` is a prefix of the path for a larger
-    one, the returned value is nonincreasing in ``extra_degree`` for a
-    fixed seed, and is always within refinement error of a true sup,
-    hence essentially at or above :func:`cf_matrix_norm`.
+    For each degree d = 2..extra_degree, Lawson's iteration (Lawson
+    1961) fits the free coefficients of degrees 2..d on the ``grid``
+    roots of unity: weighted least squares from uniform weights, after
+    each fit multiplying every weight by its residual magnitude and
+    renormalising.  The problem is convex, and the reweighted fits
+    approach its minimax solution.  Each fit is scored by
+    :func:`_circle_sup`, and the running minimum over degrees, starting
+    from |b0| + |b1|, is returned.  A degree's fit does not depend on
+    ``extra_degree``, so the result is deterministic and nonincreasing
+    in ``extra_degree``; it is the sup of an actual polynomial, hence
+    essentially at or above :func:`cf_matrix_norm`.
     """
     if extra_degree < 0:
         raise ValueError("extra_degree must be nonnegative")
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    if extra_degree < 2:
-        return abs(b0) + abs(b1)
-
-    rng = as_generator(seed)
-    best_vec = np.array([b0, b1], dtype=np.complex128)
-    best_value = _circle_sup(best_vec, grid)
-    angles = np.exp(2j * np.pi * np.arange(grid) / grid)
-
-    for stage in range(2, extra_degree + 1):
-        # Power table sized to this stage only, so a run with a larger
-        # extra_degree replays smaller stages bit for bit.
-        powers = angles[None, :] ** np.arange(stage + 1)[:, None]
-        warm = np.concatenate([best_vec, np.zeros(stage + 1 - len(best_vec))])
-        starts = [warm]
-        # Each stage draws the same number of variates regardless of the
-        # final extra_degree, so stage paths replay exactly.
-        for spread in (0.25, 0.6):
-            rand = warm.copy()
-            rand[2:] += spread * (
-                rng.standard_normal(stage - 1) + 1j * rng.standard_normal(stage - 1)
-            )
-            starts.append(rand)
-
-        def smoothed(rows: np.ndarray, p: int | None) -> np.ndarray:
-            mags = np.abs(rows @ powers)
-            if p is None:
-                return mags.max(axis=-1)
-            peak = mags.max(axis=-1, keepdims=True)
-            scaled = mags / np.maximum(peak, 1e-300)
-            return peak[..., 0] * (scaled**p).mean(axis=-1) ** (1.0 / p)
-
-        for start in starts:
-            vec = start.copy()
-            for p in (8, 32, 128, None):
-                g_best = float(smoothed(vec[None, :], p)[0])
-                step = 0.3
-                for _ in range(800):
-                    if step < 1e-8:
-                        break
-                    probes = np.tile(vec, (4 * (stage - 1), 1))
-                    row = 0
-                    for j in range(2, stage + 1):
-                        for delta in (step, -step, 1j * step, -1j * step):
-                            probes[row, j] += delta
-                            row += 1
-                    gvals = smoothed(probes, p)
-                    k = int(np.argmin(gvals))
-                    if gvals[k] < g_best:
-                        g_best = float(gvals[k])
-                        vec = probes[k]
-                    else:
-                        step *= 0.5
-            val = _circle_sup(vec, grid)
-            if val < best_value:
-                best_value = val
-                best_vec = vec.copy()
-        if len(best_vec) < stage + 1:
-            best_vec = np.concatenate([best_vec, np.zeros(stage + 1 - len(best_vec))])
-    return best_value
+    best = float(abs(b0) + abs(b1))
+    if best == 0.0:
+        # Zero is its own best extension, and zero residuals leave
+        # Lawson's weights undefined.
+        return best
+    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    target = b0 + b1 * z
+    for degree in range(2, extra_degree + 1):
+        basis = z[:, None] ** np.arange(2, degree + 1)
+        w = np.full(grid, 1.0 / grid)
+        for _ in range(_LAWSON_STEPS):
+            sw = np.sqrt(w)
+            c = np.linalg.lstsq(sw[:, None] * basis, -sw * target, rcond=None)[0]
+            w = w * np.abs(target + basis @ c)
+            w /= w.sum()
+        best = min(best, _circle_sup(np.concatenate([[b0, b1], c]), grid))
+    return best

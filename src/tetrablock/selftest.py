@@ -22,6 +22,7 @@ from .contractions import falsify_spectral_set
 from .counterexample import (
     build_witness,
     case_inequality_check,
+    cf_convergence_study,
     run_pipeline,
     witness_symbol,
 )
@@ -38,7 +39,6 @@ from .models import (
     random_symbol_pair,
     recover_fundamental,
 )
-from .poly3 import cf_empirical_inf, cf_matrix_norm
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "format_result"]
 
@@ -164,30 +164,21 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Empirical minimal completions converge onto the matrix norm.
 
-    Pair distribution (calibrated so degree-8 completions land within
-    two percent): second magnitude uniform on [0.5, 1], first a
-    uniform [0.3, 0.95] fraction of it, phases uniform.  One derived
-    seed per pair is shared by all degrees, which makes the searches
-    replay as prefixes and the values monotone.
+    Runs :func:`cf_convergence_study` on 20 pairs from its calibrated
+    distribution, one child of ``SeedSequence(1729)`` each, at degrees
+    0, 2, 4 and 8.  The values are a running minimum over degrees, so
+    they are monotone by construction; the floor and the 2% ratio are
+    what this criterion measures.
     """
     t0 = time.perf_counter()
-    children = np.random.SeedSequence(1729).spawn(20)
     worst_ratio = 0.0
     worst_floor = np.inf
     all_monotone = True
-    for child in children:
-        rng = np.random.default_rng(child)
-        m1 = rng.uniform(0.5, 1.0)
-        m0 = m1 * rng.uniform(0.3, 0.95)
-        ph = rng.uniform(0.0, 2.0 * np.pi, 2)
-        b0 = complex(m0 * np.exp(1j * ph[0]))
-        b1 = complex(m1 * np.exp(1j * ph[1]))
-        mu = cf_matrix_norm(b0, b1)
-        pair_seed = int(child.generate_state(1)[0])
-        vals = [cf_empirical_inf(b0, b1, d, seed=pair_seed) for d in (0, 2, 4, 8)]
-        all_monotone &= all(vals[i] >= vals[i + 1] for i in range(3))
-        worst_ratio = max(worst_ratio, vals[-1] / mu)
-        worst_floor = min(worst_floor, vals[-1] - mu)
+    for child in np.random.SeedSequence(1729).spawn(20):
+        rep = cf_convergence_study(seed=child)
+        all_monotone &= rep.monotone
+        worst_ratio = max(worst_ratio, rep.final_ratio)
+        worst_floor = min(worst_floor, rep.values[-1] - rep.matrix_norm)
     checks = {
         "above_floor": worst_floor >= -1e-6,
         "within_2_percent": worst_ratio <= 1.02,

@@ -67,13 +67,12 @@ def test_sup_constant_poly(capsys, tmp_path):
 
 def test_cf_reports_frozen_norm(capsys):
     code, doc = run_json(
-        capsys, ["cf", "--b0", "0.6", "--b1", "0.8", "--degree", "2", "--seed", "4"]
+        capsys, ["cf", "--b0", "0.6", "--b1", "0.8", "--degree", "2"]
     )
     assert code == 0
     assert doc["matrix_norm"] == pytest.approx(1.1211102550927978, abs=1e-12)
     assert doc["empirical_inf"] >= doc["matrix_norm"] - 1e-6
     assert doc["ratio"] >= 1.0 - 1e-9
-    assert doc["seed"] == 4
 
 
 def test_fundamental_on_witness(capsys, tmp_path):
@@ -163,12 +162,12 @@ def test_model_emit_feeds_fundamental(capsys, tmp_path):
     assert doc["rank"] == 2
 
 
-def test_model_l2_flavor_is_boundary_triple(capsys, tmp_path):
+def test_model_circulant_flavor_is_boundary_triple(capsys, tmp_path):
     a1, a2 = random_symbol_pair(2, seed=26)
     f1 = write_json(tmp_path / "a1.json", matrix_to_json(a1))
     f2 = write_json(tmp_path / "a2.json", matrix_to_json(a2))
     code, doc = run_json(
-        capsys, ["model", "--a1", f1, "--a2", f2, "--blocks", "5", "--flavor", "l2"]
+        capsys, ["model", "--a1", f1, "--a2", f2, "--blocks", "5", "--flavor", "circulant"]
     )
     assert code == 0
     assert doc["flavor"] == "circulant"

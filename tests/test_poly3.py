@@ -257,17 +257,31 @@ def test_cf_empirical_degree_one_is_coefficient_sum():
     assert v == pytest.approx(0.8, abs=1e-9)
     v1 = cf_empirical_inf(0.3, 0.5, 1, grid=512)
     assert v1 == pytest.approx(0.8, abs=1e-9)
+    # The zero pair is its own best extension at every degree.
+    assert cf_empirical_inf(0, 0, 4, grid=512) == 0.0
 
 
 def test_cf_empirical_floor_and_monotone():
-    b0, b1 = 0.45, 0.7
-    mu = cf_matrix_norm(b0, b1)
-    vals = [cf_empirical_inf(b0, b1, d, grid=512, seed=9) for d in (0, 2, 4)]
-    for v in vals:
-        assert v >= mu - 1e-6
-    assert vals[0] >= vals[1] >= vals[2]
+    # A tame pair, a complex pair, one with |b0| close to |b1|, and one
+    # with a tiny b1, where the per-degree fits alone are not monotone.
+    pairs = [
+        (0.45, 0.7),
+        (0.3 - 0.2j, 0.5j),
+        (0.7, -0.7 + 1e-3j),
+        (0.376 - 0.856j, 0.0017 - 0.0021j),
+    ]
+    for b0, b1 in pairs:
+        mu = cf_matrix_norm(b0, b1)
+        vals = [cf_empirical_inf(b0, b1, d, grid=512) for d in range(9)]
+        assert vals[0] == pytest.approx(abs(b0) + abs(b1), abs=1e-12)
+        for v in vals:
+            assert v >= mu - 1e-6
+        assert all(vals[d] >= vals[d + 1] for d in range(8))
+        # The search is deterministic: a second call repeats the floats.
+        assert cf_empirical_inf(b0, b1, 8, grid=512) == vals[8]
     # Degree 4 already sits close to the infimum for a tame pair.
-    assert vals[2] <= 1.05 * mu
+    mu = cf_matrix_norm(0.45, 0.7)
+    assert cf_empirical_inf(0.45, 0.7, 4, grid=512) <= 1.05 * mu
 
 
 def test_circle_sup_matches_dense_grid(rng):
