@@ -13,7 +13,9 @@ The distinction lets shell scripts separate "the math said no" from
 "the tool could not run".  Randomized commands echo the seed they
 used; repeating a command with the same seed and flags reproduces the
 output byte for byte.  ``TETRA_SEED`` overrides the config seed, and
-an explicit ``--seed`` flag overrides both.
+an explicit ``--seed`` flag overrides both.  Only the randomized
+commands (``sup``, ``falsify``, ``counterexample``) accept ``--seed``;
+the deterministic ones reject it as a usage error.
 """
 
 from __future__ import annotations
@@ -360,7 +362,8 @@ def _cmd_selftest(args, config: ToolConfig) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+    # Only the randomized commands take --seed; the others reject it.
     sub.add_argument(
         "--config", help="path to a ToolConfig JSON file", default=None
     )
@@ -370,9 +373,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="report rendering (default from config)",
     )
-    sub.add_argument(
-        "--seed", type=int, default=None, help="master seed override"
-    )
+    if seeded:
+        sub.add_argument(
+            "--seed", type=int, default=None, help="master seed override"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -389,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sup", help="sup of |p| over the closed domain")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("cf", help="minimal circle sup completing b0 + b1 z")
     p.add_argument("--b0", required=True)
@@ -405,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", required=True, help="triple JSON file")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--degree", type=int, default=3)
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("obstruction", help="dilation obstruction invariants")
     p.add_argument("--triple", required=True, help="triple JSON file")
@@ -425,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--out", default=None, help="also write the verdict JSON here")
-    _add_common(p)
+    _add_common(p, seeded=True)
 
     p = subs.add_parser("selftest", help="run the acceptance suite")
     _add_common(p)

@@ -525,22 +525,26 @@ def violation_certificate(
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
     ``t`` is the triple or a :class:`MonomialBasis` of it shared across
-    calls.  A violation is only reported after the sup estimate has
-    been recomputed with ten times the sample budget and the gap still
-    exceeds the configured margin.  The sampled sup can only undershoot
-    the true sup, which inflates the gap, so a reported violation is
-    not rigorous; the margin and the resampling only make a spurious
-    one less likely.  Only the opposite outcome is rigorous, up to the
-    margin: lhs <= sampled sup + margin <= true sup + margin.
+    calls; the norm is taken block by block
+    (:meth:`MonomialBasis.op_norms`).  A violation is only reported
+    after the sup estimate has been recomputed with ten times the
+    sample budget and the gap still exceeds the configured margin.  The
+    sampled sup can only undershoot the true sup, which inflates the
+    gap, so a reported violation is not rigorous; the margin and the
+    resampling only make a spurious one less likely.  Only the opposite
+    outcome is rigorous, up to the margin: lhs <= sampled sup + margin
+    <= true sup + margin.
     """
-    lhs = op_norm(eval_operator(p, t))
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss = base.spawn(2)
-    sup_first = sup_on_closure(p, n_samples=config.sup_samples, seed=ss[0])
+    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
+    lhs = basis.op_norms([eval_operator(p, basis)])[0]
+    first, second = _sup_seeds(seed)
+    sup_first = sup_on_closure(p, n_samples=config.sup_samples, seed=first)
     sup_refined = sup_first
     violates = lhs > sup_first + config.falsify_margin
     if violates:
-        sup_refined = sup_on_closure(p, n_samples=10 * config.sup_samples, seed=ss[1])
+        sup_refined = sup_on_closure(
+            p, n_samples=10 * config.sup_samples, seed=second
+        )
         sup_refined = max(sup_first, sup_refined)
         violates = lhs > sup_refined + config.falsify_margin
     return Certificate(
@@ -551,6 +555,24 @@ def violation_certificate(
         margin=config.falsify_margin,
         violates=bool(violates),
     )
+
+
+def _sup_seeds(seed) -> list:
+    """A certificate's two sup seeds: the first pass and the resample.
+
+    They are the first two children of ``seed`` (an int or a
+    ``SeedSequence``), derived without spawning from it, so the same
+    seed always gives the same pair.
+    """
+    base = seed
+    if not isinstance(base, np.random.SeedSequence):
+        base = np.random.SeedSequence(seed)
+    return [
+        np.random.SeedSequence(
+            base.entropy, spawn_key=base.spawn_key + (i,), pool_size=base.pool_size
+        )
+        for i in range(2)
+    ]
 
 
 @dataclass(frozen=True)
@@ -577,47 +599,72 @@ def falsify_spectral_set(
 
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
-    the trial count.  All trials evaluate against one
-    :class:`MonomialBasis` of the triple, so each power and monomial
-    is multiplied out once per call.  The triple's commutation defect
-    is reported, not enforced; operator evaluation assumes commutation.
+    the trial count.  The work is done once per call, not per trial:
+    one :class:`MonomialBasis` of the triple multiplies out each
+    monomial once and takes every trial's norm ||p(T)|| from one
+    stacked SVD per block size of the triple's block-diagonal
+    partition, and one batched :func:`sup_on_closure` call gives every
+    trial's first sup estimate.  Only the trials this screen leaves
+    above their sup by the margin are then passed, in trial order, to
+    :func:`violation_certificate`, whose ten-times resample confirms or
+    refutes them.  Every screened number is bit for bit what the
+    certificate computes for that trial alone.  The triple's
+    commutation defect is reported, not enforced; operator evaluation
+    assumes commutation.
 
-    Returns outcome "Violation" with a certificate on the first
-    confirmed exceedance, else "NoViolationFound".
+    Returns outcome "Violation" with its certificate on the first
+    confirmed exceedance, with ``trials_run`` counting the trials up to
+    it.  Otherwise the outcome is "NoViolationFound" and the
+    certificate is that of the first trial with the largest ratio
+    ||p(T)|| / sup, or ``None`` when every ratio is 0.
     """
     trials = config.falsify_trials if trials is None else trials
     seed = config.seed if seed is None else seed
     comm = commutation_defect(t)
     basis = MonomialBasis(t)
-    worst_ratio = 0.0
-    certificate = None
-    outcome = "NoViolationFound"
-    ran = 0
 
     if polys is not None:
-        items = [(p, seed + i) for i, p in enumerate(polys)]
+        polys = list(polys)
+        sup_seeds = [seed + i for i in range(len(polys))]
     else:
-        children = np.random.SeedSequence(seed).spawn(trials)
-        items = []
-        for i, child in enumerate(children):
+        polys, sup_seeds = [], []
+        for child in np.random.SeedSequence(seed).spawn(trials):
             grand = child.spawn(2)
-            items.append((random_poly(degree, seed=grand[0]), grand[1]))
+            polys.append(random_poly(degree, seed=grand[0]))
+            sup_seeds.append(grand[1])
 
-    for p, sup_seed in items:
-        cert = violation_certificate(basis, p, config=config, seed=sup_seed)
-        ran += 1
-        ratio = cert.lhs / max(cert.sup_refined, 1e-300)
+    lhs = basis.op_norms(eval_operator(p, basis) for p in polys)
+    sup_first = sup_on_closure(
+        polys,
+        n_samples=config.sup_samples,
+        seed=[_sup_seeds(s)[0] for s in sup_seeds],
+    )
+    worst_ratio = 0.0
+    worst = None
+    for k, p in enumerate(polys):
+        sup, cert = sup_first[k], None
+        if lhs[k] > sup + config.falsify_margin:
+            cert = violation_certificate(basis, p, config=config, seed=sup_seeds[k])
+            sup = cert.sup_refined
+        ratio = lhs[k] / max(sup, 1e-300)
         if ratio > worst_ratio:
-            worst_ratio = ratio
-            if certificate is None or not certificate.violates:
-                certificate = cert
-        if cert.violates:
-            certificate = cert
-            outcome = "Violation"
-            break
+            worst_ratio, worst = ratio, k
+        if cert is not None and cert.violates:
+            return FalsifyReport(
+                outcome="Violation",
+                trials_run=k + 1,
+                worst_ratio=float(worst_ratio),
+                commutation_defect=float(comm),
+                certificate=cert,
+            )
+    certificate = None
+    if worst is not None:
+        certificate = violation_certificate(
+            basis, polys[worst], config=config, seed=sup_seeds[worst]
+        )
     return FalsifyReport(
-        outcome=outcome,
-        trials_run=ran,
+        outcome="NoViolationFound",
+        trials_run=len(polys),
         worst_ratio=float(worst_ratio),
         commutation_defect=float(comm),
         certificate=certificate,

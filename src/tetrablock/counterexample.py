@@ -219,8 +219,9 @@ def cf_convergence_study(
     regime where degree-8 completions land within a couple percent of
     the exact matrix norm: second magnitude uniform on [0.5, 1], first
     a uniform [0.3, 0.95] fraction of it, phases uniform.
-    :func:`cf_empirical_inf` returns a running minimum over degrees,
-    so the reported values are nonincreasing.
+    One :func:`cf_empirical_inf` call fits each degree up to the
+    largest once and returns its running minimum at every requested
+    degree, so the reported values are nonincreasing.
     """
     rng = as_generator(seed)
     m1 = rng.uniform(0.5, 1.0)
@@ -229,7 +230,7 @@ def cf_convergence_study(
     b0 = complex(m0 * np.exp(1j * ph[0]))
     b1 = complex(m1 * np.exp(1j * ph[1]))
     mu = cf_matrix_norm(b0, b1)
-    values = tuple(cf_empirical_inf(b0, b1, d, grid=grid) for d in degrees)
+    values = cf_empirical_inf(b0, b1, degrees, grid=grid)
     monotone = all(values[i] >= values[i + 1] for i in range(len(values) - 1))
     return CfStudyReport(
         b0=b0,

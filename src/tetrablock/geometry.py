@@ -249,63 +249,109 @@ def defining_abs_min(
     return max(best, 0.0)
 
 
+# Compass probe directions in the (theta, phi, r^2) parameters; the
+# order breaks ties between equally good probes.
+_COMPASS = np.array(
+    [
+        [1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, -1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0],
+    ]
+)
+
+
+def _boundary_points(params: np.ndarray):
+    """Distinguished-boundary points from unit-cube parameters."""
+    theta = 2.0 * np.pi * params[..., 0]
+    phi = 2.0 * np.pi * params[..., 1]
+    r = np.sqrt(params[..., 2])
+    x3 = np.exp(1j * theta)
+    x2 = r * np.exp(1j * phi)
+    return np.conj(x2) * x3, x2, x3
+
+
 def sup_on_closure(
-    p: Poly3,
+    p,
     *,
     n_samples: int = 4096,
     seed=None,
     refine_iters: int = 60,
     top_k: int = 5,
-) -> float:
+):
     """Estimate sup |p| over the closed domain.
 
     The modulus of a polynomial attains its sup over the closure on
     the distinguished boundary, so sampling is restricted there.  The
     raw sample maximum (one ``random((n, 3))`` draw, hence monotone in
     ``n_samples`` for a fixed seed when ``refine_iters=0``) is then
-    improved by a batched compass pattern search started from the
-    ``top_k`` best samples.  The result never drops below the raw
-    sample maximum.
+    improved by a compass pattern search started from the ``top_k``
+    best samples.  The result never drops below the raw sample maximum.
+
+    ``p`` is one polynomial, which returns a float, or a sequence of
+    polynomials with ``seed`` a matching sequence, which returns an
+    array of the same estimates.  A single polynomial runs as a batch
+    of one.  Each polynomial's samples are drawn from its own seed and
+    evaluated on their own, so memory does not grow with the batch;
+    the refinement then runs once over all polynomials x ``top_k``
+    starts.  A polynomial whose steps have all dropped below 1e-9 is
+    frozen by a mask, exactly where its own search would stop, so each
+    estimate is bit for bit the one its polynomial gets alone.
     """
-    rng = as_generator(seed)
-    u = rng.random((n_samples, 3))
-
-    def points(params: np.ndarray):
-        theta = 2.0 * np.pi * params[..., 0]
-        phi = 2.0 * np.pi * params[..., 1]
-        r = np.sqrt(params[..., 2])
-        x3 = np.exp(1j * theta)
-        x2 = r * np.exp(1j * phi)
-        return np.conj(x2) * x3, x2, x3
-
-    x1, x2, x3 = points(u)
-    vals = np.abs(eval_scalar_many(p, x1, x2, x3))
-    raw = float(vals.max()) if n_samples else 0.0
-    if refine_iters <= 0 or n_samples == 0:
-        return raw
-
+    single = isinstance(p, Poly3)
+    polys = [p] if single else list(p)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(polys):
+        raise ValueError(
+            f"need one seed per polynomial, got {len(seeds)} for {len(polys)}"
+        )
+    if top_k < 1:
+        raise ValueError("top_k must be positive")
     k = min(top_k, n_samples)
-    starts = u[np.argsort(vals)[-k:]]
-    current = starts.copy()
-    fcur = np.abs(eval_scalar_many(p, *points(current)))
-    steps = np.full(k, 0.1)
-    offsets = np.zeros((6, 3))
-    for j in range(3):
-        offsets[2 * j, j] = 1.0
-        offsets[2 * j + 1, j] = -1.0
+    raw = np.zeros(len(polys))
+    starts = np.empty((len(polys), k, 3))
+    for b, (q, s) in enumerate(zip(polys, seeds)):
+        u = as_generator(s).random((n_samples, 3))
+        vals = np.abs(eval_scalar_many([q], *_boundary_points(u[None])))[0]
+        if n_samples:
+            raw[b] = vals.max()
+        starts[b] = u[np.argsort(vals)[n_samples - k :]]
+    sups = raw
+    if refine_iters > 0 and n_samples > 0:
+        refined = _compass_refine(polys, starts, refine_iters)
+        sups = np.maximum(raw, refined.max(axis=1))
+    return float(sups[0]) if single else sups
 
-    for _ in range(refine_iters):
-        if np.all(steps < 1e-9):
+
+def _compass_refine(polys, current: np.ndarray, iters: int) -> np.ndarray:
+    """Batched compass ascent of |p_b| from ``current[b]``; final values.
+
+    ``current`` has shape (polynomials, starts, 3) and is updated in
+    place.  Each start probes +-step along each parameter axis, moves
+    to its best probe when that improves, and halves its step when not.
+    """
+    batch, k, _ = current.shape
+    fcur = np.abs(eval_scalar_many(polys, *_boundary_points(current)))
+    steps = np.full((batch, k), 0.1)
+    live = np.ones(batch, dtype=bool)
+    for _ in range(iters):
+        live &= ~np.all(steps < 1e-9, axis=1)
+        if not live.any():
             break
-        probes = current[:, None, :] + steps[:, None, None] * offsets[None, :, :]
+        probes = current[:, :, None, :] + steps[:, :, None, None] * _COMPASS
         probes[..., 0] %= 1.0
         probes[..., 1] %= 1.0
         probes[..., 2] = np.clip(probes[..., 2], 0.0, 1.0)
-        fp = np.abs(eval_scalar_many(p, *points(probes.reshape(-1, 3)))).reshape(k, 6)
-        bidx = np.argmax(fp, axis=1)
-        bval = fp[np.arange(k), bidx]
-        gain = bval > fcur
-        current[gain] = probes[np.arange(k), bidx][gain]
+        fp = np.abs(
+            eval_scalar_many(polys, *_boundary_points(probes.reshape(batch, -1, 3)))
+        ).reshape(batch, k, 6)
+        bidx = np.argmax(fp, axis=2)
+        bval = np.take_along_axis(fp, bidx[..., None], axis=2)[..., 0]
+        gain = (bval > fcur) & live[:, None]
+        best = np.take_along_axis(probes, bidx[..., None, None], axis=2)[:, :, 0]
+        current[gain] = best[gain]
         fcur[gain] = bval[gain]
-        steps[~gain] *= 0.5
-    return max(raw, float(fcur.max()))
+        steps[~gain & live[:, None]] *= 0.5
+    return fcur

@@ -101,9 +101,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value.
+
+    An all-zero (or empty) matrix returns 0.0 without an SVD, the value
+    the SVD would give.
+    """
     a = as_matrix(a)
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 

@@ -3,12 +3,13 @@ minimal-norm extension utilities.
 
 A polynomial is held sparsely as ``{(m1, m2, m3): coefficient}``.
 Scalar evaluation is Horner-style, nested variable by variable;
-vectorized evaluation uses cumulative power tables; operator
-evaluation substitutes a commuting matrix triple, ordered as
-``T1^m1 T2^m2 T3^m3``.  The triple's monomials come from a
-``MonomialBasis``, which builds each power and monomial once and
-keeps exactly zero ones as absent, so callers evaluating many
-polynomials on one triple build the basis once and share it.
+vectorized evaluation uses cumulative power tables and takes a batch
+of polynomials at once; operator evaluation substitutes a commuting
+matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The triple's
+monomials come from a ``MonomialBasis``, which builds each power and
+monomial once and keeps exactly zero ones as absent, so callers
+evaluating many polynomials on one triple build the basis once and
+share it; the basis also takes operator norms block by block.
 Operator evaluation does not re-verify commutation: callers that
 need the defect should measure it once, not per evaluation.
 """
@@ -137,33 +138,60 @@ def eval_scalar(p: Poly3, x1: complex, x2: complex, x3: complex) -> complex:
     return complex(_horner_sparse(outer, x1))
 
 
-def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
+def eval_scalar_many(p, x1, x2, x3) -> np.ndarray:
     """Evaluate at arrays of points (broadcast together).
 
-    Builds cumulative power tables per variable, so the cost is one
-    multiply per table row plus one fused gather per term.
+    ``p`` is one polynomial or a sequence of B polynomials.  For a
+    sequence the points carry a leading batch axis of length B, and
+    polynomial b is evaluated at the points of row b; a single
+    polynomial runs as a batch of one, without the batch axis.
+    Cumulative power tables per variable cost one multiply per table
+    row; each term is then one fused product per batch row.  Terms are
+    multiplied and summed in each polynomial's ``coeffs`` order, and a
+    polynomial with fewer terms than the longest in the batch is padded
+    with zero terms, so every row is bit for bit its own evaluation.
     """
+    single = isinstance(p, Poly3)
+    polys = [p] if single else list(p)
     x1, x2, x3 = np.broadcast_arrays(
         np.asarray(x1, dtype=np.complex128),
         np.asarray(x2, dtype=np.complex128),
         np.asarray(x3, dtype=np.complex128),
     )
-    out = np.zeros(x1.shape, dtype=np.complex128)
-    if not p.coeffs:
-        return out
-    d1 = max(exp[0] for exp in p.coeffs)
-    d2 = max(exp[1] for exp in p.coeffs)
-    d3 = max(exp[2] for exp in p.coeffs)
+    if single:
+        x1, x2, x3 = x1[None], x2[None], x3[None]
+    batch = len(polys)
+    if x1.shape[:1] != (batch,):
+        raise ValueError(
+            f"points need a leading batch axis of {batch}, got shape {x1.shape}"
+        )
+    terms = max((len(q.coeffs) for q in polys), default=0)
+    exps = np.zeros((batch, terms, 3), dtype=np.intp)
+    coefs = np.zeros((batch, terms), dtype=np.complex128)
+    for b, q in enumerate(polys):
+        if q.coeffs:
+            exps[b, : len(q.coeffs)] = list(q.coeffs)
+            coefs[b, : len(q.coeffs)] = list(q.coeffs.values())
     tables = []
-    for x, d in ((x1, d1), (x2, d2), (x3, d3)):
+    for i, x in enumerate((x1, x2, x3)):
+        d = exps[..., i].max(initial=0)
         tab = np.empty((d + 1,) + x.shape, dtype=np.complex128)
         tab[0] = 1.0
         for k in range(1, d + 1):
             tab[k] = tab[k - 1] * x
         tables.append(tab)
-    for (m1, m2, m3), c in p.coeffs.items():
-        out += c * tables[0][m1] * tables[1][m2] * tables[2][m3]
-    return out
+    rows = np.arange(batch)
+    coef_shape = (batch,) + (1,) * (x1.ndim - 1)
+    out = np.zeros(x1.shape, dtype=np.complex128)
+    for j in range(terms):
+        m1, m2, m3 = exps[:, j].T
+        out += (
+            coefs[:, j].reshape(coef_shape)
+            * tables[0][m1, rows]
+            * tables[1][m2, rows]
+            * tables[2][m3, rows]
+        )
+    return out[0] if single else out
 
 
 def _unpack_triple(t):
@@ -192,11 +220,19 @@ class MonomialBasis:
     stored as ``None`` ("absent"); absent entries are never multiplied
     again, so a nilpotent triple keeps only its few nonzero monomials.
     The basis keeps the triple as ``t1``/``t2``/``t3``, so it can stand
-    in wherever a triple is read.  ``monomials`` maps each exponent asked for so far to its matrix or
-    ``None``.
+    in wherever a triple is read.  ``monomials`` maps each exponent
+    asked for so far to its matrix or ``None``.
+
+    :meth:`blocks` is the triple's finest common block-diagonal
+    partition: the connected components of the symmetrised union of
+    the exact nonzero patterns of T1, T2 and T3, found once, on first
+    use, with no tolerance.  Every polynomial in the triple is
+    block-diagonal under it (a product of block-diagonal matrices has
+    exact zeros off the blocks), so :meth:`op_norms` takes each norm as
+    the largest over the blocks.
     """
 
-    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers")
+    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers", "_blocks")
 
     def __init__(self, t):
         self.t1, self.t2, self.t3 = _unpack_triple(t)
@@ -204,6 +240,7 @@ class MonomialBasis:
         eye = np.eye(self.dim, dtype=np.complex128)
         self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
         self._powers = ([eye], [eye], [eye])
+        self._blocks: list[np.ndarray] | None = None
 
     def _power(self, i: int, k: int) -> np.ndarray | None:
         table = self._powers[i]
@@ -225,6 +262,68 @@ class MonomialBasis:
                 mono = _drop_zero(head @ p3)
         self.monomials[exp] = mono
         return mono
+
+    def blocks(self) -> list[np.ndarray]:
+        """Index arrays of the partition's blocks, ordered by first index."""
+        if self._blocks is None:
+            pattern = (self.t1 != 0) | (self.t2 != 0) | (self.t3 != 0)
+            self._blocks = _components(pattern | pattern.T)
+        return self._blocks
+
+    def op_norms(self, mats) -> np.ndarray:
+        """Operator norms of matrices block-diagonal under :meth:`blocks`.
+
+        ``mats`` is any iterable, consumed one matrix at a time, so a
+        generator never holds more than one full matrix.  A triple that
+        forms one block takes each norm by :func:`op_norm` unchanged.
+        Otherwise each matrix keeps only its diagonal blocks, and one
+        stacked ``np.linalg.svd`` per block size gives every block's
+        largest singular value.  A matrix with a nonzero entry off the
+        blocks raises ``ValueError``.
+        """
+        blocks = self.blocks()
+        if len(blocks) <= 1:
+            return np.array([op_norm(a) for a in mats], dtype=float)
+        groups = {}
+        for idx in blocks:
+            groups.setdefault(len(idx), []).append(idx)
+        groups = {size: np.array(idxs) for size, idxs in groups.items()}
+        stacks = {size: [] for size in groups}
+        count = 0
+        for a in mats:
+            count += 1
+            kept = 0
+            for size, idx in groups.items():
+                sub = a[idx[:, :, None], idx[:, None, :]]
+                stacks[size].append(sub)
+                kept += np.count_nonzero(sub)
+            if kept != np.count_nonzero(a):
+                raise ValueError(
+                    "matrix has entries off the triple's block-diagonal partition"
+                )
+        norms = np.zeros(count)
+        if not count:
+            return norms
+        for subs in stacks.values():
+            top = np.linalg.svd(np.stack(subs), compute_uv=False)[..., 0]
+            norms = np.maximum(norms, top.max(axis=1))
+        return norms
+
+
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix."""
+    label = np.full(adj.shape[0], -1)
+    blocks = []
+    for start in range(adj.shape[0]):
+        if label[start] >= 0:
+            continue
+        label[start] = len(blocks)
+        frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
 
 
 def _drop_zero(m: np.ndarray) -> np.ndarray | None:
@@ -344,10 +443,10 @@ def _circle_sup(coefs: np.ndarray, grid: int) -> float:
 def cf_empirical_inf(
     b0: complex,
     b1: complex,
-    extra_degree: int,
+    extra_degree,
     *,
     grid: int = 512,
-) -> float:
+):
     """Smallest circle sup found for a polynomial starting b0 + b1*z + ...
 
     For each degree d = 2..extra_degree, Lawson's iteration (Lawson
@@ -361,19 +460,27 @@ def cf_empirical_inf(
     ``extra_degree``, so the result is deterministic and nonincreasing
     in ``extra_degree``; it is the sup of an actual polynomial, hence
     essentially at or above :func:`cf_matrix_norm`.
+
+    ``extra_degree`` may also be a sequence of degrees.  Each degree up
+    to the largest is then fitted once, and the tuple of running minima
+    at the requested degrees is returned, each equal to a separate call
+    with that degree.
     """
-    if extra_degree < 0:
+    single = isinstance(extra_degree, (int, np.integer))
+    degrees = [extra_degree] if single else [int(d) for d in extra_degree]
+    if any(d < 0 for d in degrees):
         raise ValueError("extra_degree must be nonnegative")
     if grid < 16:
         raise ValueError("grid must be at least 16")
     best = float(abs(b0) + abs(b1))
-    if best == 0.0:
-        # Zero is its own best extension, and zero residuals leave
-        # Lawson's weights undefined.
-        return best
+    # running[d] is the running minimum after fitting degrees 2..d.
+    running = [best, best]
+    # Zero is its own best extension, and zero residuals leave Lawson's
+    # weights undefined, so the zero pair fits nothing.
+    top = max(degrees, default=0) if best else 1
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     target = b0 + b1 * z
-    for degree in range(2, extra_degree + 1):
+    for degree in range(2, top + 1):
         basis = z[:, None] ** np.arange(2, degree + 1)
         w = np.full(grid, 1.0 / grid)
         for _ in range(_LAWSON_STEPS):
@@ -382,4 +489,6 @@ def cf_empirical_inf(
             w = w * np.abs(target + basis @ c)
             w /= w.sum()
         best = min(best, _circle_sup(np.concatenate([[b0, b1], c]), grid))
-    return best
+        running.append(best)
+    values = tuple(running[min(d, top)] for d in degrees)
+    return values[0] if single else values

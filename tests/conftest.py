@@ -50,3 +50,76 @@ def power_table_eval_operator(p, t):
     for (m1, m2, m3), c in p.coeffs.items():
         acc += c * (pow1[m1] @ pow2[m2] @ pow3[m3])
     return acc
+
+
+def single_eval_scalar_many(p, x1, x2, x3):
+    # Reference scalar evaluation of one polynomial, term by term in
+    # p.coeffs order on cumulative power tables.
+    x1, x2, x3 = np.broadcast_arrays(
+        np.asarray(x1, dtype=np.complex128),
+        np.asarray(x2, dtype=np.complex128),
+        np.asarray(x3, dtype=np.complex128),
+    )
+    out = np.zeros(x1.shape, dtype=np.complex128)
+    if not p.coeffs:
+        return out
+    d1 = max(exp[0] for exp in p.coeffs)
+    d2 = max(exp[1] for exp in p.coeffs)
+    d3 = max(exp[2] for exp in p.coeffs)
+    tables = []
+    for x, d in ((x1, d1), (x2, d2), (x3, d3)):
+        tab = np.empty((d + 1,) + x.shape, dtype=np.complex128)
+        tab[0] = 1.0
+        for k in range(1, d + 1):
+            tab[k] = tab[k - 1] * x
+        tables.append(tab)
+    for (m1, m2, m3), c in p.coeffs.items():
+        out += c * tables[0][m1] * tables[1][m2] * tables[2][m3]
+    return out
+
+
+def per_trial_sup_on_closure(p, *, n_samples=4096, seed=None, refine_iters=60, top_k=5):
+    # Reference sup estimate: one polynomial at a time, with its own
+    # compass refinement loop that stops once every step is below 1e-9.
+    rng = np.random.default_rng(seed)
+    u = rng.random((n_samples, 3))
+
+    def points(params):
+        theta = 2.0 * np.pi * params[..., 0]
+        phi = 2.0 * np.pi * params[..., 1]
+        r = np.sqrt(params[..., 2])
+        x3 = np.exp(1j * theta)
+        x2 = r * np.exp(1j * phi)
+        return np.conj(x2) * x3, x2, x3
+
+    vals = np.abs(single_eval_scalar_many(p, *points(u)))
+    raw = float(vals.max()) if n_samples else 0.0
+    if refine_iters <= 0 or n_samples == 0:
+        return raw
+
+    k = min(top_k, n_samples)
+    current = u[np.argsort(vals)[-k:]].copy()
+    fcur = np.abs(single_eval_scalar_many(p, *points(current)))
+    steps = np.full(k, 0.1)
+    offsets = np.zeros((6, 3))
+    for j in range(3):
+        offsets[2 * j, j] = 1.0
+        offsets[2 * j + 1, j] = -1.0
+
+    for _ in range(refine_iters):
+        if np.all(steps < 1e-9):
+            break
+        probes = current[:, None, :] + steps[:, None, None] * offsets[None, :, :]
+        probes[..., 0] %= 1.0
+        probes[..., 1] %= 1.0
+        probes[..., 2] = np.clip(probes[..., 2], 0.0, 1.0)
+        fp = np.abs(
+            single_eval_scalar_many(p, *points(probes.reshape(-1, 3)))
+        ).reshape(k, 6)
+        bidx = np.argmax(fp, axis=1)
+        bval = fp[np.arange(k), bidx]
+        gain = bval > fcur
+        current[gain] = probes[np.arange(k), bidx][gain]
+        fcur[gain] = bval[gain]
+        steps[~gain] *= 0.5
+    return max(raw, float(fcur.max()))

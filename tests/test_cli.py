@@ -216,6 +216,32 @@ def test_seed_precedence(capsys, monkeypatch, tmp_path):
     assert code == 0 and doc["seed"] == 1729  # config default
 
 
+def test_seed_only_on_randomized_commands(capsys, tmp_path):
+    triple = write_json(tmp_path / "t.json", triple_to_json(build_witness(3).triple))
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    a1, a2 = random_symbol_pair(2, seed=25)
+    a1 = write_json(tmp_path / "a1.json", matrix_to_json(a1))
+    a2 = write_json(tmp_path / "a2.json", matrix_to_json(a2))
+    deterministic = [
+        ["cf", "--b0", "0.6", "--b1", "0.8", "--degree", "2"],
+        ["classify", "--point", "(0,0,0)"],
+        ["fundamental", "--triple", triple],
+        ["obstruction", "--triple", triple, "--split", "12"],
+        ["model", "--a1", a1, "--a2", a2, "--blocks", "2"],
+        ["selftest"],
+    ]
+    for argv in deterministic:
+        assert main(argv + ["--seed", "4"]) == 2, argv[0]
+    randomized = [
+        (["sup", "--poly", poly, "--samples", "32"], 0),
+        (["falsify", "--triple", triple, "--trials", "2"], 0),
+        (["counterexample", "--blocks", "3", "--trials", "2"], 1),
+    ]
+    for argv, want in randomized:
+        code, doc = run_json(capsys, argv + ["--seed", "4"])
+        assert code == want and doc["seed"] == 4, argv[0]
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(0, 0, 1): 1.0})))
     cfg = write_json(tmp_path / "cfg.json", {"seed": 777, "sup_samples": 128})

@@ -10,7 +10,10 @@ from tetrablock import (
     BadSplitError,
     DimensionMismatchError,
     NotIsometricEmbeddingError,
+    Poly3,
+    ToolConfig,
     Triple,
+    boundary_point,
     build_circulant_model,
     build_hardy_model,
     build_witness,
@@ -24,6 +27,7 @@ from tetrablock import (
     op_norm,
     pipeline_report_to_json,
     purity_defect,
+    random_poly,
     random_symbol_pair,
     run_pipeline,
     triple_from_json,
@@ -271,6 +275,93 @@ def test_falsifier_finds_nothing_on_witness():
     assert rep.trials_run == 60
     assert rep.worst_ratio <= 1.0
     assert rep.commutation_defect <= 1e-12
+
+
+def per_trial_falsify(t, *, trials=None, degree=3, seed=0, polys=None, config=None):
+    # Reference falsifier: one certificate per trial, in trial order,
+    # stopping at the first confirmed violation.
+    if polys is not None:
+        items = [(p, seed + i) for i, p in enumerate(polys)]
+    else:
+        items = []
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            grand = child.spawn(2)
+            items.append((random_poly(degree, seed=grand[0]), grand[1]))
+    worst_ratio, certificate, outcome, ran = 0.0, None, "NoViolationFound", 0
+    for p, sup_seed in items:
+        cert = violation_certificate(t, p, seed=sup_seed, config=config or ToolConfig())
+        ran += 1
+        ratio = cert.lhs / max(cert.sup_refined, 1e-300)
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            if certificate is None or not certificate.violates:
+                certificate = cert
+        if cert.violates:
+            certificate, outcome = cert, "Violation"
+            break
+    return outcome, ran, worst_ratio, certificate
+
+
+@pytest.mark.parametrize(
+    "triple, trials, degree",
+    [
+        (build_witness(4).triple, 30, 3),
+        (varopoulos_example()[0], 20, 2),
+        (Triple(t1=[[2.0]], t2=[[0.0]], t3=[[0.0]]), 30, 2),
+        (Triple(t1=np.diag([2.0, 0.5]), t2=np.diag([0.0, 0.2]), t3=np.eye(2) / 4),
+         30, 2),
+    ],
+)
+def test_falsifier_matches_per_trial_certificates(triple, trials, degree):
+    # The batched screen must reach the verdict, trial count, ratio and
+    # certificate of certifying every trial on its own, bit for bit.
+    rep = falsify_spectral_set(triple, trials=trials, degree=degree, seed=2)
+    want = per_trial_falsify(triple, trials=trials, degree=degree, seed=2)
+    assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
+
+
+def test_falsifier_stops_at_first_confirmed_violation():
+    t, varo = varopoulos_example()
+    benign = Poly3({(0, 0, 0): 0.5, (0, 0, 1): 0.25})
+    rep = falsify_spectral_set(t, polys=[benign, varo, varo], seed=40)
+    assert rep.outcome == "Violation"
+    assert rep.trials_run == 2
+    assert rep.certificate == violation_certificate(t, varo, seed=41)
+    assert rep.worst_ratio == rep.certificate.lhs / rep.certificate.sup_refined
+    want = per_trial_falsify(t, polys=[benign, varo, varo], seed=40)
+    assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
+
+
+def test_falsifier_zero_polynomial_has_no_certificate():
+    w = build_witness(3)
+    rep = falsify_spectral_set(w.triple, polys=[Poly3({}), Poly3({})], seed=1)
+    assert rep.outcome == "NoViolationFound"
+    assert rep.trials_run == 2
+    assert rep.worst_ratio == 0.0
+    assert rep.certificate is None
+
+
+def test_falsifier_refutes_unconfirmed_candidates(monkeypatch):
+    # At a point of the distinguished boundary ||p(T)|| = |p(x)| <= sup |p|,
+    # but a one-sample sup can fall short of it: such first-pass
+    # candidates are certified, and the tenfold resample refutes them.
+    x1, x2, x3 = boundary_point(0.3, 1.1, 0.9)
+    t = Triple(t1=[[x1]], t2=[[x2]], t3=[[x3]])
+    config = ToolConfig(sup_samples=1)
+    certs = []
+
+    def spy(*args, **kwargs):
+        certs.append(violation_certificate(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(contractions, "violation_certificate", spy)
+    rep = falsify_spectral_set(t, trials=20, degree=2, seed=4, config=config)
+    # Four refuted candidates, then the worst trial's certificate.
+    assert len(certs) == 5 and not any(c.violates for c in certs)
+    assert all(c.sup_refined > c.sup_first for c in certs[:-1])
+    monkeypatch.undo()
+    want = per_trial_falsify(t, trials=20, degree=2, seed=4, config=config)
+    assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
 
 
 def test_falsifier_reproducible():

@@ -72,6 +72,28 @@ def test_cf_convergence_study():
     assert 1.0 - 1e-9 <= rep.final_ratio <= 1.05
 
 
+def test_cf_study_fits_each_degree_once(monkeypatch):
+    import tetrablock.poly3 as poly3
+
+    fits = []
+    circle_sup = poly3._circle_sup
+
+    def counting(coefs, grid):
+        fits.append(len(coefs) - 1)
+        return circle_sup(coefs, grid)
+
+    monkeypatch.setattr(poly3, "_circle_sup", counting)
+    rep = cf_convergence_study(seed=123, grid=256)
+    # Degrees 2..8 are each fitted once (the running minimum carries
+    # them to 4 and 8), not 1 + 3 + 7 times.
+    assert fits == list(range(2, 9))
+    monkeypatch.setattr(poly3, "_circle_sup", circle_sup)
+    separate = tuple(
+        poly3.cf_empirical_inf(rep.b0, rep.b1, d, grid=256) for d in rep.degrees
+    )
+    assert rep.values == separate
+
+
 def test_pipeline_obstructed_verdict_each_depth():
     for depth in (3, 4, 8):
         rep = run_pipeline(depth, trials=8, degree=2, seed=99)

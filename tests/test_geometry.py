@@ -6,6 +6,7 @@ import pytest
 from tetrablock import (
     Poly3,
     boundary_point,
+    random_poly,
     classify_point,
     defining_abs_min,
     on_distinguished_boundary,
@@ -15,6 +16,8 @@ from tetrablock import (
     sup_on_closure,
 )
 from tetrablock.contractions import varopoulos_polynomial
+
+from conftest import per_trial_sup_on_closure
 
 
 def structured_point(rng, beta_sum, x3_mod):
@@ -159,3 +162,50 @@ def test_sup_sample_max_monotone_in_n():
         for n in (256, 1024, 4096)
     ]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+def assert_batch_matches_per_trial(polys, seeds, **kw):
+    batched = sup_on_closure(polys, seed=seeds, **kw)
+    want = np.array(
+        [per_trial_sup_on_closure(p, seed=s, **kw) for p, s in zip(polys, seeds)]
+    )
+    assert np.array_equal(batched, want)
+    for p, s, w in zip(polys, seeds, want):
+        alone = sup_on_closure(p, seed=s, **kw)
+        assert type(alone) is float and alone == w
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_batched_sup_matches_per_trial(degree):
+    polys = [random_poly(degree, seed=100 * degree + i) for i in range(6)]
+    seeds = [np.random.SeedSequence(i) for i in range(6)]
+    assert_batch_matches_per_trial(polys, seeds, n_samples=256)
+
+
+def test_batched_sup_without_refinement():
+    polys = [random_poly(3, seed=i) for i in range(4)] + [varopoulos_polynomial()]
+    assert_batch_matches_per_trial(polys, list(range(5)), n_samples=512, refine_iters=0)
+
+
+def test_batched_sup_fewer_samples_than_starts():
+    polys = [random_poly(2, seed=i) for i in range(3)]
+    assert_batch_matches_per_trial(polys, [7, 8, 9], n_samples=3, top_k=5)
+
+
+def test_batched_sup_freezes_trials_independently():
+    # With 64 samples, the first polynomial's search stops at iteration
+    # 56, and running it on would raise its estimate in the last bit;
+    # the second runs all 60 iterations; the constant stops at 27 and
+    # the empty polynomial (a shorter, padded term list) never moves.
+    polys = [
+        random_poly(1, seed=12),
+        random_poly(1, seed=14),
+        Poly3({(0, 0, 0): 2.0 - 1.0j}),
+        Poly3({}),
+    ]
+    assert_batch_matches_per_trial(polys, [12, 14, 3, 4], n_samples=64)
+
+
+def test_batched_sup_rejects_mismatched_seeds():
+    with pytest.raises(ValueError):
+        sup_on_closure([Poly3({(1, 0, 0): 1.0})] * 2, seed=[1], n_samples=8)

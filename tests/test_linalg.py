@@ -121,6 +121,18 @@ def test_op_norm_matches_gram_eigenvalue(rng):
     assert abs(op_norm(g) - top) <= 1e-10 * max(1.0, top)
 
 
+def test_op_norm_zero_matrix_skips_svd(rng, monkeypatch):
+    g = random_complex(rng, (7, 7))
+    assert op_norm(g) == float(np.linalg.norm(g, 2))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("op_norm ran an SVD on a zero matrix")
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    value = op_norm(np.zeros((9, 9), dtype=np.complex128))
+    assert value == 0.0 and type(value) is float
+
+
 def test_spectral_radius_estimate_diagonal(rng):
     d = np.diag([0.3, -1.5 + 0.2j, 0.9j])
     est = spectral_radius_estimate(d, seed=1)

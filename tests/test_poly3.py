@@ -20,7 +20,7 @@ from tetrablock import (
 )
 from tetrablock.poly3 import _circle_sup
 
-from conftest import power_table_eval_operator, random_complex
+from conftest import power_table_eval_operator, random_complex, single_eval_scalar_many
 
 
 def naive_eval(p, x1, x2, x3):
@@ -61,6 +61,27 @@ def test_eval_scalar_many_broadcasts():
     out = eval_scalar_many(p, x1, 0.0, np.array([1.0, 2.0]))
     assert out.shape == (2, 2)
     assert abs(out[1, 1] - (1.0 + 4.0)) <= 1e-12
+
+
+def test_eval_scalar_many_batch_rows_are_single_evaluations(rng):
+    # Different exponent sets and term counts, an empty polynomial and
+    # a constant: row b must be bit for bit polynomial b on its own.
+    polys = [
+        random_poly(3, seed=1),
+        Poly3({(0, 4, 0): 1.5j, (2, 0, 1): -0.5}),
+        Poly3({}),
+        random_poly(1, seed=2),
+        Poly3({(0, 0, 0): 2.0 - 1.0j}),
+    ]
+    x1, x2, x3 = (random_complex(rng, (len(polys), 7, 3)) for _ in range(3))
+    many = eval_scalar_many(polys, x1, x2, x3)
+    assert many.shape == (len(polys), 7, 3)
+    for b, p in enumerate(polys):
+        want = single_eval_scalar_many(p, x1[b], x2[b], x3[b])
+        assert np.array_equal(many[b], want)
+        assert np.array_equal(eval_scalar_many(p, x1[b], x2[b], x3[b]), want)
+    with pytest.raises(ValueError):
+        eval_scalar_many(polys, x1[:2], x2[:2], x3[:2])
 
 
 def test_eval_operator_diagonal_reduces_to_scalar(rng):
@@ -125,6 +146,63 @@ def test_basis_keeps_only_nonzero_witness_monomials():
             assert not dense.any()
         else:
             assert dense.any() and np.array_equal(m, dense)
+
+
+def test_witness_partition_has_blocks_of_at_most_two():
+    basis = MonomialBasis(build_witness(8).triple)
+    blocks = basis.blocks()
+    assert max(len(b) for b in blocks) <= 2 and len(blocks) > 1
+    # The blocks partition the index set, each sorted, ordered by first index.
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.dim))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert all(np.array_equal(b, np.sort(b)) for b in blocks)
+
+
+def test_dense_triple_is_one_block_with_unchanged_norm(rng):
+    t = _dense_triple(rng)
+    basis = MonomialBasis(t)
+    assert len(basis.blocks()) == 1
+    mats = [eval_operator(random_poly(3, seed=k), basis) for k in range(4)]
+    norms = basis.op_norms(iter(mats))
+    assert [float(x) for x in norms] == [op_norm(m) for m in mats]
+
+
+def test_triple_coupled_only_through_t2_is_one_block(rng):
+    n = 5
+    shift = np.diag(np.full(n - 1, 0.5), k=1)
+    t = (np.diag(random_complex(rng, n)), shift, np.diag(random_complex(rng, n)))
+    assert len(MonomialBasis(t).blocks()) == 1
+    # Without T2 the same triple falls apart into n singletons.
+    t = (t[0], np.zeros((n, n)), t[2])
+    assert len(MonomialBasis(t).blocks()) == n
+
+
+def test_interleaved_blocks_and_off_block_entries(rng):
+    # Blocks {0, 2} and {1, 3}; a single one-way entry couples a pair.
+    t1 = np.zeros((4, 4), dtype=np.complex128)
+    t1[2, 0] = 1.0
+    t1[1, 3] = 0.5
+    z = np.zeros((4, 4))
+    basis = MonomialBasis((t1, z, z))
+    assert [b.tolist() for b in basis.blocks()] == [[0, 2], [1, 3]]
+    a = np.zeros((4, 4), dtype=np.complex128)
+    a[np.ix_([0, 2], [0, 2])] = random_complex(rng, (2, 2))
+    a[np.ix_([1, 3], [1, 3])] = 3.0 * random_complex(rng, (2, 2))
+    assert abs(basis.op_norms([a])[0] - op_norm(a)) <= 1e-13 * op_norm(a)
+    assert basis.op_norms([]).shape == (0,)
+    a[0, 1] = 1e-300
+    with pytest.raises(ValueError):
+        basis.op_norms([a])
+
+
+@pytest.mark.parametrize("depth", [4, 16, 32])
+def test_block_norm_matches_full_norm_on_witness(depth):
+    basis = MonomialBasis(build_witness(depth).triple)
+    polys = [random_poly(3, seed=depth + k) for k in range(5)]
+    norms = basis.op_norms(eval_operator(p, basis) for p in polys)
+    for p, got in zip(polys, norms):
+        full = op_norm(eval_operator(p, basis))
+        assert abs(got - full) <= 1e-13 * full
 
 
 def test_basis_grows_power_tables_after_first_use(rng):
@@ -259,6 +337,7 @@ def test_cf_empirical_degree_one_is_coefficient_sum():
     assert v1 == pytest.approx(0.8, abs=1e-9)
     # The zero pair is its own best extension at every degree.
     assert cf_empirical_inf(0, 0, 4, grid=512) == 0.0
+    assert cf_empirical_inf(0, 0, (0, 4), grid=512) == (0.0, 0.0)
 
 
 def test_cf_empirical_floor_and_monotone():
@@ -279,6 +358,12 @@ def test_cf_empirical_floor_and_monotone():
         assert all(vals[d] >= vals[d + 1] for d in range(8))
         # The search is deterministic: a second call repeats the floats.
         assert cf_empirical_inf(b0, b1, 8, grid=512) == vals[8]
+        # A sequence of degrees, in any order, gives the same floats.
+        assert cf_empirical_inf(b0, b1, [8, 0, 3], grid=512) == (
+            vals[8],
+            vals[0],
+            vals[3],
+        )
     # Degree 4 already sits close to the infimum for a tame pair.
     mu = cf_matrix_norm(0.45, 0.7)
     assert cf_empirical_inf(0.45, 0.7, 4, grid=512) <= 1.05 * mu
