@@ -14,6 +14,8 @@ the set |x3| = 1, x1 = conj(x2) * x3, |x2| <= 1.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,10 +201,20 @@ def defining_abs_min(
     """Minimum of |1 - z*x1 - w*x2 + z*w*x3| over the closed bidisk.
 
     For fixed z the function is affine in w, so the inner minimum has
-    the closed form max(|1 - z*x1| - |x2 - z*x3|, 0).  Only the outer
-    z variable needs searching: a polar grid scan seeds compass
-    refinements from the best few cells.  A strictly positive result
-    certifies no bidisk zero was found; (near) zero indicates the
+    the closed form max(gap(z), 0) with gap(z) = |1 - z*x1| - |x2 -
+    z*x3|.  Only the outer z variable needs searching.  A polar grid
+    of ``grid`` angles and max(2, grid // 4 + 1) radii is scanned in
+    one numpy pass; a grid minimum <= 0 already proves a bidisk zero
+    and returns 0.0.  Otherwise a compass search in normalized (radius,
+    angle) starts from each of the 4 best cells in turn, on plain
+    Python complex and float values: it probes radius +step, radius
+    -step (clipped to [0, 1]), angle +step, angle -step (mod 1), moves
+    at once to each probe that lowers gap, halves the step (from 0.25)
+    after a pass without a move, and stops below 1e-9 or after
+    ``refine_iters`` passes.
+
+    The result is an upper bound on the minimum: a strictly positive
+    value means no bidisk zero was found; (near) zero indicates the
     point is outside the open domain or on its boundary.
     """
     x1, x2, x3 = complex(x1), complex(x2), complex(x3)
@@ -210,37 +222,34 @@ def defining_abs_min(
     radii = np.linspace(0.0, 1.0, nr)
     angles = 2.0 * np.pi * np.arange(grid) / grid
     disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-
-    def gap(z):
-        return np.abs(1.0 - z * x1) - np.abs(x2 - z * x3)
-
-    vals = gap(disk)
+    vals = np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3)
     order = np.argsort(vals)
     best = float(vals[order[0]])
+    if best <= 0.0:
+        return 0.0
 
-    # Compass refinement in normalized (radius, angle), multi-start.
+    def gap(z):
+        return abs(1.0 - z * x1) - abs(x2 - z * x3)
+
     for idx in order[:4]:
-        z0 = disk[idx]
-        p = np.array([abs(z0), (np.angle(z0) / (2.0 * np.pi)) % 1.0])
-        cur = float(gap(z0))
+        z0 = complex(disk[idx])
+        r, a = abs(z0), (cmath.phase(z0) / (2.0 * math.pi)) % 1.0
+        cur = gap(z0)
         step = 0.25
         for _ in range(refine_iters):
             if step < 1e-9:
                 break
             improved = False
-            for j in range(2):
-                for sign in (1.0, -1.0):
-                    q = p.copy()
-                    q[j] += sign * step
-                    if j == 0:
-                        q[j] = min(1.0, max(0.0, q[j]))
-                    else:
-                        q[j] %= 1.0
-                    val = float(gap(q[0] * np.exp(2j * np.pi * q[1])))
-                    if val < cur:
-                        cur = val
-                        p = q
-                        improved = True
+            for delta in (step, -step):
+                q = min(1.0, max(0.0, r + delta))
+                val = gap(cmath.rect(q, 2.0 * math.pi * a))
+                if val < cur:
+                    cur, r, improved = val, q, True
+            for delta in (step, -step):
+                q = (a + delta) % 1.0
+                val = gap(cmath.rect(r, 2.0 * math.pi * q))
+                if val < cur:
+                    cur, a, improved = val, q, True
             if not improved:
                 step *= 0.5
         best = min(best, cur)

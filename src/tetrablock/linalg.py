@@ -247,53 +247,81 @@ def sqrt_psd(h, *, tol: float = 1e-9, backend: str = "lapack") -> np.ndarray:
     return (eig.vectors * vals) @ eig.vectors.conj().T
 
 
-def _rotation_tops(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of Re(e^{i theta} T) for each theta, batched."""
-    z = np.exp(1j * thetas)
-    stack = 0.5 * (
-        z[:, None, None] * t[None, :, :]
-        + np.conj(z)[:, None, None] * t.conj().T[None, :, :]
-    )
-    return np.linalg.eigvalsh(stack)[:, -1]
-
-
 def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, float]:
     """Numerical radius of a square matrix, with the maximizing angle.
 
-    Uses the rotation formula: the numerical radius equals the maximum
-    over theta of the top eigenvalue of ``(e^{i theta} T + e^{-i theta}
-    T*) / 2``.  A uniform scan over ``grid`` angles is followed by
-    ``refine`` rounds of bracket shrinking around the best angle.
+    Uses the rotation formula: the numerical radius is the maximum over
+    theta of lambda(theta), the top eigenvalue of
+
+        H(theta) = (e^{i theta} T + e^{-i theta} T*) / 2
+                 = cos(theta) A + sin(theta) B,
+
+    with A = (T + T*) / 2 and B = i (T - T*) / 2.
+
+    Scan: ``grid`` must be even.  One batched ``eigvalsh`` covers the
+    first ``grid / 2`` angles; since H(theta + pi) = -H(theta), the
+    value at theta + pi is minus the smallest eigenvalue at theta.
+
+    Refinement: at most ``refine`` steps of Newton's method on
+    lambda'(theta) = v* H'(theta) v, from the best scan angle.  Each
+    step does one ``eigh``; lambda'' = -lambda + 2 sum_k |v_k* H' v|^2
+    / (lambda - lambda_k) comes from the full eigendecomposition.  The
+    iterate stays inside [theta_0 - 2 pi / grid, theta_0 + 2 pi /
+    grid], a bracket that the sign of lambda' shrinks; a Newton step
+    that leaves it, or is taken where lambda'' >= 0, becomes a
+    bisection.  The search stops at a Newton step below 1e-13 where
+    lambda'' < 0, or once the bracket is narrower than 1e-13.
+
+    The value is an evaluated lambda at the returned angle and never
+    below the scan maximum, so it is a lower bound on the numerical
+    radius: a local search can miss a higher peak between scan angles.
 
     Returns
     -------
     (value, theta):
-        The numerical radius and an angle attaining it.
+        The numerical radius and an angle in [0, 2 pi) attaining it.
     """
     t = as_matrix(t, square=True)
+    if grid < 4 or grid % 2:
+        raise ValueError(f"grid must be even and at least 4, got {grid}")
     if t.shape[0] == 0:
         return 0.0, 0.0
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    tops = _rotation_tops(t, thetas)
+    a = 0.5 * (t + t.conj().T)
+    b = 0.5j * (t - t.conj().T)
+    thetas = 2.0 * np.pi * np.arange(grid // 2) / grid
+    ends = np.linalg.eigvalsh(
+        np.cos(thetas)[:, None, None] * a + np.sin(thetas)[:, None, None] * b
+    )
+    tops = np.concatenate([ends[:, -1], -ends[:, 0]])
     k = int(np.argmax(tops))
     best_val = float(tops[k])
-    best_theta = float(thetas[k])
+    theta = best_theta = 2.0 * np.pi * k / grid
 
-    width = 2.0 * np.pi / grid
-    center = best_theta
+    lo = theta - 2.0 * np.pi / grid
+    hi = theta + 2.0 * np.pi / grid
     for _ in range(refine):
-        if width < 1e-13:
+        c, s = math.cos(theta), math.sin(theta)
+        vals, vecs = np.linalg.eigh(c * a + s * b)
+        lam = float(vals[-1])
+        if lam > best_val:
+            best_val, best_theta = lam, theta
+        w = vecs.conj().T @ ((c * b - s * a) @ vecs[:, -1])
+        slope = float(w[-1].real)
+        if slope > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coupling = np.abs(w[:-1]) ** 2 / (lam - vals[:-1])
+        curve = -lam + 2.0 * float(np.sum(coupling))
+        step = -slope / curve if curve < 0.0 else math.nan
+        if abs(step) < 1e-13 or hi - lo < 1e-13:
             break
-        local = np.linspace(center - width, center + width, 9)
-        vals = _rotation_tops(t, local)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_theta = float(local[j]) % (2.0 * np.pi)
-        center = float(local[j])
-        width *= 0.25
+        theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)
+    best_theta %= 2.0 * np.pi
+    if best_theta == 2.0 * np.pi:
+        # A tiny negative angle wraps to 2 pi after rounding.
+        best_theta = 0.0
     return best_val, best_theta
 
 

@@ -123,3 +123,84 @@ def per_trial_sup_on_closure(p, *, n_samples=4096, seed=None, refine_iters=60, t
         fcur[gain] = bval[gain]
         steps[~gain] *= 0.5
     return max(raw, float(fcur.max()))
+
+
+def bracket_numerical_radius(t, *, grid=720, refine=40):
+    # Reference numerical radius: a scan over all grid angles, then
+    # rounds of 9-point bracket shrinking around the best angle.
+    t = np.asarray(t, dtype=np.complex128)
+    if t.shape[0] == 0:
+        return 0.0, 0.0
+
+    def tops(thetas):
+        z = np.exp(1j * thetas)
+        stack = 0.5 * (
+            z[:, None, None] * t[None, :, :]
+            + np.conj(z)[:, None, None] * t.conj().T[None, :, :]
+        )
+        return np.linalg.eigvalsh(stack)[:, -1]
+
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    vals = tops(thetas)
+    k = int(np.argmax(vals))
+    best_val = float(vals[k])
+    best_theta = float(thetas[k])
+    width = 2.0 * np.pi / grid
+    center = best_theta
+    for _ in range(refine):
+        if width < 1e-13:
+            break
+        local = np.linspace(center - width, center + width, 9)
+        vals = tops(local)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_theta = float(local[j]) % (2.0 * np.pi)
+        center = float(local[j])
+        width *= 0.25
+    return best_val, best_theta
+
+
+def compass_defining_abs_min(x1, x2, x3, *, grid=24, refine_iters=60):
+    # Reference defining-function minimum: polar grid scan, then a
+    # 4-start compass search on numpy scalars with a copied probe array.
+    x1, x2, x3 = complex(x1), complex(x2), complex(x3)
+    nr = max(2, grid // 4 + 1)
+    radii = np.linspace(0.0, 1.0, nr)
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+    def gap(z):
+        return np.abs(1.0 - z * x1) - np.abs(x2 - z * x3)
+
+    vals = gap(disk)
+    order = np.argsort(vals)
+    best = float(vals[order[0]])
+    for idx in order[:4]:
+        z0 = disk[idx]
+        p = np.array([abs(z0), (np.angle(z0) / (2.0 * np.pi)) % 1.0])
+        cur = float(gap(z0))
+        step = 0.25
+        for _ in range(refine_iters):
+            if step < 1e-9:
+                break
+            improved = False
+            for j in range(2):
+                for sign in (1.0, -1.0):
+                    q = p.copy()
+                    q[j] += sign * step
+                    if j == 0:
+                        q[j] = min(1.0, max(0.0, q[j]))
+                    else:
+                        q[j] %= 1.0
+                    val = float(gap(q[0] * np.exp(2j * np.pi * q[1])))
+                    if val < cur:
+                        cur = val
+                        p = q
+                        improved = True
+            if not improved:
+                step *= 0.5
+        best = min(best, cur)
+        if best <= 0.0:
+            break
+    return max(best, 0.0)

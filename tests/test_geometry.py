@@ -1,8 +1,11 @@
 """Domain membership, boundary structure, and sup estimation tests."""
 
+import cmath
+
 import numpy as np
 import pytest
 
+import tetrablock.geometry as geometry
 from tetrablock import (
     Poly3,
     boundary_point,
@@ -17,7 +20,7 @@ from tetrablock import (
 )
 from tetrablock.contractions import varopoulos_polynomial
 
-from conftest import per_trial_sup_on_closure
+from conftest import compass_defining_abs_min, per_trial_sup_on_closure
 
 
 def structured_point(rng, beta_sum, x3_mod):
@@ -127,6 +130,91 @@ def test_defining_abs_min_zero_outside(rng):
     for _ in range(15):
         x1, x2, x3, _ = structured_point(rng, 1.2 + rng.random(), 0.8 * rng.random())
         assert defining_abs_min(x1, x2, x3) == 0.0
+
+
+def membership_draws(seed, n):
+    """Points drawn as in acceptance criterion 8, with their beta sum."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        u = rng.random(5)
+        s = 1.5 * rng.random()
+        b1 = u[0] * np.exp(2j * np.pi * u[1])
+        b2 = u[2] * np.exp(2j * np.pi * u[3])
+        tot = abs(b1) + abs(b2)
+        b1, b2 = b1 * s / tot, b2 * s / tot
+        x3 = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * u[4])
+        out.append((b1 + np.conj(b2) * x3, b2 + np.conj(b1) * x3, x3, s))
+    return out
+
+
+def polar_grid_24():
+    """The default 24-angle, 7-radius grid of defining_abs_min."""
+    angles = np.exp(2j * np.pi * np.arange(24) / 24)
+    return (np.linspace(0.0, 1.0, 7)[:, None] * angles).ravel()
+
+
+def test_defining_abs_min_matches_compass_oracle(rng):
+    points = [p[:3] for p in membership_draws(4242, 150)]
+    for beta_sum in (0.97, 0.995, 1.005, 1.03):
+        for _ in range(15):
+            points.append(structured_point(rng, beta_sum, 0.9 * rng.random())[:3])
+    positive = 0
+    for x1, x2, x3 in points:
+        got = defining_abs_min(x1, x2, x3)
+        want = compass_defining_abs_min(x1, x2, x3)
+        assert abs(got - want) <= 1e-14
+        assert (got > 1e-5) == (want > 1e-5)
+        positive += got > 0.0
+    assert positive >= 50
+
+
+def test_defining_abs_min_probe_order(monkeypatch):
+    # Each pass probes radius +step, radius -step (clipped to [0, 1]),
+    # then angle +step, angle -step (mod 1); the order decides which of
+    # two improving probes the greedy search keeps.  A converged search
+    # ends on the same minimum along either path, so the oracle test
+    # cannot see the order; the probes are recorded instead.
+    probes = []
+
+    class RecordingCmath:
+        phase = staticmethod(cmath.phase)
+
+        @staticmethod
+        def rect(r, angle):
+            probes.append((r, angle / (2.0 * np.pi)))
+            return cmath.rect(r, angle)
+
+    x1, x2, x3, s = membership_draws(99, 1)[0]
+    assert s < 1.0
+    disk = polar_grid_24()
+    z0 = complex(disk[np.argmin(np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3))])
+    a0 = (cmath.phase(z0) / (2.0 * np.pi)) % 1.0
+    assert abs(z0) == 1.0
+    monkeypatch.setattr(geometry, "cmath", RecordingCmath)
+    defining_abs_min(x1, x2, x3, refine_iters=1)
+    # From a start on the unit circle no step-0.25 probe improves here,
+    # so the first pass stays at the start.
+    assert probes[:4] == [
+        (1.0, pytest.approx(a0, abs=1e-15)),
+        (0.75, pytest.approx(a0, abs=1e-15)),
+        (1.0, pytest.approx((a0 + 0.25) % 1.0, abs=1e-15)),
+        (1.0, pytest.approx((a0 - 0.25) % 1.0, abs=1e-15)),
+    ]
+
+
+def test_defining_abs_min_nonpositive_grid_returns_zero_without_search(monkeypatch):
+    # Outside points whose 24 x 7 polar grid already holds a gap <= 0:
+    # the result is exactly 0.0 and the compass search never runs.
+    points = [p[:3] for p in membership_draws(17, 80) if p[3] > 1.02]
+    disk = polar_grid_24()
+    monkeypatch.setattr(geometry, "cmath", None)
+    checked = 0
+    for x1, x2, x3 in points:
+        if (np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3)).min() <= 0.0:
+            assert defining_abs_min(x1, x2, x3) == 0.0
+            checked += 1
+    assert checked >= 10
 
 
 def test_point_json_round_trip():

@@ -16,11 +16,12 @@ from tetrablock import (
     matrix_to_json,
     numerical_radius,
     op_norm,
+    random_symbol_pair,
     spectral_radius_estimate,
     sqrt_psd,
 )
 
-from conftest import random_complex, random_hermitian
+from conftest import bracket_numerical_radius, random_complex, random_hermitian
 
 
 def test_as_matrix_rejects_rectangular_when_square_required(rng):
@@ -151,3 +152,89 @@ def test_jacobi_convergence_error_surfaces(monkeypatch):
     h = random_hermitian(np.random.default_rng(0), 8)
     with pytest.raises(NoConvergenceError):
         la.herm_eig(h, backend="jacobi")
+
+
+def radius_corpus():
+    """(matrix, grid, refine) triples: pencils as in criterion 7, dense,
+    Hermitian, equal-modulus diagonal, the nilpotent cell, zero."""
+    rng = np.random.default_rng(31)
+    zs = [0.0] + [np.exp(2j * np.pi * k / 35) for k in range(35)]
+    for i, child in enumerate(np.random.SeedSequence(606).spawn(4)):
+        a1, a2 = random_symbol_pair(8, seed=child, diagonal=(i % 2 == 0))
+        for z in zs:
+            yield a1 + z * a2, 360, 30
+    for n in range(2, 17):
+        yield random_complex(rng, (n, n)), 720, 40
+        yield random_hermitian(rng, n), 720, 40
+        phases = np.exp(2j * np.pi * rng.random(n))
+        yield np.diag(rng.random() * phases), 720, 40
+    yield np.array([[0.0, 0.25], [0.0, 0.0]]), 720, 40
+    yield np.zeros((3, 3)), 720, 40
+
+
+def top_eigenvalue_at(t, theta):
+    h = 0.5 * (np.exp(1j * theta) * t + np.exp(-1j * theta) * t.conj().T)
+    return float(np.linalg.eigvalsh(h)[-1])
+
+
+def test_numerical_radius_matches_bracket_oracle():
+    for t, grid, refine in radius_corpus():
+        value, theta = numerical_radius(t, grid=grid, refine=refine)
+        want, _ = bracket_numerical_radius(t, grid=grid, refine=refine)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        assert value >= numerical_radius(t, grid=grid, refine=0)[0]
+        assert 0.0 <= theta < 2.0 * np.pi
+        scale = max(1.0, op_norm(t))
+        assert abs(top_eigenvalue_at(t, theta) - value) <= 1e-14 * scale
+
+
+def test_numerical_radius_newton_converges_in_few_steps(rng):
+    # From the best of 360 angles, six Newton steps reach the value the
+    # oracle gets from 30 rounds of bracket shrinking.
+    for n in (3, 5, 8, 12):
+        for _ in range(3):
+            t = random_complex(rng, (n, n))
+            want, _ = bracket_numerical_radius(t, grid=360, refine=30)
+            value, _ = numerical_radius(t, grid=360, refine=6)
+            assert abs(value - want) <= 1e-12 * want
+
+
+def test_numerical_radius_leaves_a_valley_between_two_peaks():
+    # Two branches with peaks 2e-3 apart cross in an avoided crossing,
+    # rotated so that the valley between the peaks is the best scan
+    # angle.  There lambda'' > 0, so a Newton step would settle on the
+    # valley; the bisection fallback reaches a peak.
+    eps = 2e-3
+    t = np.exp(-0.5j * eps) * np.array([[1.0, 1e-8], [0.0, np.exp(1j * eps)]])
+    scan, theta = numerical_radius(t, grid=720, refine=0)
+    assert theta == 0.0
+    value, _ = numerical_radius(t, grid=720, refine=40)
+    want, _ = bracket_numerical_radius(t, grid=720, refine=40)
+    assert value - scan > 1e-7
+    assert abs(value - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("grid", [3, 5, 361])
+def test_numerical_radius_rejects_odd_grid(grid):
+    with pytest.raises(ValueError, match="even"):
+        numerical_radius(np.eye(2), grid=grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_numerical_radius_bounds_and_rotation_invariance(seed, n, phi):
+    # r(T) <= w(T) <= |T| <= 2 w(T), and w(e^{i phi} T) = w(T).
+    t = random_complex(np.random.default_rng(seed), (n, n))
+    w, _ = numerical_radius(t)
+    r = float(np.abs(np.linalg.eigvals(t)).max())
+    norm = op_norm(t)
+    tol = 1e-12 * norm
+    assert r <= w + tol
+    assert w <= norm + tol
+    assert norm <= 2.0 * w + tol
+    w_rot, _ = numerical_radius(np.exp(1j * phi) * t)
+    assert abs(w_rot - w) <= 1e-12 * w
