@@ -13,6 +13,7 @@ from .contractions import (
     ObstructionReport,
     Triple,
     UnitaryReport,
+    certificate_to_json,
     check_obstruction_hypotheses,
     check_tetra_isometry,
     check_tetra_unitary,
@@ -52,7 +53,6 @@ from .errors import (
     NotHermitianError,
     NotIsometricEmbeddingError,
     NotPSDError,
-    OutsideDiskError,
     TetrablockError,
     TruncationTooSmallError,
     ValidationRequiredError,
@@ -76,7 +76,6 @@ from .linalg import (
     matrix_to_json,
     numerical_radius,
     op_norm,
-    spectral_radius_estimate,
     sqrt_psd,
 )
 from .models import (
@@ -97,7 +96,6 @@ from .poly3 import (
     cf_empirical_inf,
     cf_matrix_norm,
     eval_operator,
-    eval_scalar,
     eval_scalar_many,
     poly_from_json,
     poly_to_json,

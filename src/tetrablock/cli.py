@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .contractions import (
+    certificate_to_json,
     check_obstruction_hypotheses,
     check_tetra_isometry,
     check_tetra_unitary,
@@ -44,7 +45,7 @@ from .counterexample import (
     run_pipeline,
 )
 from .errors import TetrablockError
-from .geometry import classify_point, sup_on_closure
+from .geometry import classify_point, point_from_json, point_to_json, sup_on_closure
 from .linalg import matrix_from_json, matrix_to_json, op_norm
 from .models import (
     build_circulant_model,
@@ -68,8 +69,6 @@ def _parse_point(text: str) -> tuple[complex, complex, complex]:
     """Accept '(a,b,c)' tuple syntax or the JSON point object."""
     text = text.strip()
     if text.startswith("{"):
-        from .geometry import point_from_json
-
         return point_from_json(json.loads(text))
     inner = text.strip("()[] ")
     parts = inner.split(",")
@@ -127,11 +126,7 @@ def _cmd_classify(args, config: ToolConfig) -> int:
     doc = {
         "schema": SCHEMA_ID,
         "tool": "classify",
-        "point": {
-            "x1": _complex_json(x1),
-            "x2": _complex_json(x2),
-            "x3": _complex_json(x3),
-        },
+        "point": point_to_json(x1, x2, x3),
         "in_closure": rep.in_closure,
         "distinguished_boundary": rep.distinguished,
         "x3_abs": rep.x3_abs,
@@ -224,15 +219,7 @@ def _cmd_falsify(args, config: ToolConfig) -> int:
     }
     cert = rep.certificate
     if cert is not None and cert.violates:
-        from .poly3 import poly_to_json
-
-        doc["certificate"] = {
-            "poly": poly_to_json(cert.poly),
-            "lhs": cert.lhs,
-            "sup_first": cert.sup_first,
-            "sup_refined": cert.sup_refined,
-            "margin": cert.margin,
-        }
+        doc["certificate"] = certificate_to_json(cert)
     _emit(doc, args, config)
     return 1 if rep.outcome == "Violation" else 0
 

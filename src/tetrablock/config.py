@@ -79,13 +79,6 @@ class ToolConfig:
                 f"output_format must be 'json' or 'text', got {self.output_format!r}"
             )
 
-    def replace(self, **changes) -> "ToolConfig":
-        """Return a copy with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ToolConfig":
         """Build a config from a dict, rejecting unknown keys."""

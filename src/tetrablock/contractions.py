@@ -51,6 +51,7 @@ __all__ = [
     "DilationReport",
     "verify_dilation",
     "Certificate",
+    "certificate_to_json",
     "violation_certificate",
     "FalsifyReport",
     "falsify_spectral_set",
@@ -513,6 +514,17 @@ class Certificate:
     sup_refined: float
     margin: float
     violates: bool
+
+
+def certificate_to_json(cert: Certificate) -> dict:
+    """The certificate's entries in a verdict document."""
+    return {
+        "poly": poly_to_json(cert.poly),
+        "lhs": cert.lhs,
+        "sup_first": cert.sup_first,
+        "sup_refined": cert.sup_refined,
+        "margin": cert.margin,
+    }
 
 
 def violation_certificate(

@@ -23,7 +23,6 @@ which makes the first operator normal and kills the invariant.)
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +34,14 @@ from .contractions import (
     HypothesisReport,
     ObstructionReport,
     Triple,
+    certificate_to_json,
     check_obstruction_hypotheses,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
 )
 from .linalg import op_norm, sqrt_psd
-from .poly3 import cf_empirical_inf, cf_matrix_norm, poly_to_json
+from .poly3 import cf_empirical_inf, cf_matrix_norm
 from .rng import as_generator
 
 __all__ = [
@@ -263,7 +263,6 @@ class PipelineReport:
     cf_study: CfStudyReport | None
     verdict: str
     failing_stage: str | None
-    elapsed: float
 
 
 def run_pipeline(
@@ -285,7 +284,6 @@ def run_pipeline(
     marks the verdict "Inconclusive" and records the failing stage;
     the partial report is still returned.
     """
-    start = time.perf_counter()
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)
     t = w.triple
@@ -402,15 +400,14 @@ def run_pipeline(
         cf_study=results["cf_study"],
         verdict=verdict,
         failing_stage=failing_stage,
-        elapsed=time.perf_counter() - start,
     )
 
 
 def pipeline_report_to_json(report: PipelineReport) -> dict:
     """Serializable verdict document for the pipeline.
 
-    Timing is deliberately excluded so that a fixed seed and flags
-    yield a byte-identical document.  Stages an Inconclusive run never
+    The document holds no timing, so that a fixed seed and flags yield
+    a byte-identical document.  Stages an Inconclusive run never
     reached serialize as null.
     """
     doc = {
@@ -468,13 +465,7 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
         }
         cert = report.falsify.certificate
         if cert is not None and cert.violates:
-            falsify["certificate"] = {
-                "poly": poly_to_json(cert.poly),
-                "lhs": cert.lhs,
-                "sup_first": cert.sup_first,
-                "sup_refined": cert.sup_refined,
-                "margin": cert.margin,
-            }
+            falsify["certificate"] = certificate_to_json(cert)
         doc["falsify"] = falsify
     if report.case_check is not None:
         doc["case_inequalities"] = {

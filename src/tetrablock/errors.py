@@ -13,7 +13,6 @@ __all__ = [
     "NotHermitianError",
     "NoConvergenceError",
     "NotPSDError",
-    "OutsideDiskError",
     "NotAContractionError",
     "InconsistentEquationError",
     "BadSplitError",
@@ -45,10 +44,6 @@ class NoConvergenceError(TetrablockError):
 
 class NotPSDError(TetrablockError):
     """Matrix has an eigenvalue below the negativity tolerance."""
-
-
-class OutsideDiskError(TetrablockError):
-    """A scalar parameter was required to lie in the closed unit disk."""
 
 
 class NotAContractionError(TetrablockError):

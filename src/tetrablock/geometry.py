@@ -7,15 +7,13 @@ parameter pair (b1, b2) with |b1| + |b2| <= 1 such that
 
 together with |x3| <= 1.  For |x3| < 1 the pair is unique and solvable
 in closed form, which gives a fast membership test; an independent
-route evaluates the defining function 1 - z*x1 - w*x2 + z*w*x3 over
-the closed bidisk and checks for zeros.  The distinguished boundary is
-the set |x3| = 1, x1 = conj(x2) * x3, |x2| <= 1.
+route takes the minimum of |1 - z*x1 - w*x2 + z*w*x3| over the closed
+bidisk, also in closed form, and checks it for zero.  The distinguished
+boundary is the set |x3| = 1, x1 = conj(x2) * x3, |x2| <= 1.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,83 +177,49 @@ def sample_distinguished_boundary(
     draw is a single ``random((n, 3))`` call, so for a fixed seed the
     first n points of a larger sample reproduce a smaller one.
     """
-    rng = as_generator(seed)
-    u = rng.random((n, 3))
-    theta = 2.0 * np.pi * u[:, 0]
-    phi = 2.0 * np.pi * u[:, 1]
-    r = np.sqrt(u[:, 2])
-    x3 = np.exp(1j * theta)
-    x2 = r * np.exp(1j * phi)
-    x1 = np.conj(x2) * x3
-    return x1, x2, x3
+    return _boundary_points(as_generator(seed).random((n, 3)))
 
 
-def defining_abs_min(
-    x1: complex,
-    x2: complex,
-    x3: complex,
-    *,
-    grid: int = 24,
-    refine_iters: int = 60,
-) -> float:
+# u * A'(t) / i from the coefficients of u * A, highest power first.
+_DERIVATIVE = np.array([1.0, 0.0, -1.0])
+# Fixed candidate angles, a safeguard against near-double roots.
+_SAFEGUARD_ANGLES = 2.0 * np.pi * np.arange(24) / 24
+
+
+def defining_abs_min(x1: complex, x2: complex, x3: complex) -> float:
     """Minimum of |1 - z*x1 - w*x2 + z*w*x3| over the closed bidisk.
 
-    For fixed z the function is affine in w, so the inner minimum has
-    the closed form max(gap(z), 0) with gap(z) = |1 - z*x1| - |x2 -
-    z*x3|.  Only the outer z variable needs searching.  A polar grid
-    of ``grid`` angles and max(2, grid // 4 + 1) radii is scanned in
-    one numpy pass; a grid minimum <= 0 already proves a bidisk zero
-    and returns 0.0.  Otherwise a compass search in normalized (radius,
-    angle) starts from each of the 4 best cells in turn, on plain
-    Python complex and float values: it probes radius +step, radius
-    -step (clipped to [0, 1]), angle +step, angle -step (mod 1), moves
-    at once to each probe that lowers gap, halves the step (from 0.25)
-    after a pass without a move, and stops below 1e-9 or after
-    ``refine_iters`` passes.
-
-    The result is an upper bound on the minimum: a strictly positive
-    value means no bidisk zero was found; (near) zero indicates the
-    point is outside the open domain or on its boundary.
+    For fixed z the function is affine in w, so the inner minimum is
+    max(gap(z), 0) with gap(z) = |1 - z*x1| - |x2 - z*x3|.  When
+    |x1| >= 1 the zero z = 1/x1 of 1 - z*x1 lies in the disk, so the
+    result is exactly 0.0.  Otherwise gap has no interior minimum below
+    its minimum on |z| = 1, and with z = u = exp(it), A = |1 - u*x1|^2
+    and B = |x2 - u*x3|^2, every critical point of gap = sqrt(A) -
+    sqrt(B) on the circle is a root of u^3 (A'^2 B - B'^2 A), a
+    polynomial of degree 6.  Its roots, projected onto the circle, the
+    critical points of A and of B (which carry the cases where that
+    polynomial vanishes identically) and 24 fixed angles (a safeguard
+    against near-double roots) are the candidates; the result is the
+    global minimum up to rounding.
     """
     x1, x2, x3 = complex(x1), complex(x2), complex(x3)
-    nr = max(2, grid // 4 + 1)
-    radii = np.linspace(0.0, 1.0, nr)
-    angles = 2.0 * np.pi * np.arange(grid) / grid
-    disk = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    vals = np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3)
-    order = np.argsort(vals)
-    best = float(vals[order[0]])
-    if best <= 0.0:
+    if abs(x1) >= 1.0:
         return 0.0
-
-    def gap(z):
-        return abs(1.0 - z * x1) - abs(x2 - z * x3)
-
-    for idx in order[:4]:
-        z0 = complex(disk[idx])
-        r, a = abs(z0), (cmath.phase(z0) / (2.0 * math.pi)) % 1.0
-        cur = gap(z0)
-        step = 0.25
-        for _ in range(refine_iters):
-            if step < 1e-9:
-                break
-            improved = False
-            for delta in (step, -step):
-                q = min(1.0, max(0.0, r + delta))
-                val = gap(cmath.rect(q, 2.0 * math.pi * a))
-                if val < cur:
-                    cur, r, improved = val, q, True
-            for delta in (step, -step):
-                q = (a + delta) % 1.0
-                val = gap(cmath.rect(r, 2.0 * math.pi * q))
-                if val < cur:
-                    cur, a, improved = val, q, True
-            if not improved:
-                step *= 0.5
-        best = min(best, cur)
-        if best <= 0.0:
-            break
-    return max(best, 0.0)
+    # u * A and u * B, highest power first.
+    a = np.array([-x1, 1.0 + abs(x1) ** 2, -x1.conjugate()])
+    b = np.array(
+        [-x2.conjugate() * x3, abs(x2) ** 2 + abs(x3) ** 2, -x2 * x3.conjugate()]
+    )
+    da, db = a * _DERIVATIVE, b * _DERIVATIVE
+    poly = np.convolve(np.convolve(da, da), b) - np.convolve(np.convolve(db, db), a)
+    # Where A' = 0 and where B' = 0: two antipodal pairs.
+    crit = np.array([-np.angle(x1), np.angle(x2) - np.angle(x3)])
+    angles = np.concatenate(
+        [np.angle(np.roots(poly)), crit, crit + np.pi, _SAFEGUARD_ANGLES]
+    )
+    u = np.exp(1j * angles)
+    gap = np.abs(1.0 - u * x1) - np.abs(x2 - u * x3)
+    return max(float(gap.min()), 0.0)
 
 
 # Compass probe directions in the (theta, phi, r^2) parameters; the

@@ -33,7 +33,6 @@ __all__ = [
     "herm_eig",
     "sqrt_psd",
     "numerical_radius",
-    "spectral_radius_estimate",
 ]
 
 #: Relative off-diagonal target for the Jacobi backend.
@@ -324,26 +323,3 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
         best_theta = 0.0
     return best_val, best_theta
 
-
-def spectral_radius_estimate(t, *, iters: int = 200, seed: int = 7) -> float:
-    """Power-iteration estimate of the spectral radius.
-
-    This is an approximation: it converges to the dominant eigenvalue
-    magnitude for generic starts but can undershoot when the dominant
-    eigenvalue is defective or degenerate.  The returned Rayleigh
-    magnitude never exceeds the numerical radius.
-    """
-    t = as_matrix(t, square=True)
-    n = t.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
-        y = t @ x
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return 0.0
-        x = y / ny
-    return float(abs(np.vdot(x, t @ x)))

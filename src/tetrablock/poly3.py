@@ -2,14 +2,14 @@
 minimal-norm extension utilities.
 
 A polynomial is held sparsely as ``{(m1, m2, m3): coefficient}``.
-Scalar evaluation is Horner-style, nested variable by variable;
-vectorized evaluation uses cumulative power tables and takes a batch
-of polynomials at once; operator evaluation substitutes a commuting
-matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The triple's
-monomials come from a ``MonomialBasis``, which builds each power and
-monomial once and keeps exactly zero ones as absent, so callers
-evaluating many polynomials on one triple build the basis once and
-share it; the basis also takes operator norms block by block.
+Scalar evaluation uses cumulative power tables and takes a batch of
+points and of polynomials at once; operator evaluation substitutes a
+commuting matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The
+triple's monomials come from a ``MonomialBasis``, which builds each
+power and monomial once and keeps exactly zero ones as absent, so
+callers evaluating many polynomials on one triple build the basis
+once and share it; the basis also takes operator norms block by
+block.
 Operator evaluation does not re-verify commutation: callers that
 need the defect should measure it once, not per evaluation.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "Poly3",
     "poly_to_json",
     "poly_from_json",
-    "eval_scalar",
     "eval_scalar_many",
     "MonomialBasis",
     "eval_operator",
@@ -102,40 +101,6 @@ def poly_from_json(obj) -> Poly3:
         key = (int(exp[0]), int(exp[1]), int(exp[2]))
         coeffs[key] = coeffs.get(key, 0.0) + complex(re, im)
     return Poly3(coeffs)
-
-
-def _horner_sparse(pairs, x):
-    """Evaluate sum(c * x**e) by sparse Horner.
-
-    ``pairs`` is an iterable of (exponent, value) with distinct
-    exponents; values may themselves be complex numbers or arrays.
-    """
-    items = sorted(pairs, key=lambda t: t[0], reverse=True)
-    acc = None
-    prev = 0
-    for e, c in items:
-        if acc is None:
-            acc = c
-        else:
-            acc = acc * x ** (prev - e) + c
-        prev = e
-    if acc is None:
-        return 0.0 + 0.0j
-    return acc * x**prev
-
-
-def eval_scalar(p: Poly3, x1: complex, x2: complex, x3: complex) -> complex:
-    """Evaluate at a scalar point, Horner-nested in x1, then x2, x3."""
-    by_m1: dict[int, dict[int, dict[int, complex]]] = {}
-    for (m1, m2, m3), c in p.coeffs.items():
-        by_m1.setdefault(m1, {}).setdefault(m2, {})[m3] = c
-    outer = []
-    for m1, by_m2 in by_m1.items():
-        middle = []
-        for m2, by_m3 in by_m2.items():
-            middle.append((m2, _horner_sparse(by_m3.items(), x3)))
-        outer.append((m1, _horner_sparse(middle, x2)))
-    return complex(_horner_sparse(outer, x1))
 
 
 def eval_scalar_many(p, x1, x2, x3) -> np.ndarray:

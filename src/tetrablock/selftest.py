@@ -303,10 +303,11 @@ def criterion_8() -> CriterionResult:
         strict_calls += 1
         inside = classify_point(x1, x2, x3).in_closure
         m = defining_abs_min(x1, x2, x3)
-        # Measured floors: strict insiders stay above 3.4e-3 on this
-        # seed and above 2.2e-3 on the certify-small benchmark's draws
-        # (workload seeds 1-10, 156k points); strict outsiders return
-        # exactly zero.  So 1e-5 splits with wide slack.
+        # Measured floors of the closed-form minimum: strict insiders
+        # stay above 3.4e-3 on this seed and above 2.2e-3 on the
+        # certify-small benchmark's draws (workload seeds 1-10, 156k
+        # points); strict outsiders return exactly zero.  So 1e-5
+        # splits with wide slack.
         if inside != (s < 1.0) or (m > 1e-5) != inside:
             mismatches += 1
 

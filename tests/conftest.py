@@ -52,6 +52,41 @@ def power_table_eval_operator(p, t):
     return acc
 
 
+def _horner_sparse(pairs, x):
+    """Evaluate sum(c * x**e) by sparse Horner.
+
+    ``pairs`` is an iterable of (exponent, value) with distinct
+    exponents; values may themselves be complex numbers or arrays.
+    """
+    items = sorted(pairs, key=lambda t: t[0], reverse=True)
+    acc = None
+    prev = 0
+    for e, c in items:
+        if acc is None:
+            acc = c
+        else:
+            acc = acc * x ** (prev - e) + c
+        prev = e
+    if acc is None:
+        return 0.0 + 0.0j
+    return acc * x**prev
+
+
+def horner_eval_scalar(p, x1, x2, x3):
+    # Reference scalar evaluation at one point: sparse Horner, nested in
+    # x1, then x2, then x3.
+    by_m1: dict[int, dict[int, dict[int, complex]]] = {}
+    for (m1, m2, m3), c in p.coeffs.items():
+        by_m1.setdefault(m1, {}).setdefault(m2, {})[m3] = c
+    outer = []
+    for m1, by_m2 in by_m1.items():
+        middle = []
+        for m2, by_m3 in by_m2.items():
+            middle.append((m2, _horner_sparse(by_m3.items(), x3)))
+        outer.append((m1, _horner_sparse(middle, x2)))
+    return complex(_horner_sparse(outer, x1))
+
+
 def single_eval_scalar_many(p, x1, x2, x3):
     # Reference scalar evaluation of one polynomial, term by term in
     # p.coeffs order on cumulative power tables.

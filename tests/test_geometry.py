@@ -1,11 +1,8 @@
 """Domain membership, boundary structure, and sup estimation tests."""
 
-import cmath
-
 import numpy as np
 import pytest
 
-import tetrablock.geometry as geometry
 from tetrablock import (
     Poly3,
     boundary_point,
@@ -148,12 +145,6 @@ def membership_draws(seed, n):
     return out
 
 
-def polar_grid_24():
-    """The default 24-angle, 7-radius grid of defining_abs_min."""
-    angles = np.exp(2j * np.pi * np.arange(24) / 24)
-    return (np.linspace(0.0, 1.0, 7)[:, None] * angles).ravel()
-
-
 def test_defining_abs_min_matches_compass_oracle(rng):
     points = [p[:3] for p in membership_draws(4242, 150)]
     for beta_sum in (0.97, 0.995, 1.005, 1.03):
@@ -169,52 +160,36 @@ def test_defining_abs_min_matches_compass_oracle(rng):
     assert positive >= 50
 
 
-def test_defining_abs_min_probe_order(monkeypatch):
-    # Each pass probes radius +step, radius -step (clipped to [0, 1]),
-    # then angle +step, angle -step (mod 1); the order decides which of
-    # two improving probes the greedy search keeps.  A converged search
-    # ends on the same minimum along either path, so the oracle test
-    # cannot see the order; the probes are recorded instead.
-    probes = []
-
-    class RecordingCmath:
-        phase = staticmethod(cmath.phase)
-
-        @staticmethod
-        def rect(r, angle):
-            probes.append((r, angle / (2.0 * np.pi)))
-            return cmath.rect(r, angle)
-
-    x1, x2, x3, s = membership_draws(99, 1)[0]
-    assert s < 1.0
-    disk = polar_grid_24()
-    z0 = complex(disk[np.argmin(np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3))])
-    a0 = (cmath.phase(z0) / (2.0 * np.pi)) % 1.0
-    assert abs(z0) == 1.0
-    monkeypatch.setattr(geometry, "cmath", RecordingCmath)
-    defining_abs_min(x1, x2, x3, refine_iters=1)
-    # From a start on the unit circle no step-0.25 probe improves here,
-    # so the first pass stays at the start.
-    assert probes[:4] == [
-        (1.0, pytest.approx(a0, abs=1e-15)),
-        (0.75, pytest.approx(a0, abs=1e-15)),
-        (1.0, pytest.approx((a0 + 0.25) % 1.0, abs=1e-15)),
-        (1.0, pytest.approx((a0 - 0.25) % 1.0, abs=1e-15)),
-    ]
+def test_defining_abs_min_is_global_minimum():
+    # A dense 201 x 2,048 polar scan of the disk never finds a smaller
+    # value: the closed form is the global minimum, not a local one.
+    radii = np.linspace(0.0, 1.0, 201)
+    disk = (radii[:, None] * np.exp(2j * np.pi * np.arange(2048) / 2048)).ravel()
+    for x1, x2, x3, _ in membership_draws(515, 120):
+        scan = np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3)
+        assert defining_abs_min(x1, x2, x3) <= max(scan.min(), 0.0) + 1e-12
 
 
-def test_defining_abs_min_nonpositive_grid_returns_zero_without_search(monkeypatch):
-    # Outside points whose 24 x 7 polar grid already holds a gap <= 0:
-    # the result is exactly 0.0 and the compass search never runs.
-    points = [p[:3] for p in membership_draws(17, 80) if p[3] > 1.02]
-    disk = polar_grid_24()
-    monkeypatch.setattr(geometry, "cmath", None)
-    checked = 0
-    for x1, x2, x3 in points:
-        if (np.abs(1.0 - disk * x1) - np.abs(x2 - disk * x3)).min() <= 0.0:
-            assert defining_abs_min(x1, x2, x3) == 0.0
-            checked += 1
-    assert checked >= 10
+def test_defining_abs_min_degenerate_cases():
+    x = 0.5 * np.exp(0.1j)
+    lam = 0.3 * np.exp(2.0j)
+    # x3 = 0: gap = |1 - z*x| - |x2|, smallest at z = conj(x)/|x|; with
+    # x2 = 0 too the degree-6 polynomial vanishes identically.
+    assert defining_abs_min(x, 0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert defining_abs_min(x, 0.2, 0.0) == pytest.approx(0.3, abs=1e-15)
+    # x2 = lam, x3 = lam*x: B = |lam|^2 A, so the polynomial vanishes
+    # identically and gap = (1 - |lam|) |1 - z*x|.
+    assert defining_abs_min(x, lam, lam * x) == pytest.approx(0.35, abs=1e-15)
+    # |x1| = |x3| with x2 = 1: gap is 0 on the whole circle.
+    assert defining_abs_min(x, 1.0, x) == 0.0
+    # |x1| = |x3| in general: no interior critical point beats the circle.
+    for x2 in (0.3, 0.2 - 0.7j, 1.1j):
+        x3 = 0.5 * np.exp(-1.3j)
+        got = defining_abs_min(x, x2, x3)
+        assert abs(got - compass_defining_abs_min(x, x2, x3)) <= 1e-14
+    # |x1| >= 1: the zero z = 1/x1 lies in the closed disk.
+    for x1 in (1.0, -1j, 0.6 + 0.8j, 1.5 * np.exp(0.4j)):
+        assert defining_abs_min(x1, 0.1, 0.2) == 0.0
 
 
 def test_point_json_round_trip():

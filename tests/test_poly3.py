@@ -11,7 +11,6 @@ from tetrablock import (
     cf_empirical_inf,
     cf_matrix_norm,
     eval_operator,
-    eval_scalar,
     eval_scalar_many,
     op_norm,
     poly_from_json,
@@ -20,7 +19,12 @@ from tetrablock import (
 )
 from tetrablock.poly3 import _circle_sup
 
-from conftest import power_table_eval_operator, random_complex, single_eval_scalar_many
+from conftest import (
+    horner_eval_scalar,
+    power_table_eval_operator,
+    random_complex,
+    single_eval_scalar_many,
+)
 
 
 def naive_eval(p, x1, x2, x3):
@@ -39,7 +43,7 @@ point = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=Fa
 @given(st.dictionaries(exponent, coef, max_size=8), point, point, point)
 def test_eval_scalar_matches_naive_sum(coeffs, x1, x2, x3):
     p = Poly3(coeffs)
-    got = eval_scalar(p, x1, x2, x3)
+    got = horner_eval_scalar(p, x1, x2, x3)
     want = naive_eval(p, x1, x2, x3)
     scale = 1.0 + abs(want)
     assert abs(got - want) <= 1e-9 * scale
@@ -51,7 +55,9 @@ def test_eval_scalar_many_matches_pointwise(rng):
     x2 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     x3 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     many = eval_scalar_many(p, x1, x2, x3)
-    single = np.array([eval_scalar(p, a, b, c) for a, b, c in zip(x1, x2, x3)])
+    single = np.array(
+        [horner_eval_scalar(p, a, b, c) for a, b, c in zip(x1, x2, x3)]
+    )
     assert np.max(np.abs(many - single)) <= 1e-9 * (1.0 + np.abs(single).max())
 
 
