@@ -21,6 +21,8 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    hypotheses_to_json,
+    hypothesis_projectors,
     purity_defect,
     triple_from_json,
     triple_to_json,

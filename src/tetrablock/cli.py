@@ -36,6 +36,7 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    hypotheses_to_json,
     triple_from_json,
     triple_to_json,
 )
@@ -243,14 +244,7 @@ def _cmd_obstruction(args, config: ToolConfig) -> int:
         "c1": obstruction.c1,
         "c2": obstruction.c2,
         "tol": obstruction.tol,
-        "hypotheses": {
-            "mode": hypotheses.mode,
-            "defect_kernel": hypotheses.defect_kernel,
-            "defect_range": hypotheses.defect_range,
-            "shift_kills_range": hypotheses.shift_kills_range,
-            "shift_maps_kernel": hypotheses.shift_maps_kernel,
-            "passed": hypotheses.passed,
-        },
+        "hypotheses": hypotheses_to_json(hypotheses),
         "verdict": "Obstructed" if obstruction.obstructed else "Unobstructed",
     }
     _emit(doc, args, config)

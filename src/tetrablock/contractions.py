@@ -47,7 +47,9 @@ __all__ = [
     "ObstructionReport",
     "dilation_obstruction",
     "HypothesisReport",
+    "hypothesis_projectors",
     "check_obstruction_hypotheses",
+    "hypotheses_to_json",
     "DilationReport",
     "verify_dilation",
     "Certificate",
@@ -109,13 +111,20 @@ def triple_from_json(obj: dict) -> Triple:
     )
 
 
-def commutation_defect(t: Triple) -> float:
-    """Largest pairwise commutator norm of the triple."""
-    mats = (t.t1, t.t2, t.t3)
+def commutation_defect(t: Triple | MonomialBasis) -> float:
+    """Largest pairwise commutator norm of the triple.
+
+    A :class:`MonomialBasis` is measured on its distinct blocks
+    (:meth:`MonomialBasis.parts`), and the largest block value is the
+    norm of the whole.
+    """
+    parts = [p for p, _ in t.parts()] if isinstance(t, MonomialBasis) else [t]
     worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            worst = max(worst, op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
+    for part in parts:
+        mats = (part.t1, part.t2, part.t3)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                worst = max(worst, op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
     return worst
 
 
@@ -226,7 +235,7 @@ class FundamentalPair:
 
 
 def extract_fundamental(
-    t: Triple,
+    t: Triple | MonomialBasis,
     *,
     rank_tol: float = 1e-8,
     tol_solve: float = 1e-9,
@@ -237,7 +246,9 @@ def extract_fundamental(
     positive semidefinite (T3 a contraction).  The equations are
     inverted on the spectral subspace with eigenvalues above
     ``rank_tol``; if the right-hand sides are not supported there the
-    residual check fails with InconsistentEquationError.
+    residual check fails with InconsistentEquationError.  ``t`` is
+    solved whole; a direct sum is solved block by block by calling
+    this on each of its :meth:`MonomialBasis.parts`.
     """
     eye = np.eye(t.dim)
     d2 = eye - t.t3.conj().T @ t.t3
@@ -335,9 +346,63 @@ class HypothesisReport:
     passed: bool
 
 
+def hypothesis_projectors(n: int, split: int, boundary=None, *, tol: float = 1e-9) -> tuple:
+    """The projectors :func:`check_obstruction_hypotheses` compares against.
+
+    The first is the projector onto the first ``split`` coordinates,
+    which must be exactly half of ``n``; the second, present only when
+    ``boundary`` is given, is the projector ``S S*`` onto the span of
+    the boundary's columns, which must be orthonormal to within
+    ``tol``.  A :class:`MonomialBasis` built with them as its
+    ``projectors`` carries the split and boundary, and the check runs
+    on it block by block.
+    """
+    if split is None or split <= 0 or 2 * split != n:
+        raise BadSplitError(
+            f"split must be half the dimension, got split={split}, dim={n}"
+        )
+    p_first = np.diag((np.arange(n) < split).astype(np.complex128))
+    if boundary is None:
+        return (p_first,)
+    s = as_matrix(boundary, name="boundary")
+    if s.shape[0] != n:
+        raise DimensionMismatchError(f"boundary must have {n} rows, got {s.shape[0]}")
+    gram_defect = op_norm(s.conj().T @ s - np.eye(s.shape[1]))
+    if gram_defect > tol:
+        raise NotIsometricEmbeddingError(
+            f"boundary columns are not orthonormal (defect {gram_defect:.3e})"
+        )
+    # S S* vanishes off the rows where S does, so only those multiply.
+    rows = np.flatnonzero(s.any(axis=1))
+    p_s = np.zeros((n, n), dtype=np.complex128)
+    p_s[np.ix_(rows, rows)] = s[rows] @ s[rows].conj().T
+    return (p_first, p_s)
+
+
+def _hypothesis_defects(t3, p_first, p_s, *, tol, rank_tol) -> tuple:
+    # The four defects of one triple (or one block of it); p_s is None
+    # in strict mode.
+    eye = np.eye(t3.shape[0])
+    p_second = eye - p_first
+    d2 = eye - t3.conj().T @ t3
+    eig = herm_eig(d2, tol=max(tol, 1e-9))
+    kernel_vecs = eig.vectors[:, eig.values <= rank_tol]
+    p_ker = kernel_vecs @ kernel_vecs.conj().T
+    p_range = eye - p_ker
+    if p_s is None:
+        defect_kernel = op_norm(p_ker - p_first)
+        defect_range = op_norm(p_range - p_second)
+    else:
+        defect_kernel = op_norm(p_ker - p_first + p_s)
+        defect_range = op_norm(p_range - p_second - p_s)
+    shift_kills_range = op_norm(t3 @ p_range)
+    shift_maps_kernel = op_norm((eye - p_range) @ t3 @ p_ker)
+    return defect_kernel, defect_range, shift_kills_range, shift_maps_kernel
+
+
 def check_obstruction_hypotheses(
-    t: Triple,
-    split: int,
+    t: Triple | MonomialBasis,
+    split: int | None = None,
     *,
     tol: float = 1e-9,
     rank_tol: float = 1e-8,
@@ -348,7 +413,12 @@ def check_obstruction_hypotheses(
     Parameters
     ----------
     t:
-        The triple under test.
+        The triple under test, or a :class:`MonomialBasis` built with
+        the :func:`hypothesis_projectors` of its split and boundary.
+        Such a basis carries both, so neither is passed again; it is
+        checked on its distinct blocks, each defect being the largest
+        over them, and the boundary's dimension is read off as the
+        trace (the rank) of its projector.
     split:
         Dimension of the first half; must be exactly half the space.
     boundary:
@@ -358,47 +428,38 @@ def check_obstruction_hypotheses(
         the range may gain it, which is exactly the finite-depth
         picture of an isometry truncated to a strict shift.
     """
-    n = t.dim
-    if split <= 0 or 2 * split != n:
-        raise BadSplitError(
-            f"split must be half the dimension, got split={split}, dim={n}"
-        )
-    eye = np.eye(n)
-    d2 = eye - t.t3.conj().T @ t.t3
-    eig = herm_eig(d2, tol=max(tol, 1e-9))
-    kernel_vecs = eig.vectors[:, eig.values <= rank_tol]
-    p_ker = kernel_vecs @ kernel_vecs.conj().T
-    p_range = eye - p_ker
-    p_first = np.zeros((n, n), dtype=np.complex128)
-    p_first[:split, :split] = np.eye(split)
-    p_second = np.zeros((n, n), dtype=np.complex128)
-    p_second[split:, split:] = np.eye(split)
-
-    if boundary is None:
-        mode = "strict"
+    if isinstance(t, MonomialBasis) and t.projectors:
+        if split is not None or boundary is not None:
+            raise ValueError(
+                "a basis built with projectors carries its split and boundary"
+            )
+        if len(t.projectors) > 2:
+            raise ValueError(
+                f"expected the split and at most a boundary projector, "
+                f"got {len(t.projectors)} projectors"
+            )
+        parts = t.parts()
+        pieces = [(part.t3, part.projectors) for part, _ in parts]
         boundary_dim = 0
-        defect_kernel = op_norm(p_ker - p_first)
-        defect_range = op_norm(p_range - p_second)
+        if len(t.projectors) == 2:
+            boundary_dim = round(
+                sum(len(w) * np.trace(part.projectors[1]).real for part, w in parts)
+            )
     else:
-        s = as_matrix(boundary, name="boundary")
-        if s.shape[0] != n:
-            raise DimensionMismatchError(
-                f"boundary must have {n} rows, got {s.shape[0]}"
-            )
-        gram_defect = op_norm(s.conj().T @ s - np.eye(s.shape[1]))
-        if gram_defect > tol:
-            raise NotIsometricEmbeddingError(
-                f"boundary columns are not orthonormal (defect {gram_defect:.3e})"
-            )
-        mode = "interior"
-        boundary_dim = s.shape[1]
-        p_s = s @ s.conj().T
-        defect_kernel = op_norm(p_ker - p_first + p_s)
-        defect_range = op_norm(p_range - p_second - p_s)
-
-    shift_kills_range = op_norm(t.t3 @ p_range)
-    shift_maps_kernel = op_norm((eye - p_range) @ t.t3 @ p_ker)
-    worst = max(defect_kernel, defect_range, shift_kills_range, shift_maps_kernel)
+        projectors = hypothesis_projectors(t.dim, split, boundary, tol=tol)
+        pieces = [(t.t3, projectors)]
+        boundary_dim = 0
+        if boundary is not None:
+            boundary_dim = as_matrix(boundary, name="boundary").shape[1]
+    mode = "strict" if len(pieces[0][1]) == 1 else "interior"
+    defects = [
+        _hypothesis_defects(
+            t3, p_first, p_s[0] if p_s else None, tol=tol, rank_tol=rank_tol
+        )
+        for t3, (p_first, *p_s) in pieces
+    ]
+    defects = [max(column) for column in zip(*defects)]
+    defect_kernel, defect_range, shift_kills_range, shift_maps_kernel = defects
     return HypothesisReport(
         mode=mode,
         defect_kernel=float(defect_kernel),
@@ -406,8 +467,21 @@ def check_obstruction_hypotheses(
         shift_kills_range=float(shift_kills_range),
         shift_maps_kernel=float(shift_maps_kernel),
         boundary_dim=boundary_dim,
-        passed=bool(worst <= tol),
+        passed=bool(max(defects) <= tol),
     )
+
+
+def hypotheses_to_json(rep: HypothesisReport) -> dict:
+    """The hypotheses block of a verdict document."""
+    return {
+        "mode": rep.mode,
+        "defect_kernel": rep.defect_kernel,
+        "defect_range": rep.defect_range,
+        "shift_kills_range": rep.shift_kills_range,
+        "shift_maps_kernel": rep.shift_maps_kernel,
+        "boundary_dim": rep.boundary_dim,
+        "passed": rep.passed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +611,8 @@ def violation_certificate(
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
     ``t`` is the triple or a :class:`MonomialBasis` of it shared across
-    calls; the norm is taken block by block
-    (:meth:`MonomialBasis.op_norms`).  A violation is only reported
+    calls; the norm is the largest over its distinct blocks
+    (:func:`_poly_norms`).  A violation is only reported
     after the sup estimate has been recomputed with ten times the
     sample budget and the gap still exceeds the configured margin.  The
     sampled sup can only undershoot the true sup, which inflates the
@@ -548,7 +622,7 @@ def violation_certificate(
     <= true sup + margin.
     """
     basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
-    lhs = basis.op_norms([eval_operator(p, basis)])[0]
+    lhs = _poly_norms(basis, [p])[0]
     first, second = _sup_seeds(seed)
     sup_first = sup_on_closure(p, n_samples=config.sup_samples, seed=first)
     sup_refined = sup_first
@@ -567,6 +641,21 @@ def violation_certificate(
         margin=config.falsify_margin,
         violates=bool(violates),
     )
+
+
+def _poly_norms(basis: MonomialBasis, polys) -> np.ndarray:
+    """||p(T)|| for each polynomial, the largest over the distinct blocks.
+
+    Each polynomial is evaluated on every distinct block's own small
+    triple (:meth:`MonomialBasis.parts`); a one-block triple is
+    evaluated whole and normed by :func:`op_norm`.
+    """
+    norms = np.zeros(len(polys))
+    for part, _ in basis.parts():
+        norms = np.maximum(
+            norms, [op_norm(eval_operator(p, part)) for p in polys]
+        )
+    return norms
 
 
 def _sup_seeds(seed) -> list:
@@ -599,7 +688,7 @@ class FalsifyReport:
 
 
 def falsify_spectral_set(
-    t: Triple,
+    t: Triple | MonomialBasis,
     *,
     trials: int | None = None,
     degree: int = 3,
@@ -612,10 +701,10 @@ def falsify_spectral_set(
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
     the trial count.  The work is done once per call, not per trial:
-    one :class:`MonomialBasis` of the triple multiplies out each
-    monomial once and takes every trial's norm ||p(T)|| from one
-    stacked SVD per block size of the triple's block-diagonal
-    partition, and one batched :func:`sup_on_closure` call gives every
+    one :class:`MonomialBasis` of the triple (``t`` itself when it is
+    one) multiplies out each monomial once per distinct diagonal block
+    and takes every trial's norm ||p(T)|| as the largest over those
+    blocks, and one batched :func:`sup_on_closure` call gives every
     trial's first sup estimate.  Only the trials this screen leaves
     above their sup by the margin are then passed, in trial order, to
     :func:`violation_certificate`, whose ten-times resample confirms or
@@ -633,7 +722,7 @@ def falsify_spectral_set(
     trials = config.falsify_trials if trials is None else trials
     seed = config.seed if seed is None else seed
     comm = commutation_defect(t)
-    basis = MonomialBasis(t)
+    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
 
     if polys is not None:
         polys = list(polys)
@@ -645,7 +734,7 @@ def falsify_spectral_set(
             polys.append(random_poly(degree, seed=grand[0]))
             sup_seeds.append(grand[1])
 
-    lhs = basis.op_norms(eval_operator(p, basis) for p in polys)
+    lhs = _poly_norms(basis, polys)
     sup_first = sup_on_closure(
         polys,
         n_samples=config.sup_samples,

@@ -39,9 +39,12 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    hypotheses_to_json,
+    hypothesis_projectors,
 )
+from .errors import TetrablockError
 from .linalg import op_norm, sqrt_psd
-from .poly3 import cf_empirical_inf, cf_matrix_norm
+from .poly3 import MonomialBasis, cf_empirical_inf, cf_matrix_norm
 from .rng import as_generator
 
 __all__ = [
@@ -253,7 +256,8 @@ class PipelineReport:
     seed: int
     products: dict
     defect_projection_error: float | None
-    fundamental: FundamentalPair | None
+    # The pair of each distinct diagonal block with its number of copies.
+    fundamental: list[tuple[FundamentalPair, int]] | None
     a1_norm: float | None
     a2_norm: float | None
     obstruction: ObstructionReport | None
@@ -280,13 +284,28 @@ def run_pipeline(
     hypotheses in interior mode, a randomized sup-norm falsification
     sweep, the sampled case inequalities, and a minimal-completion
     convergence study.  The verdict is "Obstructed" when either
-    commutator invariant clears the tolerance.  Any stage raising
-    marks the verdict "Inconclusive" and records the failing stage;
-    the partial report is still returned.
+    commutator invariant clears the tolerance.  A stage raising a
+    :class:`TetrablockError` or ``np.linalg.LinAlgError`` marks the
+    verdict "Inconclusive" and records the failing stage; the partial
+    report is still returned.  Any other exception propagates.
+
+    The witness is a direct sum of copies of three distinct blocks.
+    One :class:`MonomialBasis`, built with the split and boundary
+    projectors, is the run's block form: every operator stage works on
+    the distinct blocks (:meth:`MonomialBasis.parts`) and takes each
+    norm and residual as the largest over them, and the fundamental
+    pair's rank as the sum over every copy, so its cost does not grow
+    with depth.
     """
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)
     t = w.triple
+    basis = MonomialBasis(
+        t,
+        projectors=hypothesis_projectors(
+            t.dim, w.split, w.boundary, tol=config.tol_algebraic
+        ),
+    )
 
     results: dict = {
         "products": None,
@@ -303,51 +322,66 @@ def run_pipeline(
     failing_stage = None
 
     def stage_products():
-        adj1 = t.t1.conj().T
-        results["products"] = {
-            "t1 t1": op_norm(t.t1 @ t.t1),
-            "t1 t2": op_norm(t.t1 @ t.t2),
-            "t1 t3": op_norm(t.t1 @ t.t3),
-            "t2 t1": op_norm(t.t2 @ t.t1),
-            "t2 t2": op_norm(t.t2 @ t.t2),
-            "t2 t3": op_norm(t.t2 @ t.t3),
-            "t3 t1": op_norm(t.t3 @ t.t1),
-            "t3 t2": op_norm(t.t3 @ t.t2),
-            "t3 t3": op_norm(t.t3 @ t.t3),
-            "t1* t3": op_norm(adj1 @ t.t3),
-        }
+        norms = {}
+        for part, _ in basis.parts():
+            t1, t2, t3 = part.t1, part.t2, part.t3
+            for name, product in (
+                ("t1 t1", t1 @ t1),
+                ("t1 t2", t1 @ t2),
+                ("t1 t3", t1 @ t3),
+                ("t2 t1", t2 @ t1),
+                ("t2 t2", t2 @ t2),
+                ("t2 t3", t2 @ t3),
+                ("t3 t1", t3 @ t1),
+                ("t3 t2", t3 @ t2),
+                ("t3 t3", t3 @ t3),
+                ("t1* t3", t1.conj().T @ t3),
+            ):
+                norms[name] = max(norms.get(name, 0.0), op_norm(product))
+        results["products"] = norms
 
     def stage_defect():
-        gram = np.eye(t.dim) - t.t3.conj().T @ t.t3
-        d = sqrt_psd(gram, tol=config.tol_algebraic)
-        results["defect_projection_error"] = float(op_norm(d @ d - d))
+        worst = 0.0
+        for part, _ in basis.parts():
+            gram = np.eye(part.dim) - part.t3.conj().T @ part.t3
+            d = sqrt_psd(gram, tol=config.tol_algebraic)
+            worst = max(worst, float(op_norm(d @ d - d)))
+        results["defect_projection_error"] = worst
 
     def stage_fundamental():
-        pair = extract_fundamental(
-            t, rank_tol=config.rank_tol, tol_solve=config.tol_solve
-        )
-        results["fundamental"] = pair
-        results["a1_norm"] = float(op_norm(pair.a1))
-        results["a2_norm"] = float(op_norm(pair.a2))
+        pairs = [
+            (
+                extract_fundamental(
+                    part, rank_tol=config.rank_tol, tol_solve=config.tol_solve
+                ),
+                len(where),
+            )
+            for part, where in basis.parts()
+        ]
+        results["fundamental"] = pairs
+        results["a1_norm"] = max(float(op_norm(p.a1)) for p, _ in pairs)
+        results["a2_norm"] = max(float(op_norm(p.a2)) for p, _ in pairs)
 
     def stage_obstruction():
-        pair = results["fundamental"]
-        results["obstruction"] = dilation_obstruction(
-            pair.a1, pair.a2, tol=config.tol_algebraic
+        reports = [
+            dilation_obstruction(p.a1, p.a2, tol=config.tol_algebraic)
+            for p, _ in results["fundamental"]
+        ]
+        results["obstruction"] = ObstructionReport(
+            c1=max(r.c1 for r in reports),
+            c2=max(r.c2 for r in reports),
+            tol=config.tol_algebraic,
+            obstructed=any(r.obstructed for r in reports),
         )
 
     def stage_hypotheses():
         results["hypotheses"] = check_obstruction_hypotheses(
-            t,
-            w.split,
-            tol=config.tol_algebraic,
-            rank_tol=config.rank_tol,
-            boundary=w.boundary,
+            basis, tol=config.tol_algebraic, rank_tol=config.rank_tol
         )
 
     def stage_falsify():
         results["falsify"] = falsify_spectral_set(
-            t, trials=trials, degree=degree, seed=seed, config=config
+            basis, trials=trials, degree=degree, seed=seed, config=config
         )
 
     def stage_cases():
@@ -374,7 +408,7 @@ def run_pipeline(
     for name, fn in stages:
         try:
             fn()
-        except Exception:
+        except (TetrablockError, np.linalg.LinAlgError):
             failing_stage = name
             break
 
@@ -432,10 +466,11 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
         doc["products"] = {k: v for k, v in sorted(report.products.items())}
         doc["products_max"] = max(report.products.values())
     if report.fundamental is not None:
+        pairs = report.fundamental
         doc["fundamental"] = {
-            "rank": report.fundamental.rank,
-            "residual_1": report.fundamental.residual_1,
-            "residual_2": report.fundamental.residual_2,
+            "rank": sum(count * p.rank for p, count in pairs),
+            "residual_1": max(p.residual_1 for p, _ in pairs),
+            "residual_2": max(p.residual_2 for p, _ in pairs),
             "a1_norm": report.a1_norm,
             "a2_norm": report.a2_norm,
         }
@@ -447,15 +482,7 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
             "obstructed": report.obstruction.obstructed,
         }
     if report.hypotheses is not None:
-        doc["hypotheses"] = {
-            "mode": report.hypotheses.mode,
-            "defect_kernel": report.hypotheses.defect_kernel,
-            "defect_range": report.hypotheses.defect_range,
-            "shift_kills_range": report.hypotheses.shift_kills_range,
-            "shift_maps_kernel": report.hypotheses.shift_maps_kernel,
-            "boundary_dim": report.hypotheses.boundary_dim,
-            "passed": report.hypotheses.passed,
-        }
+        doc["hypotheses"] = hypotheses_to_json(report.hypotheses)
     if report.falsify is not None:
         falsify = {
             "outcome": report.falsify.outcome,

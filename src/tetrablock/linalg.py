@@ -41,6 +41,11 @@ JACOBI_OFF_TOL = 1e-13
 #: Sweep budget for the Jacobi backend before giving up.
 JACOBI_MAX_SWEEPS = 100
 
+# numerical_radius stops refining where |lambda'| <= _FLAT_SLOPE * n *
+# |H| (zero to rounding) and lambda'' is not above _FLAT_CURVE * |H|.
+_FLAT_SLOPE = 8.0 * np.finfo(float).eps
+_FLAT_CURVE = math.sqrt(np.finfo(float).eps)
+
 
 def as_matrix(obj, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce ``obj`` to a 2-D complex128 array, copying if needed.
@@ -269,7 +274,10 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
     grid], a bracket that the sign of lambda' shrinks; a Newton step
     that leaves it, or is taken where lambda'' >= 0, becomes a
     bisection.  The search stops at a Newton step below 1e-13 where
-    lambda'' < 0, or once the bracket is narrower than 1e-13.
+    lambda'' < 0, once the bracket is narrower than 1e-13, or where
+    lambda' is zero to rounding and lambda'' is NaN (a multiple top
+    eigenvalue) or not clearly positive: there lambda is flat or at a
+    peak, and only a clear valley (lambda'' > 0) is worth leaving.
 
     The value is an evaluated lambda at the returned angle and never
     below the scan maximum, so it is a lower bound on the numerical
@@ -315,6 +323,12 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
         curve = -lam + 2.0 * float(np.sum(coupling))
         step = -slope / curve if curve < 0.0 else math.nan
         if abs(step) < 1e-13 or hi - lo < 1e-13:
+            break
+        # Flat or multiple top eigenvalue: lambda' is zero to rounding
+        # and lambda'' is 0/0 or zero to rounding, so no step can gain.
+        scale = max(abs(lam), abs(float(vals[0])))
+        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * scale
+        if flat and not curve > _FLAT_CURVE * scale:
             break
         theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)
     best_theta %= 2.0 * np.pi

@@ -70,10 +70,11 @@ def validate_symbol_pair(
 ) -> SymbolReport:
     """Measure the three admissibility conditions of a symbol pair.
 
-    The pencil condition is sampled at ``z_samples`` roots of unity;
-    for the commuting-normal pairs this package builds models from,
-    the pencil norm is a trigonometric polynomial of low degree in the
-    angle, so a modest sample count pins the sup tightly.
+    The pencil condition is sampled at ``z_samples`` roots of unity,
+    all pencils' singular values coming from one stacked SVD; for the
+    commuting-normal pairs this package builds models from, the pencil
+    norm is a trigonometric polynomial of low degree in the angle, so
+    a modest sample count pins the sup tightly.
     """
     a1 = as_matrix(a1, square=True, name="a1")
     a2 = as_matrix(a2, square=True, name="a2")
@@ -89,7 +90,8 @@ def validate_symbol_pair(
         - (a2.conj().T @ a2 - a2 @ a2.conj().T)
     )
     roots = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
-    max_pencil = max(op_norm(a1.conj().T + z * a2) for z in roots)
+    pencils = a1.conj().T + roots[:, None, None] * a2
+    max_pencil = float(np.linalg.svd(pencils, compute_uv=False).max(initial=0.0))
     valid = commutator <= tol and balance <= tol and max_pencil <= 1.0 + tol
     return SymbolReport(
         commutator=float(commutator),

@@ -8,8 +8,9 @@ commuting matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The
 triple's monomials come from a ``MonomialBasis``, which builds each
 power and monomial once and keeps exactly zero ones as absent, so
 callers evaluating many polynomials on one triple build the basis
-once and share it; the basis also takes operator norms block by
-block.
+once and share it.  The basis is also the triple's block form: its
+block-diagonal partition and its distinct blocks with where each
+occurs.
 Operator evaluation does not re-verify commutation: callers that
 need the defect should measure it once, not per evaluation.
 """
@@ -188,26 +189,53 @@ class MonomialBasis:
     in wherever a triple is read.  ``monomials`` maps each exponent
     asked for so far to its matrix or ``None``.
 
-    :meth:`blocks` is the triple's finest common block-diagonal
-    partition: the connected components of the symmetrised union of
-    the exact nonzero patterns of T1, T2 and T3, found once, on first
-    use, with no tolerance.  Every polynomial in the triple is
-    block-diagonal under it (a product of block-diagonal matrices has
-    exact zeros off the blocks), so :meth:`op_norms` takes each norm as
-    the largest over the blocks.
+    The basis is also the triple's block form.  :meth:`blocks` is its
+    finest common block-diagonal partition: the connected components
+    of the union of the exact nonzero patterns of T1, T2, T3 and of
+    the ``projectors`` a caller passes (square matrices of the same
+    size, such as the halves of a split), found once, on first use,
+    with no tolerance.  Every polynomial in the triple, and every
+    product with the projectors, is block-diagonal under it (a product
+    of block-diagonal matrices has exact zeros off the blocks), so any
+    norm of one is the largest over the blocks.  :meth:`parts` groups
+    equal blocks, so that a direct sum of many copies of a few blocks
+    is worked on copy by copy only once.
     """
 
-    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers", "_blocks")
+    __slots__ = (
+        "t1",
+        "t2",
+        "t3",
+        "projectors",
+        "dim",
+        "monomials",
+        "_powers",
+        "_blocks",
+        "_parts",
+    )
 
-    def __init__(self, t):
+    def __init__(self, t, *, projectors=()):
         self.t1, self.t2, self.t3 = _unpack_triple(t)
         self.dim = self.t1.shape[0]
-        eye = np.eye(self.dim, dtype=np.complex128)
+        self.projectors = tuple(
+            as_matrix(p, square=True, name="projector") for p in projectors
+        )
+        if any(p.shape != self.t1.shape for p in self.projectors):
+            raise DimensionMismatchError(
+                f"projectors must be {self.dim}x{self.dim}, got "
+                f"{[p.shape for p in self.projectors]}"
+            )
         self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
-        self._powers = ([eye], [eye], [eye])
+        # Power tables start at P[0] = I, formed on first use.
+        self._powers: tuple[list, list, list] = ([], [], [])
         self._blocks: list[np.ndarray] | None = None
+        self._parts: list[tuple[MonomialBasis, np.ndarray]] | None = None
 
     def _power(self, i: int, k: int) -> np.ndarray | None:
+        if not self._powers[0]:
+            eye = np.eye(self.dim, dtype=np.complex128)
+            for table in self._powers:
+                table.append(eye)
         table = self._powers[i]
         base = (self.t1, self.t2, self.t3)[i]
         while len(table) <= k:
@@ -232,63 +260,75 @@ class MonomialBasis:
         """Index arrays of the partition's blocks, ordered by first index."""
         if self._blocks is None:
             pattern = (self.t1 != 0) | (self.t2 != 0) | (self.t3 != 0)
-            self._blocks = _components(pattern | pattern.T)
+            for p in self.projectors:
+                pattern |= p != 0
+            self._blocks = _components(self.dim, *np.nonzero(pattern))
         return self._blocks
 
-    def op_norms(self, mats) -> np.ndarray:
-        """Operator norms of matrices block-diagonal under :meth:`blocks`.
+    def parts(self) -> list[tuple[MonomialBasis, np.ndarray]]:
+        """The distinct blocks of :meth:`blocks` and where each occurs.
 
-        ``mats`` is any iterable, consumed one matrix at a time, so a
-        generator never holds more than one full matrix.  A triple that
-        forms one block takes each norm by :func:`op_norm` unchanged.
-        Otherwise each matrix keeps only its diagonal blocks, and one
-        stacked ``np.linalg.svd`` per block size gives every block's
-        largest singular value.  A matrix with a nonzero entry off the
-        blocks raises ``ValueError``.
+        Two blocks are equal when their restrictions of T1, T2, T3 and
+        of every projector are equal bit for bit.  Each distinct block
+        comes, in order of first occurrence, as a basis of its
+        restricted triple, carrying the restricted projectors, paired
+        with a (count, size) array whose rows are the index arrays of
+        its occurrences.  A one-block triple is its own single part.
         """
-        blocks = self.blocks()
-        if len(blocks) <= 1:
-            return np.array([op_norm(a) for a in mats], dtype=float)
-        groups = {}
-        for idx in blocks:
-            groups.setdefault(len(idx), []).append(idx)
-        groups = {size: np.array(idxs) for size, idxs in groups.items()}
-        stacks = {size: [] for size in groups}
-        count = 0
-        for a in mats:
-            count += 1
-            kept = 0
-            for size, idx in groups.items():
-                sub = a[idx[:, :, None], idx[:, None, :]]
-                stacks[size].append(sub)
-                kept += np.count_nonzero(sub)
-            if kept != np.count_nonzero(a):
-                raise ValueError(
-                    "matrix has entries off the triple's block-diagonal partition"
-                )
-        norms = np.zeros(count)
-        if not count:
-            return norms
-        for subs in stacks.values():
-            top = np.linalg.svd(np.stack(subs), compute_uv=False)[..., 0]
-            norms = np.maximum(norms, top.max(axis=1))
-        return norms
+        if self._parts is None:
+            blocks = self.blocks()
+            if len(blocks) == 1:
+                self._parts = [(self, blocks[0][None])]
+                return self._parts
+            mats = (self.t1, self.t2, self.t3) + self.projectors
+            by_size: dict[int, list[np.ndarray]] = {}
+            for idx in blocks:
+                by_size.setdefault(len(idx), []).append(idx)
+            groups: dict[bytes, tuple[np.ndarray, list]] = {}
+            for idxs in by_size.values():
+                idx = np.array(idxs)
+                rows, cols = idx[:, :, None], idx[:, None, :]
+                subs = np.stack([m[rows, cols] for m in mats], axis=1)
+                for sub, where in zip(subs, idx):
+                    groups.setdefault(sub.tobytes(), (sub, []))[1].append(where)
+            self._parts = []
+            for sub, where in sorted(groups.values(), key=lambda g: g[1][0][0]):
+                part = MonomialBasis(sub[:3], projectors=sub[3:])
+                # A component is connected, so each part is one block.
+                part._blocks = [np.arange(part.dim)]
+                self._parts.append((part, np.array(where)))
+        return self._parts
 
 
-def _components(adj: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a symmetric boolean adjacency matrix."""
-    label = np.full(adj.shape[0], -1)
-    blocks = []
-    for start in range(adj.shape[0]):
-        if label[start] >= 0:
-            continue
-        label[start] = len(blocks)
-        frontier = np.array([start])
-        while frontier.size:
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
-            label[frontier] = len(blocks)
-        blocks.append(np.flatnonzero(label == len(blocks)))
-    return blocks
+def _components(n: int, rows, cols) -> list[np.ndarray]:
+    """Connected components of the graph on range(n) with edges rows[k]--cols[k].
+
+    Minimum-label propagation with pointer jumping: every vertex points
+    at a smaller or equal vertex, starting from itself; each round hooks
+    the larger root of every edge whose ends have different roots onto
+    the smaller one, then jumps pointers until each vertex points at
+    its root.  A round is a few numpy passes over the edges, and the
+    rounds are few, so the work is about linear in the number of
+    nonzeros.  A root is the least vertex of its component; components
+    are ordered by it, each sorted.
+    """
+    label = np.arange(n)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    while True:
+        lr, lc = label[rows], label[cols]
+        split = lr != lc
+        if not split.any():
+            break
+        lr, lc = lr[split], lc[split]
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    return np.split(order, starts[1:])
 
 
 def _drop_zero(m: np.ndarray) -> np.ndarray | None:

@@ -52,6 +52,23 @@ def power_table_eval_operator(p, t):
     return acc
 
 
+def frontier_components(adj):
+    # Reference partitioner: per-component frontier scan over a dense
+    # symmetric boolean adjacency matrix, O(n) numpy work per component.
+    label = np.full(adj.shape[0], -1)
+    blocks = []
+    for start in range(adj.shape[0]):
+        if label[start] >= 0:
+            continue
+        label[start] = len(blocks)
+        frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (label < 0))
+            label[frontier] = len(blocks)
+        blocks.append(np.flatnonzero(label == len(blocks)))
+    return blocks
+
+
 def _horner_sparse(pairs, x):
     """Evaluate sum(c * x**e) by sparse Horner.
 

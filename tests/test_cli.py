@@ -125,6 +125,7 @@ def test_obstruction_on_witness(capsys, tmp_path):
     assert doc["c2"] == pytest.approx(0.0625, abs=1e-10)
     # The CLI path has no boundary data, so the hypotheses run strict.
     assert doc["hypotheses"]["mode"] == "strict"
+    assert doc["hypotheses"]["boundary_dim"] == 0
 
 
 def test_obstruction_unobstructed_on_boundary_triple(capsys, tmp_path):

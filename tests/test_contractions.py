@@ -9,6 +9,8 @@ from tetrablock import contractions
 from tetrablock import (
     BadSplitError,
     DimensionMismatchError,
+    InconsistentEquationError,
+    MonomialBasis,
     NotIsometricEmbeddingError,
     Poly3,
     ToolConfig,
@@ -24,6 +26,7 @@ from tetrablock import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    hypothesis_projectors,
     op_norm,
     pipeline_report_to_json,
     purity_defect,
@@ -379,3 +382,173 @@ def test_pipeline_document_unchanged_by_shared_basis(monkeypatch, seed):
     monkeypatch.setattr(contractions, "eval_operator", power_table_eval_operator)
     slow = json.dumps(pipeline_report_to_json(run_pipeline(4, trials=5, seed=seed)))
     assert fast == slow
+
+
+@pytest.mark.parametrize("depth", [4, 16])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_pipeline_document_unchanged_by_block_form(monkeypatch, depth, seed):
+    # One block forces every stage onto its dense path.  The dense stages'
+    # numbers are exact on the witness, so they agree byte for byte; the
+    # falsifier's ratio comes from one SVD of the whole of p(T) instead
+    # of one per block, and agrees to rounding.
+    block = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
+    monkeypatch.setattr(
+        MonomialBasis, "blocks", lambda self: [np.arange(self.dim)]
+    )
+    dense = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
+    ratio_block = block["falsify"].pop("worst_ratio")
+    ratio_dense = dense["falsify"].pop("worst_ratio")
+    assert json.dumps(block, sort_keys=True) == json.dumps(dense, sort_keys=True)
+    assert abs(ratio_block - ratio_dense) <= 1e-15 * ratio_dense
+
+
+def part_pairs(t):
+    # Each distinct block's fundamental pair with its number of copies.
+    return [
+        (extract_fundamental(part), len(where))
+        for part, where in MonomialBasis(t).parts()
+    ]
+
+
+@pytest.mark.parametrize("depth", [3, 4, 16])
+def test_block_stages_equal_dense_on_witness(depth):
+    # Solved block by block, the witness's pair has the dense rank,
+    # residuals and norms, and its hypotheses are the dense ones.
+    w = build_witness(depth)
+    pairs = part_pairs(w.triple)
+    dense = extract_fundamental(w.triple)
+    assert [p.rank for p, _ in pairs] == [1, 1, 2]
+    assert sum(count * p.rank for p, count in pairs) == dense.rank
+    assert max(p.residual_1 for p, _ in pairs) == dense.residual_1
+    assert max(p.residual_2 for p, _ in pairs) == dense.residual_2
+    for field in ("a1", "a2"):
+        got = max(op_norm(getattr(p, field)) for p, _ in pairs)
+        assert got == op_norm(getattr(dense, field))
+    for boundary in (None, w.boundary):
+        projectors = hypothesis_projectors(w.triple.dim, w.split, boundary)
+        form = MonomialBasis(w.triple, projectors=projectors)
+        assert check_obstruction_hypotheses(form) == check_obstruction_hypotheses(
+            w.triple, w.split, boundary=boundary
+        )
+    assert commutation_defect(MonomialBasis(w.triple)) == 0.0
+    assert commutation_defect(w.triple) == 0.0
+
+
+def direct_sum(*triples):
+    # Block-diagonal triple from (t1, t2, t3) tuples of square matrices.
+    sizes = [len(t[0]) for t in triples]
+    n = sum(sizes)
+    mats = [np.zeros((n, n), dtype=np.complex128) for _ in range(3)]
+    start = 0
+    for t, size in zip(triples, sizes):
+        for m, block in zip(mats, t):
+            m[start : start + size, start : start + size] = block
+        start += size
+    return Triple(t1=mats[0], t2=mats[1], t3=mats[2])
+
+
+def test_block_fundamental_on_a_sum_of_hardy_models():
+    # Generic blocks: the block pairs carry the dense pair's rank,
+    # defect values, singular values and commutator invariants.
+    a = build_hardy_model(*random_symbol_pair(2, seed=3), 3).as_triple()
+    b = build_hardy_model(*random_symbol_pair(2, seed=4), 3).as_triple()
+    t = direct_sum((a.t1, a.t2, a.t3), (b.t1, b.t2, b.t3), (a.t1, a.t2, a.t3))
+    pairs = part_pairs(t)
+    assert [count for _, count in pairs] == [2, 1]
+    dense = extract_fundamental(t)
+    assert sum(count * p.rank for p, count in pairs) == dense.rank == 6
+    values = np.sort(
+        np.concatenate([np.tile(p.defect_values, count) for p, count in pairs])
+    )
+    assert np.max(np.abs(values - dense.defect_values)) <= 1e-12
+    assert max(max(p.residual_1, p.residual_2) for p, _ in pairs) <= 1e-10
+    for field in ("a1", "a2"):
+        got = np.sort(
+            np.concatenate(
+                [
+                    np.tile(np.linalg.svd(getattr(p, field), compute_uv=False), count)
+                    for p, count in pairs
+                ]
+            )
+        )
+        want = np.sort(np.linalg.svd(getattr(dense, field), compute_uv=False))
+        assert np.max(np.abs(got - want)) <= 1e-10
+    reports = [dilation_obstruction(p.a1, p.a2) for p, _ in pairs]
+    whole = dilation_obstruction(dense.a1, dense.a2)
+    assert max(r.c1 for r in reports) == pytest.approx(whole.c1, abs=1e-10)
+    assert max(r.c2 for r in reports) == pytest.approx(whole.c2, abs=1e-10)
+
+
+def test_block_fundamental_with_a_unitary_block():
+    # A block whose T3 is unitary has no defect, so its pair is empty;
+    # the blocks still add up to the dense pair, and a block the
+    # equations cannot be solved on fails as the dense does.
+    t = direct_sum(([[0.0]], [[0.0]], [[1.0]]), ([[0.1]], [[0.0]], [[0.5]]))
+    pairs = part_pairs(t)
+    dense = extract_fundamental(t)
+    assert [p.rank for p, _ in pairs] == [0, 1]
+    assert pairs[0][0].a1.shape == (0, 0)
+    assert sum(count * p.rank for p, count in pairs) == dense.rank == 1
+    assert np.array_equal(pairs[1][0].a1, dense.a1)
+    assert np.array_equal(pairs[1][0].a2, dense.a2)
+    jordan = np.array([[0.0, 0.0], [1.0, 0.0]])
+    bad = (np.diag([1.0, 0.0]), np.zeros((2, 2)), jordan)
+    t = direct_sum(([[0.1]], [[0.0]], [[0.5]]), bad)
+    with pytest.raises(InconsistentEquationError):
+        extract_fundamental(t)
+    with pytest.raises(InconsistentEquationError):
+        part_pairs(t)
+
+
+def test_block_commutation_defect_is_largest_over_blocks():
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    pair = (a, a.T, np.eye(2))
+    scaled = (2.0 * a, a.T, np.eye(2))
+    t = direct_sum(pair, scaled, pair)
+    assert commutation_defect(MonomialBasis(t)) == pytest.approx(
+        commutation_defect(t), abs=1e-12
+    )
+    assert commutation_defect(MonomialBasis(t)) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_block_hypotheses_read_split_and_boundary_off_the_basis():
+    w = build_witness(4)
+    interior = MonomialBasis(
+        w.triple,
+        projectors=hypothesis_projectors(w.triple.dim, w.split, w.boundary),
+    )
+    rep = check_obstruction_hypotheses(interior)
+    assert (rep.mode, rep.boundary_dim, rep.passed) == ("interior", 2, True)
+    with pytest.raises(ValueError, match="carries"):
+        check_obstruction_hypotheses(interior, w.split)
+    with pytest.raises(ValueError, match="carries"):
+        check_obstruction_hypotheses(interior, boundary=w.boundary)
+    strict = MonomialBasis(
+        w.triple, projectors=hypothesis_projectors(w.triple.dim, w.split)
+    )
+    rep = check_obstruction_hypotheses(strict)
+    assert (rep.mode, rep.boundary_dim, rep.defect_kernel) == ("strict", 0, 1.0)
+    # A basis without projectors is a triple: the split is passed.
+    bare = MonomialBasis(w.triple)
+    assert check_obstruction_hypotheses(
+        bare, w.split, boundary=w.boundary
+    ) == check_obstruction_hypotheses(w.triple, w.split, boundary=w.boundary)
+    with pytest.raises(BadSplitError):
+        check_obstruction_hypotheses(bare)
+    extra = MonomialBasis(w.triple, projectors=interior.projectors * 2)
+    with pytest.raises(ValueError, match="projectors"):
+        check_obstruction_hypotheses(extra)
+
+
+def test_hypothesis_projectors_validate_split_and_boundary():
+    w = build_witness(4)
+    n = w.triple.dim
+    with pytest.raises(BadSplitError):
+        hypothesis_projectors(n, w.split - 1)
+    with pytest.raises(DimensionMismatchError):
+        hypothesis_projectors(n, w.split, w.boundary[:-1])
+    with pytest.raises(NotIsometricEmbeddingError):
+        hypothesis_projectors(n, w.split, 2.0 * w.boundary)
+    p_first, p_s = hypothesis_projectors(n, w.split, w.boundary)
+    assert np.array_equal(p_first, np.diag(np.arange(n) < w.split))
+    assert np.allclose(p_s, w.boundary @ w.boundary.conj().T, atol=1e-15)

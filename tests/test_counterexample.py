@@ -1,5 +1,6 @@
 """Witness construction and end-to-end pipeline tests."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -8,6 +9,8 @@ import pytest
 
 from tetrablock import (
     VERDICT_SCHEMA,
+    FundamentalPair,
+    NoConvergenceError,
     ToolConfig,
     build_witness,
     case_inequality_check,
@@ -128,7 +131,7 @@ def test_pipeline_json_matches_schema_and_is_stable():
 
 def test_pipeline_inconclusive_on_stage_failure(monkeypatch):
     def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+        raise NoConvergenceError("synthetic failure")
 
     monkeypatch.setattr(ce, "extract_fundamental", boom)
     rep = run_pipeline(4, trials=5, degree=2, seed=7)
@@ -145,7 +148,40 @@ def test_pipeline_inconclusive_on_stage_failure(monkeypatch):
     json.dumps(doc)  # still strictly serializable
 
 
+def test_pipeline_programming_error_propagates(monkeypatch):
+    # Only the package's own errors and LAPACK failures make a run
+    # Inconclusive; anything else is a bug and must not be folded away.
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(ce, "extract_fundamental", boom)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        run_pipeline(4, trials=5, degree=2, seed=7)
+
+
 def test_pipeline_config_seed_fallback():
     cfg = ToolConfig(seed=31415)
     rep = run_pipeline(3, trials=4, degree=2, config=cfg)
     assert rep.seed == 31415
+
+
+def test_pipeline_document_combines_block_pairs():
+    # The document's rank counts every copy of a block's pair, and its
+    # residuals are the largest over the distinct blocks.
+    def pair(rank, residual_1, residual_2):
+        return FundamentalPair(
+            a1=np.zeros((rank, rank)),
+            a2=np.zeros((rank, rank)),
+            basis=np.zeros((3, rank)),
+            defect_values=np.ones(rank),
+            residual_1=residual_1,
+            residual_2=residual_2,
+            rank=rank,
+        )
+
+    rep = dataclasses.replace(
+        run_pipeline(4, trials=5, seed=3),
+        fundamental=[(pair(1, 0.0, 3e-12), 5), (pair(2, 2e-12, 1e-12), 1)],
+    )
+    doc = pipeline_report_to_json(rep)["fundamental"]
+    assert (doc["rank"], doc["residual_1"], doc["residual_2"]) == (7, 2e-12, 3e-12)

@@ -208,6 +208,43 @@ def test_numerical_radius_leaves_a_valley_between_two_peaks():
     assert abs(value - want) <= 1e-12 * want
 
 
+def test_numerical_radius_leaves_a_valley_where_the_slope_is_exactly_zero():
+    # A real rotation by 1e-3 split by 1e-8: the same picture, but at the
+    # valley lambda' is exactly zero, so only lambda'' > 0 tells it from
+    # a flat top eigenvalue, where refinement stops.
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    t = np.array([[c + 1e-8, -s], [s, c - 1e-8]])
+    scan, theta = numerical_radius(t, grid=720, refine=0)
+    assert theta == 0.0
+    value, _ = numerical_radius(t, grid=720, refine=40)
+    assert value - scan > 1e-7
+    assert abs(value - bracket_numerical_radius(t, grid=720, refine=40)[0]) <= 1e-12
+
+
+def test_numerical_radius_stops_where_the_top_eigenvalue_is_flat(monkeypatch):
+    # lambda is constant on the nilpotent cell and the zero matrix, and
+    # the top eigenvalue of eye(3) is triple: refinement cannot gain, so
+    # it stops at once instead of bisecting its bracket to 1e-13.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cases = [
+        (np.array([[0.0, 0.25], [0.0, 0.0]]), 0.125),
+        (np.zeros((3, 3)), 0.0),
+        (np.eye(3), 1.0),
+    ]
+    for t, want in cases:
+        calls.clear()
+        value, theta = numerical_radius(t)
+        assert len(calls) <= 2
+        assert abs(value - want) <= 1e-15 and 0.0 <= theta < 2.0 * np.pi
+
+
 @pytest.mark.parametrize("grid", [3, 5, 361])
 def test_numerical_radius_rejects_odd_grid(grid):
     with pytest.raises(ValueError, match="even"):

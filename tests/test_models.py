@@ -37,6 +37,20 @@ def test_random_symbol_pair_deterministic():
         random_symbol_pair(0)
 
 
+def test_validate_symbol_pair_pencil_sup_matches_per_angle_norms():
+    # One stacked SVD gives, bit for bit, the largest of the per-angle
+    # operator norms, also for a zero and an empty pair.
+    pairs = [
+        random_symbol_pair(8, seed=child, diagonal=(i % 2 == 0))
+        for i, child in enumerate(np.random.SeedSequence(40).spawn(12))
+    ]
+    pairs += [(np.zeros((3, 3)), np.zeros((3, 3))), (np.zeros((0, 0)),) * 2]
+    for a1, a2 in pairs:
+        roots = np.exp(2j * np.pi * np.arange(64) / 64)
+        want = max(op_norm(a1.conj().T + z * a2) for z in roots)
+        assert validate_symbol_pair(a1, a2).max_pencil_norm == want
+
+
 def test_validate_symbol_pair_flags_each_defect():
     # Noncommuting pair.
     a = np.array([[0.0, 0.3], [0.0, 0.0]])

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrablock import (
+    DimensionMismatchError,
     MonomialBasis,
     Poly3,
     build_witness,
+    hypothesis_projectors,
+    witness_symbol,
     cf_empirical_inf,
     cf_matrix_norm,
     eval_operator,
@@ -17,9 +20,11 @@ from tetrablock import (
     poly_to_json,
     random_poly,
 )
-from tetrablock.poly3 import _circle_sup
+from tetrablock.contractions import _poly_norms
+from tetrablock.poly3 import _circle_sup, _components
 
 from conftest import (
+    frontier_components,
     horner_eval_scalar,
     power_table_eval_operator,
     random_complex,
@@ -168,9 +173,14 @@ def test_dense_triple_is_one_block_with_unchanged_norm(rng):
     t = _dense_triple(rng)
     basis = MonomialBasis(t)
     assert len(basis.blocks()) == 1
-    mats = [eval_operator(random_poly(3, seed=k), basis) for k in range(4)]
-    norms = basis.op_norms(iter(mats))
-    assert [float(x) for x in norms] == [op_norm(m) for m in mats]
+    assert [(part, where.tolist()) for part, where in basis.parts()] == [
+        (basis, [list(range(basis.dim))])
+    ]
+    polys = [random_poly(3, seed=k) for k in range(4)]
+    norms = _poly_norms(basis, polys)
+    assert [float(x) for x in norms] == [
+        op_norm(eval_operator(p, basis)) for p in polys
+    ]
 
 
 def test_triple_coupled_only_through_t2_is_one_block(rng):
@@ -191,23 +201,114 @@ def test_interleaved_blocks_and_off_block_entries(rng):
     z = np.zeros((4, 4))
     basis = MonomialBasis((t1, z, z))
     assert [b.tolist() for b in basis.blocks()] == [[0, 2], [1, 3]]
-    a = np.zeros((4, 4), dtype=np.complex128)
-    a[np.ix_([0, 2], [0, 2])] = random_complex(rng, (2, 2))
-    a[np.ix_([1, 3], [1, 3])] = 3.0 * random_complex(rng, (2, 2))
-    assert abs(basis.op_norms([a])[0] - op_norm(a)) <= 1e-13 * op_norm(a)
-    assert basis.op_norms([]).shape == (0,)
-    a[0, 1] = 1e-300
-    with pytest.raises(ValueError):
-        basis.op_norms([a])
+    parts = basis.parts()
+    assert [where.tolist() for _, where in parts] == [[[0, 2]], [[1, 3]]]
+    assert np.array_equal(parts[0][0].t1, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(parts[1][0].t1, [[0.0, 0.5], [0.0, 0.0]])
+    p = Poly3({(0, 0, 0): 3.0, (1, 0, 0): random_complex(rng, ())})
+    full = op_norm(eval_operator(p, (t1, z, z)))
+    assert abs(_poly_norms(basis, [p])[0] - full) <= 1e-13 * full
+    assert _poly_norms(basis, []).shape == (0,)
+
+
+def partition_cases():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 40):
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            yield rng.random((n, n)) < density
+    path = np.zeros((30, 30), dtype=bool)
+    path[np.arange(29), np.arange(1, 30)] = True
+    yield path
+    # A path through the vertices in scrambled order, plus isolated ones.
+    order = rng.permutation(30)
+    scrambled = np.zeros((32, 32), dtype=bool)
+    scrambled[order[:-1], order[1:]] = True
+    yield scrambled
+    t = build_witness(8).triple
+    yield (t.t1 != 0) | (t.t2 != 0) | (t.t3 != 0)
+    # Sparse random graphs on scrambled labels: roots hook over several
+    # rounds, and some components are stars and long chains.
+    for n, density in ((300, 0.004), (300, 0.008), (500, 0.003)):
+        yield rng.random((n, n)) < density
+
+
+def test_components_match_frontier_oracle():
+    for pattern in partition_cases():
+        got = _components(pattern.shape[0], *np.nonzero(pattern))
+        want = frontier_components(pattern | pattern.T)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_components_of_a_matching_and_of_a_long_chain():
+    # Many two-vertex components (the witness's shape) and one component
+    # reached only one edge at a time.
+    n = 4096
+    rows, cols = np.arange(0, n, 2), np.arange(1, n, 2)
+    blocks = _components(n, rows, cols)
+    assert len(blocks) == n // 2
+    assert all(b.tolist() == [2 * k, 2 * k + 1] for k, b in enumerate(blocks))
+    chain = _components(n, np.arange(n - 1), np.arange(1, n))
+    assert len(chain) == 1 and np.array_equal(chain[0], np.arange(n))
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 16, 32, 100, 256])
+def test_witness_is_a_direct_sum_of_three_distinct_blocks(depth):
+    # 4 depth - 2 copies of (0, 0, J), two 1x1 zero blocks and one
+    # (f1, 0, 0), with or without the split and boundary projectors.
+    w = build_witness(depth)
+    t = w.triple
+    jordan = np.array([[0.0, 0.0], [1.0, 0.0]])
+    zero2 = np.zeros((2, 2))
+    for projectors in ((), hypothesis_projectors(t.dim, w.split, w.boundary)):
+        basis = MonomialBasis(t, projectors=projectors)
+        parts = basis.parts()
+        assert [len(where) for _, where in parts] == [4 * depth - 2, 2, 1]
+        (shift, _), (zero, _), (cell, _) = parts
+        for part, want in (
+            (shift, (zero2, zero2, jordan)),
+            (zero, (np.zeros((1, 1)),) * 3),
+            (cell, (witness_symbol(), zero2, zero2)),
+        ):
+            mats = (part.t1, part.t2, part.t3)
+            assert all(np.array_equal(m, x) for m, x in zip(mats, want))
+            assert len(part.projectors) == len(projectors)
+        # The occurrences tile the index set, and each equals its part.
+        where = np.concatenate([w_.ravel() for _, w_ in parts])
+        assert np.array_equal(np.sort(where), np.arange(t.dim))
+        for part, occurrences in parts:
+            for idx in occurrences:
+                ix = np.ix_(idx, idx)
+                assert np.array_equal(t.t3[ix], part.t3)
+                assert np.array_equal(t.t1[ix], part.t1)
+                for p, q in zip(basis.projectors, part.projectors):
+                    assert np.array_equal(p[ix], q)
+
+
+def test_parts_key_on_projectors_and_couple_through_them(rng):
+    # Two equal diagonal blocks stay distinct when a projector tells them
+    # apart, and a projector entry between blocks joins them.
+    d = np.diag([0.5, 0.5, 0.25])
+    basis = MonomialBasis((d, d, d))
+    assert [len(w) for _, w in basis.parts()] == [2, 1]
+    basis = MonomialBasis((d, d, d), projectors=[np.diag([1.0, 0.0, 0.0])])
+    assert [len(w) for _, w in basis.parts()] == [1, 1, 1]
+    couple = np.zeros((3, 3))
+    couple[0, 2] = couple[2, 0] = 0.5
+    basis = MonomialBasis((d, d, d), projectors=[couple])
+    assert [b.tolist() for b in basis.blocks()] == [[0, 2], [1]]
+    with pytest.raises(DimensionMismatchError):
+        MonomialBasis((d, d, d), projectors=[np.eye(2)])
 
 
 @pytest.mark.parametrize("depth", [4, 16, 32])
 def test_block_norm_matches_full_norm_on_witness(depth):
-    basis = MonomialBasis(build_witness(depth).triple)
+    t = build_witness(depth).triple
     polys = [random_poly(3, seed=depth + k) for k in range(5)]
-    norms = basis.op_norms(eval_operator(p, basis) for p in polys)
+    norms = _poly_norms(MonomialBasis(t), polys)
     for p, got in zip(polys, norms):
-        full = op_norm(eval_operator(p, basis))
+        full = op_norm(eval_operator(p, t))
         assert abs(got - full) <= 1e-13 * full
 
 
