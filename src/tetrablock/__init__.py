@@ -22,7 +22,6 @@ from .contractions import (
     extract_fundamental,
     falsify_spectral_set,
     hypotheses_to_json,
-    hypothesis_projectors,
     purity_defect,
     triple_from_json,
     triple_to_json,

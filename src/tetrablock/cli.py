@@ -268,7 +268,6 @@ def _cmd_model(args, config: ToolConfig) -> int:
         tol=config.tol_algebraic,
         z_samples=config.z_samples,
     )
-    triple = model.as_triple()
     doc = {
         "schema": SCHEMA_ID,
         "tool": "model",
@@ -285,7 +284,7 @@ def _cmd_model(args, config: ToolConfig) -> int:
     }
     if model.flavor == "hardy":
         interior = interior_identity_report(model)
-        isometry = check_tetra_isometry(triple)
+        isometry = check_tetra_isometry(model)
         doc["interior"] = {
             "interior_dim": interior.interior_dim,
             "defect_isometry": interior.defect_isometry,
@@ -295,7 +294,7 @@ def _cmd_model(args, config: ToolConfig) -> int:
         }
         doc["commutation"] = isometry.commutation
     else:
-        unitary = check_tetra_unitary(triple)
+        unitary = check_tetra_unitary(model)
         doc["boundary_triple"] = {
             "commutation": unitary.commutation,
             "unitary_defect": unitary.unitary_defect,
@@ -305,7 +304,7 @@ def _cmd_model(args, config: ToolConfig) -> int:
         }
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(triple_to_json(triple), fh, indent=2, sort_keys=True)
+            json.dump(triple_to_json(model), fh, indent=2, sort_keys=True)
         doc["emitted"] = args.emit
     _emit(doc, args, config)
     return 0

@@ -30,7 +30,15 @@ from .errors import (
 )
 from .geometry import sup_on_closure
 from .linalg import as_matrix, herm_eig, matrix_from_json, matrix_to_json, op_norm
-from .poly3 import MonomialBasis, Poly3, eval_operator, poly_to_json, random_poly
+from .poly3 import (
+    MonomialBasis,
+    Poly3,
+    diagonal_blocks,
+    distinct_blocks,
+    eval_operator,
+    poly_to_json,
+    random_poly,
+)
 
 __all__ = [
     "Triple",
@@ -47,7 +55,6 @@ __all__ = [
     "ObstructionReport",
     "dilation_obstruction",
     "HypothesisReport",
-    "hypothesis_projectors",
     "check_obstruction_hypotheses",
     "hypotheses_to_json",
     "DilationReport",
@@ -346,17 +353,11 @@ class HypothesisReport:
     passed: bool
 
 
-def hypothesis_projectors(n: int, split: int, boundary=None, *, tol: float = 1e-9) -> tuple:
-    """The projectors :func:`check_obstruction_hypotheses` compares against.
-
-    The first is the projector onto the first ``split`` coordinates,
-    which must be exactly half of ``n``; the second, present only when
-    ``boundary`` is given, is the projector ``S S*`` onto the span of
-    the boundary's columns, which must be orthonormal to within
-    ``tol``.  A :class:`MonomialBasis` built with them as its
-    ``projectors`` carries the split and boundary, and the check runs
-    on it block by block.
-    """
+def _hypothesis_projectors(n: int, split, boundary, *, tol: float) -> tuple:
+    # The projector onto the first ``split`` coordinates, which must be
+    # exactly half of ``n``, and, when ``boundary`` is given, the
+    # projector S S* onto the span of its columns, which must be
+    # orthonormal to within ``tol``.
     if split is None or split <= 0 or 2 * split != n:
         raise BadSplitError(
             f"split must be half the dimension, got split={split}, dim={n}"
@@ -379,7 +380,7 @@ def hypothesis_projectors(n: int, split: int, boundary=None, *, tol: float = 1e-
     return (p_first, p_s)
 
 
-def _hypothesis_defects(t3, p_first, p_s, *, tol, rank_tol) -> tuple:
+def _hypothesis_defects(t3, p_first, p_s=None, *, tol, rank_tol) -> tuple:
     # The four defects of one triple (or one block of it); p_s is None
     # in strict mode.
     eye = np.eye(t3.shape[0])
@@ -401,8 +402,8 @@ def _hypothesis_defects(t3, p_first, p_s, *, tol, rank_tol) -> tuple:
 
 
 def check_obstruction_hypotheses(
-    t: Triple | MonomialBasis,
-    split: int | None = None,
+    t: Triple,
+    split: int | None,
     *,
     tol: float = 1e-9,
     rank_tol: float = 1e-8,
@@ -410,15 +411,15 @@ def check_obstruction_hypotheses(
 ) -> HypothesisReport:
     """Check the subspace hypotheses for a triple split into halves.
 
+    T3 and the projectors onto the first half and onto the boundary
+    are block-diagonal under their common :func:`diagonal_blocks`, so
+    the check runs once on each of their :func:`distinct_blocks`, and
+    each defect is the largest over them.
+
     Parameters
     ----------
     t:
-        The triple under test, or a :class:`MonomialBasis` built with
-        the :func:`hypothesis_projectors` of its split and boundary.
-        Such a basis carries both, so neither is passed again; it is
-        checked on its distinct blocks, each defect being the largest
-        over them, and the boundary's dimension is read off as the
-        trace (the rank) of its projector.
+        The triple under test.
     split:
         Dimension of the first half; must be exactly half the space.
     boundary:
@@ -428,45 +429,20 @@ def check_obstruction_hypotheses(
         the range may gain it, which is exactly the finite-depth
         picture of an isometry truncated to a strict shift.
     """
-    if isinstance(t, MonomialBasis) and t.projectors:
-        if split is not None or boundary is not None:
-            raise ValueError(
-                "a basis built with projectors carries its split and boundary"
-            )
-        if len(t.projectors) > 2:
-            raise ValueError(
-                f"expected the split and at most a boundary projector, "
-                f"got {len(t.projectors)} projectors"
-            )
-        parts = t.parts()
-        pieces = [(part.t3, part.projectors) for part, _ in parts]
-        boundary_dim = 0
-        if len(t.projectors) == 2:
-            boundary_dim = round(
-                sum(len(w) * np.trace(part.projectors[1]).real for part, w in parts)
-            )
-    else:
-        projectors = hypothesis_projectors(t.dim, split, boundary, tol=tol)
-        pieces = [(t.t3, projectors)]
-        boundary_dim = 0
-        if boundary is not None:
-            boundary_dim = as_matrix(boundary, name="boundary").shape[1]
-    mode = "strict" if len(pieces[0][1]) == 1 else "interior"
+    mats = (t.t3,) + _hypothesis_projectors(t.dim, split, boundary, tol=tol)
+    pieces = distinct_blocks(mats, diagonal_blocks(mats))
     defects = [
-        _hypothesis_defects(
-            t3, p_first, p_s[0] if p_s else None, tol=tol, rank_tol=rank_tol
-        )
-        for t3, (p_first, *p_s) in pieces
+        _hypothesis_defects(*sub, tol=tol, rank_tol=rank_tol) for sub, _ in pieces
     ]
     defects = [max(column) for column in zip(*defects)]
     defect_kernel, defect_range, shift_kills_range, shift_maps_kernel = defects
     return HypothesisReport(
-        mode=mode,
+        mode="strict" if boundary is None else "interior",
         defect_kernel=float(defect_kernel),
         defect_range=float(defect_range),
         shift_kills_range=float(shift_kills_range),
         shift_maps_kernel=float(shift_maps_kernel),
-        boundary_dim=boundary_dim,
+        boundary_dim=0 if boundary is None else np.shape(boundary)[1],
         passed=bool(max(defects) <= tol),
     )
 

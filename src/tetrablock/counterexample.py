@@ -40,7 +40,6 @@ from .contractions import (
     extract_fundamental,
     falsify_spectral_set,
     hypotheses_to_json,
-    hypothesis_projectors,
 )
 from .errors import TetrablockError
 from .linalg import op_norm, sqrt_psd
@@ -290,22 +289,17 @@ def run_pipeline(
     report is still returned.  Any other exception propagates.
 
     The witness is a direct sum of copies of three distinct blocks.
-    One :class:`MonomialBasis`, built with the split and boundary
-    projectors, is the run's block form: every operator stage works on
-    the distinct blocks (:meth:`MonomialBasis.parts`) and takes each
-    norm and residual as the largest over them, and the fundamental
-    pair's rank as the sum over every copy, so its cost does not grow
-    with depth.
+    One :class:`MonomialBasis` is the run's block form: every operator
+    stage works on the distinct blocks (:meth:`MonomialBasis.parts`)
+    and takes each norm and residual as the largest over them, and the
+    fundamental pair's rank as the sum over every copy, so its cost
+    does not grow with depth.  The hypotheses check partitions T3 and
+    its projectors the same way on its own.
     """
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)
     t = w.triple
-    basis = MonomialBasis(
-        t,
-        projectors=hypothesis_projectors(
-            t.dim, w.split, w.boundary, tol=config.tol_algebraic
-        ),
-    )
+    basis = MonomialBasis(t)
 
     results: dict = {
         "products": None,
@@ -376,7 +370,11 @@ def run_pipeline(
 
     def stage_hypotheses():
         results["hypotheses"] = check_obstruction_hypotheses(
-            basis, tol=config.tol_algebraic, rank_tol=config.rank_tol
+            t,
+            w.split,
+            boundary=w.boundary,
+            tol=config.tol_algebraic,
+            rank_tol=config.rank_tol,
         )
 
     def stage_falsify():

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contractions import Triple
+from .contractions import Triple, dilation_obstruction
 from .errors import (
     DimensionMismatchError,
     InconsistentEquationError,
@@ -84,21 +84,19 @@ def validate_symbol_pair(
         )
     if z_samples < 1:
         raise ValueError("z_samples must be positive")
-    commutator = op_norm(a1 @ a2 - a2 @ a1)
-    balance = op_norm(
-        (a1.conj().T @ a1 - a1 @ a1.conj().T)
-        - (a2.conj().T @ a2 - a2 @ a2.conj().T)
-    )
+    # Commutation and balanced self-commutators are the two invariants
+    # of the obstruction predicate.
+    invariants = dilation_obstruction(a1, a2, tol=tol)
     roots = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
     pencils = a1.conj().T + roots[:, None, None] * a2
     max_pencil = float(np.linalg.svd(pencils, compute_uv=False).max(initial=0.0))
-    valid = commutator <= tol and balance <= tol and max_pencil <= 1.0 + tol
+    c1, c2 = invariants.c1, invariants.c2
     return SymbolReport(
-        commutator=float(commutator),
-        balance=float(balance),
-        max_pencil_norm=float(max_pencil),
+        commutator=c1,
+        balance=c2,
+        max_pencil_norm=max_pencil,
         z_samples=z_samples,
-        valid=bool(valid),
+        valid=c1 <= tol and c2 <= tol and max_pencil <= 1.0 + tol,
     )
 
 
@@ -134,29 +132,18 @@ def random_symbol_pair(
     return a1, a2
 
 
-@dataclass(frozen=True)
-class ModelTriple:
-    """A model triple plus its construction metadata.
+@dataclass(frozen=True, kw_only=True)
+class ModelTriple(Triple):
+    """A model triple plus its construction metadata."""
 
-    Duck-compatible with :class:`Triple` (t1/t2/t3/tol), and
-    convertible via :meth:`as_triple`.
-    """
-
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    tol: float
     flavor: str
     depth: int
     block_dim: int
     a1: np.ndarray
     a2: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.t1.shape[0]
-
     def as_triple(self) -> Triple:
+        """The plain :class:`Triple`, without the metadata."""
         return Triple(t1=self.t1, t2=self.t2, t3=self.t3, tol=self.tol)
 
 

@@ -31,6 +31,8 @@ __all__ = [
     "poly_from_json",
     "eval_scalar_many",
     "MonomialBasis",
+    "diagonal_blocks",
+    "distinct_blocks",
     "eval_operator",
     "random_poly",
     "cf_matrix_norm",
@@ -189,42 +191,20 @@ class MonomialBasis:
     in wherever a triple is read.  ``monomials`` maps each exponent
     asked for so far to its matrix or ``None``.
 
-    The basis is also the triple's block form.  :meth:`blocks` is its
-    finest common block-diagonal partition: the connected components
-    of the union of the exact nonzero patterns of T1, T2, T3 and of
-    the ``projectors`` a caller passes (square matrices of the same
-    size, such as the halves of a split), found once, on first use,
-    with no tolerance.  Every polynomial in the triple, and every
-    product with the projectors, is block-diagonal under it (a product
-    of block-diagonal matrices has exact zeros off the blocks), so any
-    norm of one is the largest over the blocks.  :meth:`parts` groups
-    equal blocks, so that a direct sum of many copies of a few blocks
-    is worked on copy by copy only once.
+    The basis is also the triple's block form: :meth:`blocks` is the
+    :func:`diagonal_blocks` of T1, T2, T3, found once, on first use.
+    Every polynomial in the triple is block-diagonal under it (a
+    product of block-diagonal matrices has exact zeros off the
+    blocks), so any norm of one is the largest over the blocks.
+    :meth:`parts` groups equal blocks, so that a direct sum of many
+    copies of a few blocks is worked on copy by copy only once.
     """
 
-    __slots__ = (
-        "t1",
-        "t2",
-        "t3",
-        "projectors",
-        "dim",
-        "monomials",
-        "_powers",
-        "_blocks",
-        "_parts",
-    )
+    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers", "_blocks", "_parts")
 
-    def __init__(self, t, *, projectors=()):
+    def __init__(self, t):
         self.t1, self.t2, self.t3 = _unpack_triple(t)
         self.dim = self.t1.shape[0]
-        self.projectors = tuple(
-            as_matrix(p, square=True, name="projector") for p in projectors
-        )
-        if any(p.shape != self.t1.shape for p in self.projectors):
-            raise DimensionMismatchError(
-                f"projectors must be {self.dim}x{self.dim}, got "
-                f"{[p.shape for p in self.projectors]}"
-            )
         self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
         # Power tables start at P[0] = I, formed on first use.
         self._powers: tuple[list, list, list] = ([], [], [])
@@ -259,45 +239,65 @@ class MonomialBasis:
     def blocks(self) -> list[np.ndarray]:
         """Index arrays of the partition's blocks, ordered by first index."""
         if self._blocks is None:
-            pattern = (self.t1 != 0) | (self.t2 != 0) | (self.t3 != 0)
-            for p in self.projectors:
-                pattern |= p != 0
-            self._blocks = _components(self.dim, *np.nonzero(pattern))
+            self._blocks = diagonal_blocks((self.t1, self.t2, self.t3))
         return self._blocks
 
     def parts(self) -> list[tuple[MonomialBasis, np.ndarray]]:
-        """The distinct blocks of :meth:`blocks` and where each occurs.
+        """The :func:`distinct_blocks` of the triple under :meth:`blocks`.
 
-        Two blocks are equal when their restrictions of T1, T2, T3 and
-        of every projector are equal bit for bit.  Each distinct block
-        comes, in order of first occurrence, as a basis of its
-        restricted triple, carrying the restricted projectors, paired
-        with a (count, size) array whose rows are the index arrays of
-        its occurrences.  A one-block triple is its own single part.
+        Each distinct block comes as a basis of its restricted triple,
+        paired with its (count, size) occurrence array.  A one-block
+        triple is its own single part.
         """
         if self._parts is None:
             blocks = self.blocks()
             if len(blocks) == 1:
                 self._parts = [(self, blocks[0][None])]
                 return self._parts
-            mats = (self.t1, self.t2, self.t3) + self.projectors
-            by_size: dict[int, list[np.ndarray]] = {}
-            for idx in blocks:
-                by_size.setdefault(len(idx), []).append(idx)
-            groups: dict[bytes, tuple[np.ndarray, list]] = {}
-            for idxs in by_size.values():
-                idx = np.array(idxs)
-                rows, cols = idx[:, :, None], idx[:, None, :]
-                subs = np.stack([m[rows, cols] for m in mats], axis=1)
-                for sub, where in zip(subs, idx):
-                    groups.setdefault(sub.tobytes(), (sub, []))[1].append(where)
             self._parts = []
-            for sub, where in sorted(groups.values(), key=lambda g: g[1][0][0]):
-                part = MonomialBasis(sub[:3], projectors=sub[3:])
+            for sub, where in distinct_blocks((self.t1, self.t2, self.t3), blocks):
+                part = MonomialBasis(sub)
                 # A component is connected, so each part is one block.
                 part._blocks = [np.arange(part.dim)]
-                self._parts.append((part, np.array(where)))
+                self._parts.append((part, where))
         return self._parts
+
+
+def diagonal_blocks(mats) -> list[np.ndarray]:
+    """Finest common block-diagonal partition of same-size square matrices.
+
+    The blocks are the connected components of the union of the
+    matrices' exact nonzero patterns, with no tolerance, as index
+    arrays ordered by first index, each sorted.  Every product of the
+    matrices is block-diagonal under it.
+    """
+    pattern = mats[0] != 0
+    for m in mats[1:]:
+        pattern |= m != 0
+    return _components(len(pattern), *np.nonzero(pattern))
+
+
+def distinct_blocks(mats, blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group ``blocks`` by their restrictions of ``mats``.
+
+    Two blocks are equal when their restrictions of every matrix are
+    equal bit for bit.  Each distinct block comes, in order of first
+    occurrence, as its stacked restrictions (one per matrix, in the
+    order of ``mats``) paired with a (count, size) array whose rows are
+    the index arrays of its occurrences.
+    """
+    by_size: dict[int, list[np.ndarray]] = {}
+    for idx in blocks:
+        by_size.setdefault(len(idx), []).append(idx)
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
+    for idxs in by_size.values():
+        idx = np.array(idxs)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        subs = np.stack([m[rows, cols] for m in mats], axis=1)
+        for sub, where in zip(subs, idx):
+            groups.setdefault(sub.tobytes(), (sub, []))[1].append(where)
+    ordered = sorted(groups.values(), key=lambda g: g[1][0][0])
+    return [(sub, np.array(where)) for sub, where in ordered]
 
 
 def _components(n: int, rows, cols) -> list[np.ndarray]:

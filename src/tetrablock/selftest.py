@@ -211,7 +211,7 @@ def criterion_6() -> CriterionResult:
     worst_recovery = 0.0
     for a1, a2 in _model_pairs(8):
         circ = build_circulant_model(a1, a2, 8)
-        u = check_tetra_unitary(circ.as_triple())
+        u = check_tetra_unitary(circ)
         worst_unitary = max(
             worst_unitary,
             u.commutation,

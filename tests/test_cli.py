@@ -144,6 +144,26 @@ def test_obstruction_unobstructed_on_boundary_triple(capsys, tmp_path):
     assert doc["c1"] == 0.0 and doc["c2"] == 0.0
 
 
+def test_obstruction_blockwise_equals_one_block(capsys, monkeypatch, tmp_path):
+    # Diagonal symbols split a hardy model into one chain per symbol
+    # entry; the hypotheses check on those blocks must print the same
+    # document as on the whole matrices.
+    from tetrablock import build_hardy_model, contractions
+
+    m = build_hardy_model(*random_symbol_pair(3, seed=21, diagonal=True), 4)
+    p_first = np.diag((np.arange(m.dim) < m.dim // 2).astype(float))
+    assert len(contractions.diagonal_blocks((m.t3, p_first))) == 3
+    triple = write_json(tmp_path / "t.json", triple_to_json(m))
+    argv = ["obstruction", "--triple", triple, "--split", str(m.dim // 2)]
+    blocks = run_cli(capsys, argv)
+    monkeypatch.setattr(
+        contractions, "diagonal_blocks", lambda mats: [np.arange(len(mats[0]))]
+    )
+    whole = run_cli(capsys, argv)
+    assert blocks == whole
+    assert json.loads(blocks[1])["rank"] == 3
+
+
 def test_model_emit_feeds_fundamental(capsys, tmp_path):
     a1, a2 = random_symbol_pair(2, seed=25)
     f1 = write_json(tmp_path / "a1.json", matrix_to_json(a1))

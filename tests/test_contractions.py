@@ -26,7 +26,6 @@ from tetrablock import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
-    hypothesis_projectors,
     op_norm,
     pipeline_report_to_json,
     purity_defect,
@@ -188,6 +187,57 @@ def test_hypotheses_boundary_gate():
     bad = 2.0 * w.boundary
     with pytest.raises(NotIsometricEmbeddingError):
         check_obstruction_hypotheses(w.triple, w.split, boundary=bad)
+    with pytest.raises(DimensionMismatchError):
+        check_obstruction_hypotheses(w.triple, w.split, boundary=w.boundary[:-1])
+
+
+def dense_hypotheses(t, split, boundary):
+    # The four defects on the whole matrices, projectors built here.
+    p_first = np.diag((np.arange(t.dim) < split).astype(float))
+    p_s = None if boundary is None else boundary @ boundary.conj().T
+    return contractions._hypothesis_defects(
+        t.t3, p_first, p_s, tol=1e-9, rank_tol=1e-8
+    )
+
+
+def hypothesis_defects(rep):
+    return (
+        rep.defect_kernel,
+        rep.defect_range,
+        rep.shift_kills_range,
+        rep.shift_maps_kernel,
+    )
+
+
+@pytest.mark.parametrize("rows", [[0, 24, 14, 15], [14, 15, 16, 17]])
+def test_hypotheses_boundary_across_blocks_equals_dense(rows):
+    # A boundary mixing coordinates of several T3 blocks (a shift block
+    # and the two boundary coordinates, or those two and f1's two)
+    # couples them: the check merges them into one piece and agrees with
+    # the whole matrices.  Left apart, the pieces would give a smaller
+    # defect (0.89 against 0.94, 0.83 against 0.92).
+    w = build_witness(4)
+    n = w.triple.dim
+    label = {
+        int(i): k
+        for k, block in enumerate(contractions.diagonal_blocks((w.triple.t3,)))
+        for i in block
+    }
+    assert len({label[r] for r in rows}) >= 3
+    rng = np.random.default_rng(9)
+    s = np.zeros((n, 2), dtype=np.complex128)
+    s[rows] = np.linalg.qr(
+        rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    )[0]
+    p_first = np.diag((np.arange(n) < w.split).astype(float))
+    merged = contractions.diagonal_blocks((w.triple.t3, p_first, s @ s.conj().T))
+    assert any(set(rows) <= set(b.tolist()) for b in merged)
+    rep = check_obstruction_hypotheses(w.triple, w.split, boundary=s)
+    assert (rep.mode, rep.boundary_dim, rep.passed) == ("interior", 2, False)
+    got = hypothesis_defects(rep)
+    want = dense_hypotheses(w.triple, w.split, s)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+    assert 0.9 < rep.defect_kernel < 1.0
 
 
 def test_circulant_dilates_hardy():
@@ -425,11 +475,8 @@ def test_block_stages_equal_dense_on_witness(depth):
         got = max(op_norm(getattr(p, field)) for p, _ in pairs)
         assert got == op_norm(getattr(dense, field))
     for boundary in (None, w.boundary):
-        projectors = hypothesis_projectors(w.triple.dim, w.split, boundary)
-        form = MonomialBasis(w.triple, projectors=projectors)
-        assert check_obstruction_hypotheses(form) == check_obstruction_hypotheses(
-            w.triple, w.split, boundary=boundary
-        )
+        rep = check_obstruction_hypotheses(w.triple, w.split, boundary=boundary)
+        assert hypothesis_defects(rep) == dense_hypotheses(w.triple, w.split, boundary)
     assert commutation_defect(MonomialBasis(w.triple)) == 0.0
     assert commutation_defect(w.triple) == 0.0
 
@@ -509,46 +556,3 @@ def test_block_commutation_defect_is_largest_over_blocks():
         commutation_defect(t), abs=1e-12
     )
     assert commutation_defect(MonomialBasis(t)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_block_hypotheses_read_split_and_boundary_off_the_basis():
-    w = build_witness(4)
-    interior = MonomialBasis(
-        w.triple,
-        projectors=hypothesis_projectors(w.triple.dim, w.split, w.boundary),
-    )
-    rep = check_obstruction_hypotheses(interior)
-    assert (rep.mode, rep.boundary_dim, rep.passed) == ("interior", 2, True)
-    with pytest.raises(ValueError, match="carries"):
-        check_obstruction_hypotheses(interior, w.split)
-    with pytest.raises(ValueError, match="carries"):
-        check_obstruction_hypotheses(interior, boundary=w.boundary)
-    strict = MonomialBasis(
-        w.triple, projectors=hypothesis_projectors(w.triple.dim, w.split)
-    )
-    rep = check_obstruction_hypotheses(strict)
-    assert (rep.mode, rep.boundary_dim, rep.defect_kernel) == ("strict", 0, 1.0)
-    # A basis without projectors is a triple: the split is passed.
-    bare = MonomialBasis(w.triple)
-    assert check_obstruction_hypotheses(
-        bare, w.split, boundary=w.boundary
-    ) == check_obstruction_hypotheses(w.triple, w.split, boundary=w.boundary)
-    with pytest.raises(BadSplitError):
-        check_obstruction_hypotheses(bare)
-    extra = MonomialBasis(w.triple, projectors=interior.projectors * 2)
-    with pytest.raises(ValueError, match="projectors"):
-        check_obstruction_hypotheses(extra)
-
-
-def test_hypothesis_projectors_validate_split_and_boundary():
-    w = build_witness(4)
-    n = w.triple.dim
-    with pytest.raises(BadSplitError):
-        hypothesis_projectors(n, w.split - 1)
-    with pytest.raises(DimensionMismatchError):
-        hypothesis_projectors(n, w.split, w.boundary[:-1])
-    with pytest.raises(NotIsometricEmbeddingError):
-        hypothesis_projectors(n, w.split, 2.0 * w.boundary)
-    p_first, p_s = hypothesis_projectors(n, w.split, w.boundary)
-    assert np.array_equal(p_first, np.diag(np.arange(n) < w.split))
-    assert np.allclose(p_s, w.boundary @ w.boundary.conj().T, atol=1e-15)

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrablock import (
-    DimensionMismatchError,
     MonomialBasis,
     Poly3,
     build_witness,
-    hypothesis_projectors,
     witness_symbol,
     cf_empirical_inf,
     cf_matrix_norm,
@@ -21,7 +19,7 @@ from tetrablock import (
     random_poly,
 )
 from tetrablock.contractions import _poly_norms
-from tetrablock.poly3 import _circle_sup, _components
+from tetrablock.poly3 import _circle_sup, _components, diagonal_blocks, distinct_blocks
 
 from conftest import (
     frontier_components,
@@ -253,53 +251,70 @@ def test_components_of_a_matching_and_of_a_long_chain():
     assert len(chain) == 1 and np.array_equal(chain[0], np.arange(n))
 
 
+def assert_occurrences_tile(parts, mats):
+    # The occurrences tile the index set, and each restricts every
+    # matrix to its part.
+    where = np.concatenate([w.ravel() for _, w in parts])
+    assert np.array_equal(np.sort(where), np.arange(len(mats[0])))
+    for sub, occurrences in parts:
+        for idx in occurrences:
+            ix = np.ix_(idx, idx)
+            assert all(np.array_equal(m[ix], x) for m, x in zip(mats, sub))
+
+
 @pytest.mark.parametrize("depth", [3, 4, 5, 16, 32, 100, 256])
 def test_witness_is_a_direct_sum_of_three_distinct_blocks(depth):
-    # 4 depth - 2 copies of (0, 0, J), two 1x1 zero blocks and one
-    # (f1, 0, 0), with or without the split and boundary projectors.
     w = build_witness(depth)
     t = w.triple
+    n = t.dim
     jordan = np.array([[0.0, 0.0], [1.0, 0.0]])
     zero2 = np.zeros((2, 2))
-    for projectors in ((), hypothesis_projectors(t.dim, w.split, w.boundary)):
-        basis = MonomialBasis(t, projectors=projectors)
-        parts = basis.parts()
-        assert [len(where) for _, where in parts] == [4 * depth - 2, 2, 1]
-        (shift, _), (zero, _), (cell, _) = parts
-        for part, want in (
-            (shift, (zero2, zero2, jordan)),
-            (zero, (np.zeros((1, 1)),) * 3),
-            (cell, (witness_symbol(), zero2, zero2)),
-        ):
-            mats = (part.t1, part.t2, part.t3)
-            assert all(np.array_equal(m, x) for m, x in zip(mats, want))
-            assert len(part.projectors) == len(projectors)
-        # The occurrences tile the index set, and each equals its part.
-        where = np.concatenate([w_.ravel() for _, w_ in parts])
-        assert np.array_equal(np.sort(where), np.arange(t.dim))
-        for part, occurrences in parts:
-            for idx in occurrences:
-                ix = np.ix_(idx, idx)
-                assert np.array_equal(t.t3[ix], part.t3)
-                assert np.array_equal(t.t1[ix], part.t1)
-                for p, q in zip(basis.projectors, part.projectors):
-                    assert np.array_equal(p[ix], q)
+    one, zero1 = np.ones((1, 1)), np.zeros((1, 1))
+    # The triple's block form: 4 depth - 2 copies of (0, 0, J), two 1x1
+    # zero blocks and one (f1, 0, 0).
+    parts = MonomialBasis(t).parts()
+    assert [len(where) for _, where in parts] == [4 * depth - 2, 2, 1]
+    want = [(zero2, zero2, jordan), (zero1,) * 3, (witness_symbol(), zero2, zero2)]
+    for (part, _), mats in zip(parts, want):
+        got = (part.t1, part.t2, part.t3)
+        assert all(np.array_equal(m, x) for m, x in zip(got, mats))
+    assert_occurrences_tile(
+        [((p.t1, p.t2, p.t3), where) for p, where in parts], (t.t1, t.t2, t.t3)
+    )
+    # What the hypotheses check sees, (T3, P_first, S S*): the same 4
+    # depth - 2 shift blocks, each with its first coordinate in the first
+    # half; the two boundary coordinates; and f1's two coordinates, on
+    # which T3 vanishes, apart.
+    p_first = np.diag((np.arange(n) < w.split).astype(float))
+    mats = (t.t3, p_first, w.boundary @ w.boundary.conj().T)
+    pieces = distinct_blocks(mats, diagonal_blocks(mats))
+    assert [len(where) for _, where in pieces] == [4 * depth - 2, 2, 2]
+    want = [(jordan, np.diag([1.0, 0.0]), zero2), (zero1, one, one), (zero1,) * 3]
+    for (sub, _), restrictions in zip(pieces, want):
+        assert np.array_equal(sub, np.stack(restrictions))
+    boundary_rows = np.flatnonzero(w.boundary.any(axis=1))
+    assert np.array_equal(pieces[1][1].ravel(), boundary_rows)
+    assert_occurrences_tile(pieces, mats)
 
 
-def test_parts_key_on_projectors_and_couple_through_them(rng):
+def test_parts_key_on_projectors_and_couple_through_them():
     # Two equal diagonal blocks stay distinct when a projector tells them
     # apart, and a projector entry between blocks joins them.
     d = np.diag([0.5, 0.5, 0.25])
-    basis = MonomialBasis((d, d, d))
-    assert [len(w) for _, w in basis.parts()] == [2, 1]
-    basis = MonomialBasis((d, d, d), projectors=[np.diag([1.0, 0.0, 0.0])])
-    assert [len(w) for _, w in basis.parts()] == [1, 1, 1]
+    assert [len(w) for _, w in MonomialBasis((d, d, d)).parts()] == [2, 1]
+    mats = (d, np.diag([1.0, 0.0, 0.0]))
+    blocks = diagonal_blocks(mats)
+    assert [b.tolist() for b in blocks] == [[0], [1], [2]]
+    assert [len(w) for _, w in distinct_blocks(mats, blocks)] == [1, 1, 1]
     couple = np.zeros((3, 3))
     couple[0, 2] = couple[2, 0] = 0.5
-    basis = MonomialBasis((d, d, d), projectors=[couple])
-    assert [b.tolist() for b in basis.blocks()] == [[0, 2], [1]]
-    with pytest.raises(DimensionMismatchError):
-        MonomialBasis((d, d, d), projectors=[np.eye(2)])
+    mats = (d, couple)
+    blocks = diagonal_blocks(mats)
+    assert [b.tolist() for b in blocks] == [[0, 2], [1]]
+    parts = distinct_blocks(mats, blocks)
+    assert [w.tolist() for _, w in parts] == [[[0, 2]], [[1]]]
+    want = np.stack([np.diag([0.5, 0.25]), [[0.0, 0.5], [0.5, 0.0]]])
+    assert np.array_equal(parts[0][0], want)
 
 
 @pytest.mark.parametrize("depth", [4, 16, 32])
