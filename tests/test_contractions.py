@@ -556,3 +556,20 @@ def test_block_commutation_defect_is_largest_over_blocks():
         commutation_defect(t), abs=1e-12
     )
     assert commutation_defect(MonomialBasis(t)) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_hypothesis_projectors_validate_split_and_boundary():
+    w = build_witness(4)
+    n = w.triple.dim
+    projectors = contractions._hypothesis_projectors
+    with pytest.raises(BadSplitError):
+        projectors(n, w.split - 1, None, tol=1e-9)
+    with pytest.raises(DimensionMismatchError):
+        projectors(n, w.split, w.boundary[:-1], tol=1e-9)
+    with pytest.raises(NotIsometricEmbeddingError):
+        projectors(n, w.split, 2.0 * w.boundary, tol=1e-9)
+    (p_first,) = projectors(n, w.split, None, tol=1e-9)
+    assert np.array_equal(p_first, np.diag(np.arange(n) < w.split))
+    p_first, p_s = projectors(n, w.split, w.boundary, tol=1e-9)
+    assert np.array_equal(p_first, np.diag(np.arange(n) < w.split))
+    assert np.allclose(p_s, w.boundary @ w.boundary.conj().T, atol=1e-15)
