@@ -21,8 +21,8 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
-    hypotheses_to_json,
     purity_defect,
+    report_to_json,
     triple_from_json,
     triple_to_json,
     varopoulos_example,
@@ -92,7 +92,6 @@ from .models import (
     validate_symbol_pair,
 )
 from .poly3 import (
-    MonomialBasis,
     Poly3,
     cf_empirical_inf,
     cf_matrix_norm,

@@ -36,7 +36,7 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
-    hypotheses_to_json,
+    report_to_json,
     triple_from_json,
     triple_to_json,
 )
@@ -244,7 +244,7 @@ def _cmd_obstruction(args, config: ToolConfig) -> int:
         "c1": obstruction.c1,
         "c2": obstruction.c2,
         "tol": obstruction.tol,
-        "hypotheses": hypotheses_to_json(hypotheses),
+        "hypotheses": report_to_json(hypotheses),
         "verdict": "Obstructed" if obstruction.obstructed else "Unobstructed",
     }
     _emit(doc, args, config)

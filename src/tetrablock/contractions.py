@@ -16,7 +16,8 @@ out a commuting normal boundary dilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
     "dilation_obstruction",
     "HypothesisReport",
     "check_obstruction_hypotheses",
-    "hypotheses_to_json",
+    "report_to_json",
     "DilationReport",
     "verify_dilation",
     "Certificate",
@@ -76,6 +77,10 @@ class Triple:
     Construction validates shapes only; algebraic properties are
     checked by the dedicated report functions so that their defects
     stay observable instead of being swallowed by a constructor.
+
+    Two derived objects are computed once, on first use, and kept on
+    the triple: its :attr:`basis` of memoized monomials and its block
+    form :attr:`parts`.
     """
 
     t1: np.ndarray
@@ -96,6 +101,33 @@ class Triple:
     @property
     def dim(self) -> int:
         return self.t1.shape[0]
+
+    @cached_property
+    def basis(self) -> MonomialBasis:
+        """The :class:`MonomialBasis` every evaluation on the triple shares."""
+        return MonomialBasis(self.t1, self.t2, self.t3)
+
+    @cached_property
+    def parts(self) -> list[tuple[Triple, np.ndarray]]:
+        """The triple's distinct diagonal blocks, each with where it occurs.
+
+        These are the :func:`distinct_blocks` of T1, T2, T3 under their
+        :func:`diagonal_blocks`: each distinct block as a triple of its
+        own, paired with its (count, size) occurrence array.  Every
+        polynomial in the triple is block-diagonal under them (a product
+        of block-diagonal matrices has exact zeros off the blocks), so
+        any norm of one is the largest over the parts, and a direct sum
+        of many copies of a few blocks is worked on copy by copy only
+        once.  A one-block triple is its own single part.
+        """
+        mats = (self.t1, self.t2, self.t3)
+        blocks = diagonal_blocks(mats)
+        if len(blocks) == 1:
+            return [(self, blocks[0][None])]
+        return [
+            (Triple(*sub, tol=self.tol), where)
+            for sub, where in distinct_blocks(mats, blocks)
+        ]
 
 
 def triple_to_json(t: Triple) -> dict:
@@ -118,20 +150,13 @@ def triple_from_json(obj: dict) -> Triple:
     )
 
 
-def commutation_defect(t: Triple | MonomialBasis) -> float:
-    """Largest pairwise commutator norm of the triple.
-
-    A :class:`MonomialBasis` is measured on its distinct blocks
-    (:meth:`MonomialBasis.parts`), and the largest block value is the
-    norm of the whole.
-    """
-    parts = [p for p, _ in t.parts()] if isinstance(t, MonomialBasis) else [t]
+def commutation_defect(t: Triple) -> float:
+    """Largest pairwise commutator norm of the triple."""
+    mats = (t.t1, t.t2, t.t3)
     worst = 0.0
-    for part in parts:
-        mats = (part.t1, part.t2, part.t3)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst = max(worst, op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            worst = max(worst, op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
     return worst
 
 
@@ -242,7 +267,7 @@ class FundamentalPair:
 
 
 def extract_fundamental(
-    t: Triple | MonomialBasis,
+    t: Triple,
     *,
     rank_tol: float = 1e-8,
     tol_solve: float = 1e-9,
@@ -255,7 +280,7 @@ def extract_fundamental(
     ``rank_tol``; if the right-hand sides are not supported there the
     residual check fails with InconsistentEquationError.  ``t`` is
     solved whole; a direct sum is solved block by block by calling
-    this on each of its :meth:`MonomialBasis.parts`.
+    this on each of its :attr:`Triple.parts`.
     """
     eye = np.eye(t.dim)
     d2 = eye - t.t3.conj().T @ t.t3
@@ -447,17 +472,21 @@ def check_obstruction_hypotheses(
     )
 
 
-def hypotheses_to_json(rep: HypothesisReport) -> dict:
-    """The hypotheses block of a verdict document."""
-    return {
-        "mode": rep.mode,
-        "defect_kernel": rep.defect_kernel,
-        "defect_range": rep.defect_range,
-        "shift_kills_range": rep.shift_kills_range,
-        "shift_maps_kernel": rep.shift_maps_kernel,
-        "boundary_dim": rep.boundary_dim,
-        "passed": rep.passed,
-    }
+def report_to_json(rep) -> dict:
+    """A report's fields, in order, as a block of a verdict document.
+
+    A complex value becomes ``[re, im]`` and a tuple becomes a list;
+    every other value is kept as it is.
+    """
+    doc = {}
+    for field in fields(rep):
+        value = getattr(rep, field.name)
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[field.name] = value
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +538,6 @@ def verify_dilation(
             f"embedding is not isometric (defect {gram_defect:.3e})"
         )
 
-    small_basis = MonomialBasis(small)
-    big_basis = MonomialBasis(big)
     # Absent (exactly zero) monomials compress as zero matrices.
     small_zero = np.zeros((small.dim, small.dim), dtype=np.complex128)
     big_zero = np.zeros((big.dim, big.dim), dtype=np.complex128)
@@ -523,10 +550,10 @@ def verify_dilation(
                 if m1 + m2 + m3 == 0:
                     continue
                 exp = (m1, m2, m3)
-                big_mono = big_basis.monomial(exp)
+                big_mono = big.basis.monomial(exp)
                 if big_mono is None:
                     big_mono = big_zero
-                small_mono = small_basis.monomial(exp)
+                small_mono = small.basis.monomial(exp)
                 if small_mono is None:
                     small_mono = small_zero
                 defect = op_norm(v.conj().T @ big_mono @ v - small_mono)
@@ -578,7 +605,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def violation_certificate(
-    t: Triple | MonomialBasis,
+    t: Triple,
     p: Poly3,
     *,
     config: ToolConfig = DEFAULT_CONFIG,
@@ -586,8 +613,7 @@ def violation_certificate(
 ) -> Certificate:
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
-    ``t`` is the triple or a :class:`MonomialBasis` of it shared across
-    calls; the norm is the largest over its distinct blocks
+    The norm is the largest over the triple's distinct blocks
     (:func:`_poly_norms`).  A violation is only reported
     after the sup estimate has been recomputed with ten times the
     sample budget and the gap still exceeds the configured margin.  The
@@ -597,8 +623,7 @@ def violation_certificate(
     outcome is rigorous, up to the margin: lhs <= sampled sup + margin
     <= true sup + margin.
     """
-    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
-    lhs = _poly_norms(basis, [p])[0]
+    lhs = _poly_norms(t, [p])[0]
     first, second = _sup_seeds(seed)
     sup_first = sup_on_closure(p, n_samples=config.sup_samples, seed=first)
     sup_refined = sup_first
@@ -619,17 +644,17 @@ def violation_certificate(
     )
 
 
-def _poly_norms(basis: MonomialBasis, polys) -> np.ndarray:
+def _poly_norms(t: Triple, polys) -> np.ndarray:
     """||p(T)|| for each polynomial, the largest over the distinct blocks.
 
-    Each polynomial is evaluated on every distinct block's own small
-    triple (:meth:`MonomialBasis.parts`); a one-block triple is
-    evaluated whole and normed by :func:`op_norm`.
+    Each polynomial is evaluated on the basis of every distinct block
+    (:attr:`Triple.parts`); a one-block triple is evaluated whole and
+    normed by :func:`op_norm`.
     """
     norms = np.zeros(len(polys))
-    for part, _ in basis.parts():
+    for part, _ in t.parts:
         norms = np.maximum(
-            norms, [op_norm(eval_operator(p, part)) for p in polys]
+            norms, [op_norm(eval_operator(p, part.basis)) for p in polys]
         )
     return norms
 
@@ -664,7 +689,7 @@ class FalsifyReport:
 
 
 def falsify_spectral_set(
-    t: Triple | MonomialBasis,
+    t: Triple,
     *,
     trials: int | None = None,
     degree: int = 3,
@@ -676,18 +701,18 @@ def falsify_spectral_set(
 
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
-    the trial count.  The work is done once per call, not per trial:
-    one :class:`MonomialBasis` of the triple (``t`` itself when it is
-    one) multiplies out each monomial once per distinct diagonal block
-    and takes every trial's norm ||p(T)|| as the largest over those
-    blocks, and one batched :func:`sup_on_closure` call gives every
+    the trial count.  The work is done once per triple, not per trial:
+    the basis of each of the triple's distinct diagonal blocks
+    (:attr:`Triple.parts`) multiplies out each monomial once, every
+    trial's norm ||p(T)|| is the largest over those blocks, and one
+    batched :func:`sup_on_closure` call gives every
     trial's first sup estimate.  Only the trials this screen leaves
     above their sup by the margin are then passed, in trial order, to
     :func:`violation_certificate`, whose ten-times resample confirms or
     refutes them.  Every screened number is bit for bit what the
     certificate computes for that trial alone.  The triple's
-    commutation defect is reported, not enforced; operator evaluation
-    assumes commutation.
+    commutation defect, the largest over its distinct blocks, is
+    reported, not enforced; operator evaluation assumes commutation.
 
     Returns outcome "Violation" with its certificate on the first
     confirmed exceedance, with ``trials_run`` counting the trials up to
@@ -697,8 +722,7 @@ def falsify_spectral_set(
     """
     trials = config.falsify_trials if trials is None else trials
     seed = config.seed if seed is None else seed
-    comm = commutation_defect(t)
-    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
+    comm = max(commutation_defect(part) for part, _ in t.parts)
 
     if polys is not None:
         polys = list(polys)
@@ -710,7 +734,7 @@ def falsify_spectral_set(
             polys.append(random_poly(degree, seed=grand[0]))
             sup_seeds.append(grand[1])
 
-    lhs = _poly_norms(basis, polys)
+    lhs = _poly_norms(t, polys)
     sup_first = sup_on_closure(
         polys,
         n_samples=config.sup_samples,
@@ -721,7 +745,7 @@ def falsify_spectral_set(
     for k, p in enumerate(polys):
         sup, cert = sup_first[k], None
         if lhs[k] > sup + config.falsify_margin:
-            cert = violation_certificate(basis, p, config=config, seed=sup_seeds[k])
+            cert = violation_certificate(t, p, config=config, seed=sup_seeds[k])
             sup = cert.sup_refined
         ratio = lhs[k] / max(sup, 1e-300)
         if ratio > worst_ratio:
@@ -737,7 +761,7 @@ def falsify_spectral_set(
     certificate = None
     if worst is not None:
         certificate = violation_certificate(
-            basis, polys[worst], config=config, seed=sup_seeds[worst]
+            t, polys[worst], config=config, seed=sup_seeds[worst]
         )
     return FalsifyReport(
         outcome="NoViolationFound",

@@ -39,11 +39,11 @@ from .contractions import (
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
-    hypotheses_to_json,
+    report_to_json,
 )
 from .errors import TetrablockError
 from .linalg import op_norm, sqrt_psd
-from .poly3 import MonomialBasis, cf_empirical_inf, cf_matrix_norm
+from .poly3 import cf_empirical_inf, cf_matrix_norm
 from .rng import as_generator
 
 __all__ = [
@@ -289,17 +289,15 @@ def run_pipeline(
     report is still returned.  Any other exception propagates.
 
     The witness is a direct sum of copies of three distinct blocks.
-    One :class:`MonomialBasis` is the run's block form: every operator
-    stage works on the distinct blocks (:meth:`MonomialBasis.parts`)
-    and takes each norm and residual as the largest over them, and the
-    fundamental pair's rank as the sum over every copy, so its cost
-    does not grow with depth.  The hypotheses check partitions T3 and
-    its projectors the same way on its own.
+    Every operator stage works on the distinct blocks
+    (:attr:`Triple.parts`) and takes each norm and residual as the
+    largest over them, and the fundamental pair's rank as the sum over
+    every copy, so its cost does not grow with depth.  The hypotheses
+    check partitions T3 and its projectors the same way on its own.
     """
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)
     t = w.triple
-    basis = MonomialBasis(t)
 
     results: dict = {
         "products": None,
@@ -317,7 +315,7 @@ def run_pipeline(
 
     def stage_products():
         norms = {}
-        for part, _ in basis.parts():
+        for part, _ in t.parts:
             t1, t2, t3 = part.t1, part.t2, part.t3
             for name, product in (
                 ("t1 t1", t1 @ t1),
@@ -336,7 +334,7 @@ def run_pipeline(
 
     def stage_defect():
         worst = 0.0
-        for part, _ in basis.parts():
+        for part, _ in t.parts:
             gram = np.eye(part.dim) - part.t3.conj().T @ part.t3
             d = sqrt_psd(gram, tol=config.tol_algebraic)
             worst = max(worst, float(op_norm(d @ d - d)))
@@ -350,7 +348,7 @@ def run_pipeline(
                 ),
                 len(where),
             )
-            for part, where in basis.parts()
+            for part, where in t.parts
         ]
         results["fundamental"] = pairs
         results["a1_norm"] = max(float(op_norm(p.a1)) for p, _ in pairs)
@@ -379,7 +377,7 @@ def run_pipeline(
 
     def stage_falsify():
         results["falsify"] = falsify_spectral_set(
-            basis, trials=trials, degree=degree, seed=seed, config=config
+            t, trials=trials, degree=degree, seed=seed, config=config
         )
 
     def stage_cases():
@@ -473,14 +471,9 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
             "a2_norm": report.a2_norm,
         }
     if report.obstruction is not None:
-        doc["obstruction"] = {
-            "c1": report.obstruction.c1,
-            "c2": report.obstruction.c2,
-            "tol": report.obstruction.tol,
-            "obstructed": report.obstruction.obstructed,
-        }
+        doc["obstruction"] = report_to_json(report.obstruction)
     if report.hypotheses is not None:
-        doc["hypotheses"] = hypotheses_to_json(report.hypotheses)
+        doc["hypotheses"] = report_to_json(report.hypotheses)
     if report.falsify is not None:
         falsify = {
             "outcome": report.falsify.outcome,
@@ -493,22 +486,7 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
             falsify["certificate"] = certificate_to_json(cert)
         doc["falsify"] = falsify
     if report.case_check is not None:
-        doc["case_inequalities"] = {
-            "n_samples": report.case_check.n_samples,
-            "violations": report.case_check.violations,
-            "worst_margin": report.case_check.worst_margin,
-            "tol": report.case_check.tol,
-            "passed": report.case_check.passed,
-        }
+        doc["case_inequalities"] = report_to_json(report.case_check)
     if report.cf_study is not None:
-        doc["cf_study"] = {
-            "b0": [report.cf_study.b0.real, report.cf_study.b0.imag],
-            "b1": [report.cf_study.b1.real, report.cf_study.b1.imag],
-            "matrix_norm": report.cf_study.matrix_norm,
-            "degrees": list(report.cf_study.degrees),
-            "values": list(report.cf_study.values),
-            "final_ratio": report.cf_study.final_ratio,
-            "monotone": report.cf_study.monotone,
-            "above_floor": report.cf_study.above_floor,
-        }
+        doc["cf_study"] = report_to_json(report.cf_study)
     return doc

@@ -239,13 +239,12 @@ def interior_identity_report(
     n = model.dim
     k = model.block_dim
     interior = (model.depth - 1) * k
-    p = np.zeros((n, n))
-    p[:interior, :interior] = np.eye(interior)
-    eye = np.eye(n)
     t1, t2, t3 = model.t1, model.t2, model.t3
-    d_iso = op_norm((t3.conj().T @ t3 - eye) @ p)
-    d_rel1 = op_norm((t1 - t2.conj().T @ t3) @ p)
-    d_rel2 = op_norm((t2 - t1.conj().T @ t3) @ p)
+    # Each identity is measured on the interior columns only.
+    shifted = t3[:, :interior]
+    d_iso = op_norm(t3.conj().T @ shifted - np.eye(n)[:, :interior])
+    d_rel1 = op_norm(t1[:, :interior] - t2.conj().T @ shifted)
+    d_rel2 = op_norm(t2[:, :interior] - t1.conj().T @ shifted)
     power = op_norm(np.linalg.matrix_power(t3, model.depth))
     worst = max(d_iso, d_rel1, d_rel2)
     return InteriorReport(

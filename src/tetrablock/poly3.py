@@ -7,10 +7,10 @@ points and of polynomials at once; operator evaluation substitutes a
 commuting matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The
 triple's monomials come from a ``MonomialBasis``, which builds each
 power and monomial once and keeps exactly zero ones as absent, so
-callers evaluating many polynomials on one triple build the basis
-once and share it.  The basis is also the triple's block form: its
-block-diagonal partition and its distinct blocks with where each
-occurs.
+callers evaluating many polynomials on one triple share its basis.
+``diagonal_blocks`` and ``distinct_blocks`` find the block form of
+square matrices: their block-diagonal partition and its distinct
+blocks with where each occurs.
 Operator evaluation does not re-verify commutation: callers that
 need the defect should measure it once, not per evaluation.
 """
@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .linalg import as_matrix, op_norm
+from .linalg import op_norm
 from .rng import as_generator
 
 __all__ = [
@@ -162,22 +161,6 @@ def eval_scalar_many(p, x1, x2, x3) -> np.ndarray:
     return out[0] if single else out
 
 
-def _unpack_triple(t):
-    """Accept a triple object with .t1/.t2/.t3 or a plain 3-sequence."""
-    if hasattr(t, "t1") and hasattr(t, "t2") and hasattr(t, "t3"):
-        mats = (t.t1, t.t2, t.t3)
-    else:
-        mats = tuple(t)
-        if len(mats) != 3:
-            raise ValueError("expected three operators")
-    out = tuple(as_matrix(m, square=True, name=f"t{i + 1}") for i, m in enumerate(mats))
-    if not (out[0].shape == out[1].shape == out[2].shape):
-        raise DimensionMismatchError(
-            f"operators must share a shape, got {[m.shape for m in out]}"
-        )
-    return out
-
-
 class MonomialBasis:
     """Memoized monomials ``T1^m1 T2^m2 T3^m3`` of one operator triple.
 
@@ -187,29 +170,19 @@ class MonomialBasis:
     evaluation.  A power or monomial that comes out exactly zero is
     stored as ``None`` ("absent"); absent entries are never multiplied
     again, so a nilpotent triple keeps only its few nonzero monomials.
-    The basis keeps the triple as ``t1``/``t2``/``t3``, so it can stand
-    in wherever a triple is read.  ``monomials`` maps each exponent
-    asked for so far to its matrix or ``None``.
-
-    The basis is also the triple's block form: :meth:`blocks` is the
-    :func:`diagonal_blocks` of T1, T2, T3, found once, on first use.
-    Every polynomial in the triple is block-diagonal under it (a
-    product of block-diagonal matrices has exact zeros off the
-    blocks), so any norm of one is the largest over the blocks.
-    :meth:`parts` groups equal blocks, so that a direct sum of many
-    copies of a few blocks is worked on copy by copy only once.
+    ``monomials`` maps each exponent asked for so far to its matrix or
+    ``None``.  The matrices are taken as given, already validated: a
+    caller gets the basis of a triple as ``Triple.basis``.
     """
 
-    __slots__ = ("t1", "t2", "t3", "dim", "monomials", "_powers", "_blocks", "_parts")
+    __slots__ = ("mats", "dim", "monomials", "_powers")
 
-    def __init__(self, t):
-        self.t1, self.t2, self.t3 = _unpack_triple(t)
-        self.dim = self.t1.shape[0]
+    def __init__(self, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray):
+        self.mats = (t1, t2, t3)
+        self.dim = t1.shape[0]
         self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
         # Power tables start at P[0] = I, formed on first use.
         self._powers: tuple[list, list, list] = ([], [], [])
-        self._blocks: list[np.ndarray] | None = None
-        self._parts: list[tuple[MonomialBasis, np.ndarray]] | None = None
 
     def _power(self, i: int, k: int) -> np.ndarray | None:
         if not self._powers[0]:
@@ -217,7 +190,7 @@ class MonomialBasis:
             for table in self._powers:
                 table.append(eye)
         table = self._powers[i]
-        base = (self.t1, self.t2, self.t3)[i]
+        base = self.mats[i]
         while len(table) <= k:
             prev = table[-1]
             table.append(None if prev is None else _drop_zero(prev @ base))
@@ -235,32 +208,6 @@ class MonomialBasis:
                 mono = _drop_zero(head @ p3)
         self.monomials[exp] = mono
         return mono
-
-    def blocks(self) -> list[np.ndarray]:
-        """Index arrays of the partition's blocks, ordered by first index."""
-        if self._blocks is None:
-            self._blocks = diagonal_blocks((self.t1, self.t2, self.t3))
-        return self._blocks
-
-    def parts(self) -> list[tuple[MonomialBasis, np.ndarray]]:
-        """The :func:`distinct_blocks` of the triple under :meth:`blocks`.
-
-        Each distinct block comes as a basis of its restricted triple,
-        paired with its (count, size) occurrence array.  A one-block
-        triple is its own single part.
-        """
-        if self._parts is None:
-            blocks = self.blocks()
-            if len(blocks) == 1:
-                self._parts = [(self, blocks[0][None])]
-                return self._parts
-            self._parts = []
-            for sub, where in distinct_blocks((self.t1, self.t2, self.t3), blocks):
-                part = MonomialBasis(sub)
-                # A component is connected, so each part is one block.
-                part._blocks = [np.arange(part.dim)]
-                self._parts.append((part, where))
-        return self._parts
 
 
 def diagonal_blocks(mats) -> list[np.ndarray]:
@@ -339,12 +286,11 @@ def _drop_zero(m: np.ndarray) -> np.ndarray | None:
     return m
 
 
-def eval_operator(p: Poly3, t) -> np.ndarray:
+def eval_operator(p: Poly3, basis: MonomialBasis) -> np.ndarray:
     """Substitute a commuting operator triple into the polynomial.
 
-    ``t`` is a triple (an object with ``.t1/.t2/.t3`` or a 3-sequence),
-    for which a throwaway :class:`MonomialBasis` is built, or a prebuilt
-    basis, whose memoized monomials are shared across calls.  The sum
+    The triple comes as its :class:`MonomialBasis`, whose memoized
+    monomials are shared across calls.  The sum
     ``acc += c * T^m`` runs in ``p.coeffs`` order and skips absent
     (exactly zero) monomials: adding ``c * 0`` would leave ``acc``
     unchanged, so the result is bit for bit that of multiplying every
@@ -352,7 +298,6 @@ def eval_operator(p: Poly3, t) -> np.ndarray:
     genuinely commuting triples the order is immaterial.  Commutation
     is the caller's responsibility and is not re-checked here.
     """
-    basis = t if isinstance(t, MonomialBasis) else MonomialBasis(t)
     acc = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     for exp, c in p.coeffs.items():
         mono = basis.monomial(exp)

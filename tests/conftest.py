@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from tetrablock.poly3 import _unpack_triple
-
 
 @pytest.fixture
 def rng():
@@ -25,10 +23,11 @@ def random_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def power_table_eval_operator(p, t):
+def power_table_eval_operator(p, basis):
     # Reference operator evaluation: fresh power tables on every call and
-    # every monomial multiplied out, exact zeros included.
-    t1, t2, t3 = _unpack_triple(t)
+    # every monomial multiplied out, exact zeros included.  Only the
+    # basis's matrices are read, never its memo.
+    t1, t2, t3 = basis.mats
     n = t1.shape[0]
     acc = np.zeros((n, n), dtype=np.complex128)
     if not p.coeffs:

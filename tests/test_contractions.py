@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from tetrablock import contractions
+from tetrablock import contractions, poly3
 from tetrablock import (
     BadSplitError,
     DimensionMismatchError,
     InconsistentEquationError,
-    MonomialBasis,
     NotIsometricEmbeddingError,
     Poly3,
     ToolConfig,
@@ -40,7 +39,7 @@ from tetrablock import (
     witness_symbol,
 )
 
-from conftest import power_table_eval_operator
+from conftest import power_table_eval_operator, random_complex
 
 SYMBOLS = random_symbol_pair(2, seed=55)
 
@@ -443,7 +442,7 @@ def test_pipeline_document_unchanged_by_block_form(monkeypatch, depth, seed):
     # of one per block, and agrees to rounding.
     block = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
     monkeypatch.setattr(
-        MonomialBasis, "blocks", lambda self: [np.arange(self.dim)]
+        contractions, "diagonal_blocks", lambda mats: [np.arange(len(mats[0]))]
     )
     dense = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
     ratio_block = block["falsify"].pop("worst_ratio")
@@ -456,7 +455,7 @@ def part_pairs(t):
     # Each distinct block's fundamental pair with its number of copies.
     return [
         (extract_fundamental(part), len(where))
-        for part, where in MonomialBasis(t).parts()
+        for part, where in t.parts
     ]
 
 
@@ -477,7 +476,7 @@ def test_block_stages_equal_dense_on_witness(depth):
     for boundary in (None, w.boundary):
         rep = check_obstruction_hypotheses(w.triple, w.split, boundary=boundary)
         assert hypothesis_defects(rep) == dense_hypotheses(w.triple, w.split, boundary)
-    assert commutation_defect(MonomialBasis(w.triple)) == 0.0
+    assert block_commutation_defect(w.triple) == 0.0
     assert commutation_defect(w.triple) == 0.0
 
 
@@ -547,15 +546,64 @@ def test_block_fundamental_with_a_unitary_block():
         part_pairs(t)
 
 
+def block_commutation_defect(t):
+    return max(commutation_defect(part) for part, _ in t.parts)
+
+
 def test_block_commutation_defect_is_largest_over_blocks():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     pair = (a, a.T, np.eye(2))
     scaled = (2.0 * a, a.T, np.eye(2))
     t = direct_sum(pair, scaled, pair)
-    assert commutation_defect(MonomialBasis(t)) == pytest.approx(
+    assert block_commutation_defect(t) == pytest.approx(
         commutation_defect(t), abs=1e-12
     )
-    assert commutation_defect(MonomialBasis(t)) == pytest.approx(2.0, abs=1e-12)
+    assert block_commutation_defect(t) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_falsifier_reports_the_largest_block_commutation_defect(rng):
+    # Two dense, non-commuting 3x3 blocks, the second with the larger
+    # defect: the reported defect is the largest over the parts, and
+    # within rounding of the dense one.
+    blocks = [
+        tuple(scale * random_complex(rng, (3, 3)) / 3.0 for _ in range(3))
+        for scale in (1.0, 2.0)
+    ]
+    t = direct_sum(*blocks)
+    assert [commutation_defect(part) > 0.0 for part, _ in t.parts] == [True, True]
+    assert commutation_defect(t.parts[1][0]) > commutation_defect(t.parts[0][0])
+    rep = falsify_spectral_set(t, trials=3, degree=2, seed=1)
+    assert rep.commutation_defect == block_commutation_defect(t) > 0.0
+    dense = commutation_defect(t)
+    assert abs(rep.commutation_defect - dense) <= 1e-15 * dense
+
+
+def test_triple_keeps_its_block_form_and_monomials(monkeypatch):
+    # Triple.parts and each part's basis are computed once: a second
+    # falsifier call on the same triple finds every monomial it needs
+    # already multiplied out.
+    calls = []
+    blocks = contractions.diagonal_blocks
+    monkeypatch.setattr(
+        contractions, "diagonal_blocks", lambda mats: calls.append(1) or blocks(mats)
+    )
+    t = build_witness(4).triple
+    parts = t.parts
+    assert t.parts is parts and t.basis is t.basis and len(calls) == 1
+    first = falsify_spectral_set(t, trials=6, degree=3, seed=2)
+    assert t.parts is parts and len(calls) == 1
+    memo = [dict(part.basis.monomials) for part, _ in parts]
+    assert all(memo)
+    products = []
+    drop_zero = poly3._drop_zero
+    monkeypatch.setattr(
+        poly3, "_drop_zero", lambda m: products.append(1) or drop_zero(m)
+    )
+    assert falsify_spectral_set(t, trials=6, degree=3, seed=2) == first
+    assert products == []
+    for (part, _), before in zip(parts, memo):
+        assert part.basis.monomials.keys() == before.keys()
+        assert all(part.basis.monomials[e] is m for e, m in before.items())
 
 
 def test_hypothesis_projectors_validate_split_and_boundary():

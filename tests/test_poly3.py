@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrablock import (
-    MonomialBasis,
     Poly3,
+    Triple,
     build_witness,
     witness_symbol,
     cf_empirical_inf,
@@ -100,95 +100,100 @@ def test_eval_operator_diagonal_reduces_to_scalar(rng):
     e1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     e2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     e3 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    t = (np.diag(e1), np.diag(e2), np.diag(e3))
-    val = eval_operator(p, t)
+    t = Triple(np.diag(e1), np.diag(e2), np.diag(e3))
+    val = eval_operator(p, t.basis)
     want = np.diag(eval_scalar_many(p, e1, e2, e3))
     assert op_norm(val - want) <= 1e-9 * (1.0 + op_norm(want))
 
 
-def test_eval_operator_empty_poly_is_zero():
+def _dense_triple(rng, n=6, scale=1.0):
+    # Scaled so that powers up to degree ~6 stay O(1); nothing is zero.
+    mats = (scale * (random_complex(rng, (n, n)) / np.sqrt(4.0 * n)) for _ in range(3))
+    return Triple(*mats)
+
+
+def test_eval_operator_empty_poly_is_zero(rng):
     p = Poly3({})
     z = np.zeros((3, 3))
-    assert op_norm(eval_operator(p, (z, z, z))) == 0.0
-
-
-def _dense_triple(rng, n=6):
-    # Scaled so that powers up to degree ~6 stay O(1); nothing is zero.
-    return tuple(random_complex(rng, (n, n)) / np.sqrt(4.0 * n) for _ in range(3))
+    assert op_norm(eval_operator(p, Triple(z, z, z).basis)) == 0.0
+    # On a dense triple too, and no monomial is formed for it.
+    basis = _dense_triple(rng).basis
+    assert np.array_equal(eval_operator(p, basis), np.zeros((6, 6)))
+    assert basis.monomials == {}
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6])
 def test_basis_matches_power_tables_on_dense_triple(rng, scale):
     # At the small scale the cubic monomials are ~1e-18 but not zero,
     # so they must still be kept.
-    t = tuple(scale * m for m in _dense_triple(rng))
-    basis = MonomialBasis(t)
+    basis = _dense_triple(rng, scale=scale).basis
     for k in range(6):
         p = random_poly(3, seed=k)
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
     assert len(basis.monomials) == 20
     assert all(m is not None for m in basis.monomials.values())
 
 
 def test_basis_matches_power_tables_on_witness():
-    t = build_witness(8).triple
-    basis = MonomialBasis(t)
+    basis = build_witness(8).triple.basis
     for k in range(4):
         p = random_poly(3, seed=k)
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
 
 
 def test_basis_keeps_only_nonzero_witness_monomials():
     # Every pairwise product of the witness operators is exactly zero and
     # T2 itself is zero, so of the 20 degree-3 monomials only I, T1 and
     # T3 survive.
-    t = build_witness(8).triple
-    basis = MonomialBasis(t)
+    basis = build_witness(8).triple.basis
     p = random_poly(3, seed=1)
     eval_operator(p, basis)
     assert set(basis.monomials) == set(p.coeffs)
     kept = {exp for exp, m in basis.monomials.items() if m is not None}
     assert kept == {(0, 0, 0), (1, 0, 0), (0, 0, 1)}
     for exp, m in basis.monomials.items():
-        dense = power_table_eval_operator(Poly3({exp: 1.0}), t)
+        dense = power_table_eval_operator(Poly3({exp: 1.0}), basis)
         if m is None:
             assert not dense.any()
         else:
             assert dense.any() and np.array_equal(m, dense)
 
 
+def triple_blocks(t):
+    # Every block of the triple's partition, from its parts' occurrences.
+    return sorted((idx for _, where in t.parts for idx in where), key=lambda b: b[0])
+
+
 def test_witness_partition_has_blocks_of_at_most_two():
-    basis = MonomialBasis(build_witness(8).triple)
-    blocks = basis.blocks()
+    t = build_witness(8).triple
+    blocks = diagonal_blocks((t.t1, t.t2, t.t3))
     assert max(len(b) for b in blocks) <= 2 and len(blocks) > 1
+    assert [b.tolist() for b in triple_blocks(t)] == [b.tolist() for b in blocks]
     # The blocks partition the index set, each sorted, ordered by first index.
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.dim))
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(t.dim))
     assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
     assert all(np.array_equal(b, np.sort(b)) for b in blocks)
 
 
 def test_dense_triple_is_one_block_with_unchanged_norm(rng):
     t = _dense_triple(rng)
-    basis = MonomialBasis(t)
-    assert len(basis.blocks()) == 1
-    assert [(part, where.tolist()) for part, where in basis.parts()] == [
-        (basis, [list(range(basis.dim))])
-    ]
+    [(part, where)] = t.parts
+    assert part is t and where.tolist() == [list(range(t.dim))]
     polys = [random_poly(3, seed=k) for k in range(4)]
-    norms = _poly_norms(basis, polys)
+    norms = _poly_norms(t, polys)
     assert [float(x) for x in norms] == [
-        op_norm(eval_operator(p, basis)) for p in polys
+        op_norm(eval_operator(p, t.basis)) for p in polys
     ]
 
 
 def test_triple_coupled_only_through_t2_is_one_block(rng):
     n = 5
     shift = np.diag(np.full(n - 1, 0.5), k=1)
-    t = (np.diag(random_complex(rng, n)), shift, np.diag(random_complex(rng, n)))
-    assert len(MonomialBasis(t).blocks()) == 1
+    t = Triple(np.diag(random_complex(rng, n)), shift, np.diag(random_complex(rng, n)))
+    assert len(triple_blocks(t)) == 1
     # Without T2 the same triple falls apart into n singletons.
-    t = (t[0], np.zeros((n, n)), t[2])
-    assert len(MonomialBasis(t).blocks()) == n
+    t = Triple(t.t1, np.zeros((n, n)), t.t3)
+    assert len(triple_blocks(t)) == n
 
 
 def test_interleaved_blocks_and_off_block_entries(rng):
@@ -197,16 +202,15 @@ def test_interleaved_blocks_and_off_block_entries(rng):
     t1[2, 0] = 1.0
     t1[1, 3] = 0.5
     z = np.zeros((4, 4))
-    basis = MonomialBasis((t1, z, z))
-    assert [b.tolist() for b in basis.blocks()] == [[0, 2], [1, 3]]
-    parts = basis.parts()
+    t = Triple(t1, z, z)
+    parts = t.parts
     assert [where.tolist() for _, where in parts] == [[[0, 2]], [[1, 3]]]
     assert np.array_equal(parts[0][0].t1, [[0.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(parts[1][0].t1, [[0.0, 0.5], [0.0, 0.0]])
     p = Poly3({(0, 0, 0): 3.0, (1, 0, 0): random_complex(rng, ())})
-    full = op_norm(eval_operator(p, (t1, z, z)))
-    assert abs(_poly_norms(basis, [p])[0] - full) <= 1e-13 * full
-    assert _poly_norms(basis, []).shape == (0,)
+    full = op_norm(eval_operator(p, t.basis))
+    assert abs(_poly_norms(t, [p])[0] - full) <= 1e-13 * full
+    assert _poly_norms(t, []).shape == (0,)
 
 
 def partition_cases():
@@ -272,7 +276,7 @@ def test_witness_is_a_direct_sum_of_three_distinct_blocks(depth):
     one, zero1 = np.ones((1, 1)), np.zeros((1, 1))
     # The triple's block form: 4 depth - 2 copies of (0, 0, J), two 1x1
     # zero blocks and one (f1, 0, 0).
-    parts = MonomialBasis(t).parts()
+    parts = t.parts
     assert [len(where) for _, where in parts] == [4 * depth - 2, 2, 1]
     want = [(zero2, zero2, jordan), (zero1,) * 3, (witness_symbol(), zero2, zero2)]
     for (part, _), mats in zip(parts, want):
@@ -301,7 +305,7 @@ def test_parts_key_on_projectors_and_couple_through_them():
     # Two equal diagonal blocks stay distinct when a projector tells them
     # apart, and a projector entry between blocks joins them.
     d = np.diag([0.5, 0.5, 0.25])
-    assert [len(w) for _, w in MonomialBasis((d, d, d)).parts()] == [2, 1]
+    assert [len(w) for _, w in Triple(d, d, d).parts] == [2, 1]
     mats = (d, np.diag([1.0, 0.0, 0.0]))
     blocks = diagonal_blocks(mats)
     assert [b.tolist() for b in blocks] == [[0], [1], [2]]
@@ -321,15 +325,14 @@ def test_parts_key_on_projectors_and_couple_through_them():
 def test_block_norm_matches_full_norm_on_witness(depth):
     t = build_witness(depth).triple
     polys = [random_poly(3, seed=depth + k) for k in range(5)]
-    norms = _poly_norms(MonomialBasis(t), polys)
+    norms = _poly_norms(t, polys)
     for p, got in zip(polys, norms):
-        full = op_norm(eval_operator(p, t))
+        full = op_norm(eval_operator(p, t.basis))
         assert abs(got - full) <= 1e-13 * full
 
 
 def test_basis_grows_power_tables_after_first_use(rng):
-    t = _dense_triple(rng)
-    basis = MonomialBasis(t)
+    basis = _dense_triple(rng).basis
     polys = [
         random_poly(1, seed=3),
         Poly3({(4, 0, 0): 1.0 - 2.0j, (0, 3, 2): 0.5, (1, 1, 5): -1.5j}),
@@ -337,7 +340,7 @@ def test_basis_grows_power_tables_after_first_use(rng):
         Poly3({(6, 1, 0): 2.0, (0, 0, 7): 1.0j}),
     ]
     for p in polys:
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
 
 
 def test_basis_skips_partially_nilpotent_products(rng):
@@ -349,24 +352,12 @@ def test_basis_skips_partially_nilpotent_products(rng):
     t2 = np.zeros((n, n), dtype=np.complex128)
     t2[3, :] = random_complex(rng, n)
     t3 = random_complex(rng, (n, n)) / 4.0
-    t = (t1, t2, t3)
-    basis = MonomialBasis(t)
+    basis = Triple(t1, t2, t3).basis
     p = random_poly(4, seed=9)
-    assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, t))
+    assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
     assert basis.monomials[(3, 0, 0)] is None
     assert basis.monomials[(1, 1, 0)] is None
     assert basis.monomials[(0, 1, 1)] is not None
-
-
-def test_basis_empty_poly_and_tuple_input(rng):
-    t = _dense_triple(rng)
-    empty = Poly3({})
-    assert np.array_equal(eval_operator(empty, MonomialBasis(t)), np.zeros((6, 6)))
-    assert np.array_equal(eval_operator(empty, t), power_table_eval_operator(empty, t))
-    p = random_poly(3, seed=2)
-    want = power_table_eval_operator(p, t)
-    assert np.array_equal(eval_operator(p, t), want)
-    assert np.array_equal(eval_operator(p, list(t)), want)
 
 
 def test_poly_json_round_trip():
