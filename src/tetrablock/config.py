@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 __all__ = ["ToolConfig", "DEFAULT_CONFIG"]
 
+# The least value of each integer budget.
+_INT_MINIMA = {"cf_grid": 16, "z_samples": 1, "sup_samples": 1, "falsify_trials": 0}
+
 
 @dataclass(frozen=True)
 class ToolConfig:
     """Numerical tolerances and search budgets.
+
+    The four integer budgets must be ints, not bools, at or above the
+    least value given with each.
 
     Attributes
     ----------
@@ -38,14 +44,16 @@ class ToolConfig:
         by this margin before it is promoted to a verdict.
     cf_grid:
         Number of roots of unity on which the minimal-norm extension
-        search fits and scores its polynomials.
+        search fits and scores its polynomials; at least 16.
     z_samples:
         Number of roots of unity used to certify contractivity of an
-        operator pencil on the circle.
+        operator pencil on the circle; at least 1.
     sup_samples:
-        Default boundary sample count for polynomial sup estimates.
+        Default boundary sample count for polynomial sup estimates;
+        at least 1.
     falsify_trials:
-        Default number of random triples tried by the falsifier.
+        Default number of random triples tried by the falsifier; at
+        least 0.
     seed:
         Master seed; every randomized routine derives per-trial seeds
         from it deterministically.
@@ -74,6 +82,12 @@ class ToolConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.output_format not in ("json", "text"):
             raise ValueError(
                 f"output_format must be 'json' or 'text', got {self.output_format!r}"

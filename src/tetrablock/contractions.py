@@ -721,6 +721,8 @@ def falsify_spectral_set(
     ||p(T)|| / sup, or ``None`` when every ratio is 0.
     """
     trials = config.falsify_trials if trials is None else trials
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     seed = config.seed if seed is None else seed
     comm = max(commutation_defect(part) for part, _ in t.parts)
 

@@ -44,7 +44,6 @@ from .contractions import (
 from .errors import TetrablockError
 from .linalg import op_norm, sqrt_psd
 from .poly3 import cf_empirical_inf, cf_matrix_norm
-from .rng import as_generator
 
 __all__ = [
     "SCHEMA_ID",
@@ -166,7 +165,7 @@ def case_inequality_check(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     a = 2.0 * rng.random((n_samples, 3))
     a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
 
@@ -225,7 +224,7 @@ def cf_convergence_study(
     largest once and returns its running minimum at every requested
     degree, so the reported values are nonincreasing.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     m1 = rng.uniform(0.5, 1.0)
     m0 = m1 * rng.uniform(0.3, 0.95)
     ph = rng.uniform(0.0, 2.0 * np.pi, 2)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly3 import Poly3, eval_scalar_many
-from .rng import as_generator
 
 __all__ = [
     "MembershipReport",
@@ -177,7 +176,7 @@ def sample_distinguished_boundary(
     draw is a single ``random((n, 3))`` call, so for a fixed seed the
     first n points of a larger sample reproduce a smaller one.
     """
-    return _boundary_points(as_generator(seed).random((n, 3)))
+    return _boundary_points(np.random.default_rng(seed).random((n, 3)))
 
 
 # u * A'(t) / i from the coefficients of u * A, highest power first.
@@ -262,6 +261,7 @@ def sup_on_closure(
     ``n_samples`` for a fixed seed when ``refine_iters=0``) is then
     improved by a compass pattern search started from the ``top_k``
     best samples.  The result never drops below the raw sample maximum.
+    ``n_samples`` must be positive: no samples would give no estimate.
 
     ``p`` is one polynomial, which returns a float, or a sequence of
     polynomials with ``seed`` a matching sequence, which returns an
@@ -280,19 +280,20 @@ def sup_on_closure(
         raise ValueError(
             f"need one seed per polynomial, got {len(seeds)} for {len(polys)}"
         )
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
     if top_k < 1:
         raise ValueError("top_k must be positive")
     k = min(top_k, n_samples)
-    raw = np.zeros(len(polys))
+    raw = np.empty(len(polys))
     starts = np.empty((len(polys), k, 3))
     for b, (q, s) in enumerate(zip(polys, seeds)):
-        u = as_generator(s).random((n_samples, 3))
+        u = np.random.default_rng(s).random((n_samples, 3))
         vals = np.abs(eval_scalar_many([q], *_boundary_points(u[None])))[0]
-        if n_samples:
-            raw[b] = vals.max()
+        raw[b] = vals.max()
         starts[b] = u[np.argsort(vals)[n_samples - k :]]
     sups = raw
-    if refine_iters > 0 and n_samples > 0:
+    if refine_iters > 0:
         refined = _compass_refine(polys, starts, refine_iters)
         sups = np.maximum(raw, refined.max(axis=1))
     return float(sups[0]) if single else sups

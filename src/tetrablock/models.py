@@ -38,7 +38,6 @@ from .errors import (
     ValidationRequiredError,
 )
 from .linalg import as_matrix, op_norm
-from .rng import as_generator
 
 __all__ = [
     "SymbolReport",
@@ -113,7 +112,7 @@ def random_symbol_pair(
     """
     if block_dim < 1:
         raise ValueError("block_dim must be positive")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     s = rng.uniform(0.2, 0.95, block_dim)
     u = rng.random(block_dim)
     ph = np.exp(2j * np.pi * rng.random((2, block_dim)))

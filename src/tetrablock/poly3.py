@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .linalg import op_norm
-from .rng import as_generator
 
 __all__ = [
     "Poly3",
@@ -315,7 +314,7 @@ def random_poly(degree: int, *, seed=None, scale: float = 1.0) -> Poly3:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     exps = [
         (m1, m2, m3)
         for m1 in range(degree + 1)
@@ -335,6 +334,9 @@ def random_poly(degree: int, *, seed=None, scale: float = 1.0) -> Poly3:
 
 # Reweighted least-squares steps per degree in :func:`cf_empirical_inf`.
 _LAWSON_STEPS = 300
+# Golden-section ratio, and the local maxima each circle sup refines.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAKS = 8
 
 
 def cf_matrix_norm(b0: complex, b1: complex) -> float:
@@ -346,48 +348,133 @@ def cf_matrix_norm(b0: complex, b1: complex) -> float:
     return op_norm([[b0, 0.0], [b1, b0]])
 
 
-def _circle_sup(coefs: np.ndarray, grid: int) -> float:
-    """Sup of |poly(z)| on the unit circle, grid scan plus refinement.
+def _horner(coefs: np.ndarray, z) -> np.ndarray:
+    """Polynomials with coefficients lowest power first along the last
+    axis of ``coefs``, evaluated at ``z`` (broadcast against the rest)."""
+    out = np.zeros(np.broadcast_shapes(coefs.shape[:-1], np.shape(z)), np.complex128)
+    for j in range(coefs.shape[-1] - 1, -1, -1):
+        out = out * z + coefs[..., j]
+    return out
 
-    Scans ``grid`` equispaced angles, picks circular local maxima, and
-    refines the strongest few with golden-section search.
+
+def _circle_sups(coefs: np.ndarray, grid: int) -> np.ndarray:
+    """Sup of |p| on the unit circle for each coefficient row of ``coefs``.
+
+    Rows hold coefficients lowest power first; zero padding at the top
+    does not change a row's values.  Each row is scanned at ``grid``
+    equispaced angles, and its strongest eight circular local maxima
+    are refined by golden-section search on the bracket of their two
+    neighbouring angles.  Every (row, maximum) lane runs in one
+    vectorised search; a lane is frozen by a mask once its bracket is
+    below 1e-13, exactly where its own search would stop, so each
+    row's sup does not depend on the other rows.
     """
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    vals = np.abs(np.polyval(coefs[::-1], np.exp(1j * thetas)))
-    best = float(vals.max())
-    if len(coefs) <= 1:
-        return best
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    peaks = np.nonzero((vals >= left) & (vals >= right))[0]
-    if peaks.size > 8:
-        peaks = peaks[np.argsort(vals[peaks])[-8:]]
+    vals = np.abs(_horner(coefs[:, None, :], np.exp(1j * thetas)))
+    peak = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+    strongest = np.argsort(np.where(peak, vals, -np.inf), axis=1)[:, -_PEAKS:]
+    rows, slot = np.nonzero(np.take_along_axis(peak, strongest, axis=1))
+    lanes = coefs[rows]
+
+    def f(theta):
+        return np.abs(_horner(lanes, np.exp(1j * theta)))
+
     step = 2.0 * np.pi / grid
-    rev = coefs[::-1]
-
-    def f(theta: float) -> float:
-        return float(abs(np.polyval(rev, np.exp(1j * theta))))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for k in peaks:
-        a = thetas[k] - step
-        b = thetas[k] + step
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(60):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-            if b - a < 1e-13:
-                break
-        best = max(best, fc, fd)
+    centre = thetas[strongest[rows, slot]]
+    a, b = centre - step, centre + step
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    state = np.stack([a, b, c, d, f(c), f(d)])
+    live = np.ones(len(rows), dtype=bool)
+    for _ in range(60):
+        a, b, c, d, fc, fd = state
+        # Keep [a, d] when f(c) > f(d), else [c, b]; one new probe each.
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fp = f(probe)
+        moved = np.stack(
+            [
+                a,
+                b,
+                np.where(left, probe, d),
+                np.where(left, c, probe),
+                np.where(left, fp, fd),
+                np.where(left, fc, fp),
+            ]
+        )
+        state = np.where(live, moved, state)
+        live &= state[1] - state[0] >= 1e-13
+        if not live.any():
+            break
+    best = vals.max(axis=1)
+    np.maximum.at(best, rows, state[4:].max(axis=0))
     return best
+
+
+def _normal_equations_index(n: int, grid: int) -> np.ndarray:
+    """Where each entry of the batched augmented normal equations lives.
+
+    Row r of the batch fits the coefficients of z^2..z^(r+2), one
+    unknown per index l < n.  On the grid roots of unity the weighted
+    normal equations are Toeplitz: entry (l, k) is the weights' Fourier
+    moment F[(l - k) mod grid], and the right-hand side is entry l of
+    -(b0 F[l + 2] + b1 F[l + 1]).  The returned (n, n, n + 1) array
+    indexes the flattened per-step table [F | rhs | 1 | 0], one row per
+    degree; the unknowns a row does not use get identity rows and a
+    zero right-hand side.
+    """
+    width = grid + n + 2
+    row = np.arange(n)[:, None, None]
+    l = np.arange(n)[None, :, None]
+    k = np.arange(n + 1)[None, None, :]
+    entry = np.where(k < n, (l - k) % grid, grid + l)
+    pad = np.where(l == k, grid + n, grid + n + 1)
+    used = (l <= row) & ((k <= row) | (k == n))
+    return row * width + np.where(used, entry, pad)
+
+
+def _gauss_jordan(aug: np.ndarray) -> np.ndarray:
+    """Solve a batch of augmented systems [A | b] in place; the solutions.
+
+    Gauss-Jordan elimination without pivoting, which the Hermitian
+    positive-definite normal equations allow.  It takes only
+    elementwise numpy steps, so an identity-padded system gives its
+    leading block's solution bit for bit; LAPACK's LU does not.
+    """
+    n = aug.shape[1]
+    for k in range(n):
+        pivot = aug[:, k, k:] / aug[:, k, k, None]
+        aug[:, :, k:] -= aug[:, :, k, None] * pivot[:, None, :]
+        aug[:, k, k:] = pivot
+    return aug[:, :, n]
+
+
+def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
+    """Lawson fits of degrees 2..top in lockstep; one coefficient row each.
+
+    Row r holds b0, b1 and the fitted coefficients of z^2..z^(r+2),
+    zero-padded to length top + 1.  Each step takes every row's weight
+    moments with one FFT, solves all rows' normal equations in one
+    batched elimination, and reweights by the residual magnitudes on
+    the grid from one inverse FFT.
+    """
+    n = top - 1
+    index = _normal_equations_index(n, grid)
+    unit = np.zeros((n, 2))
+    unit[:, 0] = 1.0
+    coefs = np.zeros((n, grid), dtype=np.complex128)
+    coefs[:, 0] = b0
+    coefs[:, 1] = b1
+    w = np.full((n, grid), 1.0 / grid)
+    for _ in range(_LAWSON_STEPS):
+        moments = np.fft.fft(w)
+        rhs = -(b0 * moments[:, 2 : top + 1] + b1 * moments[:, 1:top])
+        table = np.concatenate([moments, rhs, unit], axis=1)
+        coefs[:, 2 : top + 1] = _gauss_jordan(table.ravel()[index])
+        w = w * np.abs(np.fft.ifft(coefs, norm="forward"))
+        w /= w.sum(axis=1, keepdims=True)
+    return coefs[:, : top + 1]
 
 
 def cf_empirical_inf(
@@ -404,17 +491,21 @@ def cf_empirical_inf(
     roots of unity: weighted least squares from uniform weights, after
     each fit multiplying every weight by its residual magnitude and
     renormalising.  The problem is convex, and the reweighted fits
-    approach its minimax solution.  Each fit is scored by
-    :func:`_circle_sup`, and the running minimum over degrees, starting
-    from |b0| + |b1|, is returned.  A degree's fit does not depend on
-    ``extra_degree``, so the result is deterministic and nonincreasing
-    in ``extra_degree``; it is the sup of an actual polynomial, hence
+    approach its minimax solution.  Each least-squares fit solves the
+    Toeplitz normal equations built from the weights' Fourier moments,
+    and all degrees run their fixed 300 steps in lockstep, one batched
+    solve per step.  Every degree's fit is then scored by one
+    vectorised circle-sup search, and the running minimum over
+    degrees, starting from |b0| + |b1|, is returned.  A degree's fit
+    and score do not depend on ``extra_degree`` or on the other
+    degrees, so the result is deterministic and nonincreasing in
+    ``extra_degree``; it is the sup of an actual polynomial, hence
     essentially at or above :func:`cf_matrix_norm`.
 
     ``extra_degree`` may also be a sequence of degrees.  Each degree up
     to the largest is then fitted once, and the tuple of running minima
     at the requested degrees is returned, each equal to a separate call
-    with that degree.
+    with that degree.  Degrees must be below ``grid``.
     """
     single = isinstance(extra_degree, (int, np.integer))
     degrees = [extra_degree] if single else [int(d) for d in extra_degree]
@@ -422,23 +513,17 @@ def cf_empirical_inf(
         raise ValueError("extra_degree must be nonnegative")
     if grid < 16:
         raise ValueError("grid must be at least 16")
+    if max(degrees, default=0) >= grid:
+        raise ValueError(f"extra_degree must be below grid ({grid})")
     best = float(abs(b0) + abs(b1))
     # running[d] is the running minimum after fitting degrees 2..d.
     running = [best, best]
     # Zero is its own best extension, and zero residuals leave Lawson's
     # weights undefined, so the zero pair fits nothing.
     top = max(degrees, default=0) if best else 1
-    z = np.exp(2j * np.pi * np.arange(grid) / grid)
-    target = b0 + b1 * z
-    for degree in range(2, top + 1):
-        basis = z[:, None] ** np.arange(2, degree + 1)
-        w = np.full(grid, 1.0 / grid)
-        for _ in range(_LAWSON_STEPS):
-            sw = np.sqrt(w)
-            c = np.linalg.lstsq(sw[:, None] * basis, -sw * target, rcond=None)[0]
-            w = w * np.abs(target + basis @ c)
-            w /= w.sum()
-        best = min(best, _circle_sup(np.concatenate([[b0, b1], c]), grid))
-        running.append(best)
+    if top >= 2:
+        for sup in _circle_sups(_lawson_fits(b0, b1, top, grid), grid):
+            best = min(best, float(sup))
+            running.append(best)
     values = tuple(running[min(d, top)] for d in degrees)
     return values[0] if single else values

@@ -255,3 +255,64 @@ def compass_defining_abs_min(x1, x2, x3, *, grid=24, refine_iters=60):
         if best <= 0.0:
             break
     return max(best, 0.0)
+
+
+def scalar_circle_sup(coefs, grid):
+    # Reference circle sup of one polynomial (coefficients lowest power
+    # first): grid scan, then a scalar golden-section search on each of
+    # the strongest eight circular local maxima.
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    vals = np.abs(np.polyval(coefs[::-1], np.exp(1j * thetas)))
+    best = float(vals.max())
+    if len(coefs) <= 1:
+        return best
+    left = np.roll(vals, 1)
+    right = np.roll(vals, -1)
+    peaks = np.nonzero((vals >= left) & (vals >= right))[0]
+    if peaks.size > 8:
+        peaks = peaks[np.argsort(vals[peaks])[-8:]]
+    step = 2.0 * np.pi / grid
+    rev = coefs[::-1]
+
+    def f(theta):
+        return float(abs(np.polyval(rev, np.exp(1j * theta))))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for k in peaks:
+        a = thetas[k] - step
+        b = thetas[k] + step
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(60):
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+            if b - a < 1e-13:
+                break
+        best = max(best, fc, fd)
+    return best
+
+
+def lstsq_lawson_sups(b0, b1, top, *, grid=512, steps=300):
+    # Reference minimal-extension fits: for each degree 2..top on its
+    # own, Lawson's iteration with one least-squares solve per step,
+    # each fit scored by scalar_circle_sup.  Returns the per-degree sups.
+    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    target = b0 + b1 * z
+    sups = []
+    for degree in range(2, top + 1):
+        basis = z[:, None] ** np.arange(2, degree + 1)
+        w = np.full(grid, 1.0 / grid)
+        for _ in range(steps):
+            sw = np.sqrt(w)
+            c = np.linalg.lstsq(sw[:, None] * basis, -sw * target, rcond=None)[0]
+            w = w * np.abs(target + basis @ c)
+            w /= w.sum()
+        sups.append(scalar_circle_sup(np.concatenate([[b0, b1], c]), grid))
+    return sups

@@ -302,3 +302,38 @@ def test_split_mismatch_exits_two(capsys, tmp_path):
     w = build_witness(3)
     triple = write_json(tmp_path / "t.json", triple_to_json(w.triple))
     assert main(["obstruction", "--triple", triple, "--split", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"sup_samples": 0},
+        {"sup_samples": True},
+        {"cf_grid": 100.5},
+        {"cf_grid": 15},
+        {"z_samples": 0},
+        {"falsify_trials": -3},
+    ],
+)
+def test_bad_config_budgets_exit_two(capsys, tmp_path, cfg):
+    # Before, a zero-sample sup read 0.0 and the witness came out a
+    # false "Violation"; a float grid or a negative trial count ended
+    # in a traceback.
+    path = write_json(tmp_path / "cfg.json", cfg)
+    argv = ["counterexample", "--blocks", "3", "--trials", "3", "--config", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and next(iter(cfg)) in captured.err
+
+
+def test_nonpositive_counts_exit_two(capsys, tmp_path):
+    triple = write_json(tmp_path / "t.json", triple_to_json(build_witness(3).triple))
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    for argv in (
+        ["counterexample", "--blocks", "3", "--trials", "-3"],
+        ["falsify", "--triple", triple, "--trials", "-3"],
+        ["sup", "--poly", poly, "--samples", "0"],
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv[0]

@@ -416,6 +416,11 @@ def test_falsifier_refutes_unconfirmed_candidates(monkeypatch):
     assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
 
 
+def test_falsifier_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        falsify_spectral_set(build_witness(3).triple, trials=-3, seed=1)
+
+
 def test_falsifier_reproducible():
     w = build_witness(3)
     a = falsify_spectral_set(w.triple, trials=25, degree=2, seed=5)

@@ -79,18 +79,19 @@ def test_cf_study_fits_each_degree_once(monkeypatch):
     import tetrablock.poly3 as poly3
 
     fits = []
-    circle_sup = poly3._circle_sup
+    circle_sups = poly3._circle_sups
 
     def counting(coefs, grid):
-        fits.append(len(coefs) - 1)
-        return circle_sup(coefs, grid)
+        # The degree of each fitted row: its last nonzero coefficient.
+        fits.extend(int(np.flatnonzero(row)[-1]) for row in coefs)
+        return circle_sups(coefs, grid)
 
-    monkeypatch.setattr(poly3, "_circle_sup", counting)
+    monkeypatch.setattr(poly3, "_circle_sups", counting)
     rep = cf_convergence_study(seed=123, grid=256)
     # Degrees 2..8 are each fitted once (the running minimum carries
     # them to 4 and 8), not 1 + 3 + 7 times.
     assert fits == list(range(2, 9))
-    monkeypatch.setattr(poly3, "_circle_sup", circle_sup)
+    monkeypatch.setattr(poly3, "_circle_sups", circle_sups)
     separate = tuple(
         poly3.cf_empirical_inf(rep.b0, rep.b1, d, grid=256) for d in rep.degrees
     )

@@ -272,3 +272,9 @@ def test_batched_sup_freezes_trials_independently():
 def test_batched_sup_rejects_mismatched_seeds():
     with pytest.raises(ValueError):
         sup_on_closure([Poly3({(1, 0, 0): 1.0})] * 2, seed=[1], n_samples=8)
+
+
+def test_sup_rejects_no_samples():
+    # Zero samples have no maximum; 0.0 would read as a sup.
+    with pytest.raises(ValueError):
+        sup_on_closure(Poly3({(1, 0, 0): 1.0}), n_samples=0, seed=1)

@@ -19,13 +19,22 @@ from tetrablock import (
     random_poly,
 )
 from tetrablock.contractions import _poly_norms
-from tetrablock.poly3 import _circle_sup, _components, diagonal_blocks, distinct_blocks
+from tetrablock.counterexample import cf_convergence_study
+from tetrablock.poly3 import (
+    _circle_sups,
+    _components,
+    _lawson_fits,
+    diagonal_blocks,
+    distinct_blocks,
+)
 
 from conftest import (
     frontier_components,
     horner_eval_scalar,
+    lstsq_lawson_sups,
     power_table_eval_operator,
     random_complex,
+    scalar_circle_sup,
     single_eval_scalar_many,
 )
 
@@ -483,11 +492,64 @@ def test_cf_empirical_floor_and_monotone():
 
 
 def test_circle_sup_matches_dense_grid(rng):
-    for _ in range(10):
-        deg = int(rng.integers(1, 7))
-        coefs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        got = _circle_sup(coefs, 256)
-        z = np.exp(2j * np.pi * np.arange(200_001) / 200_001)
-        dense = np.abs(np.polyval(coefs[::-1], z)).max()
-        assert got >= dense - 1e-7
-        assert got <= dense + 1e-6
+    # One batched call over rows of degrees 1..6, zero-padded to a common
+    # length: each row against a dense scan and the scalar search, and
+    # bit for bit against a call on that row alone.
+    degs = rng.integers(1, 7, size=10)
+    coefs = np.zeros((10, 7), dtype=np.complex128)
+    for row, deg in zip(coefs, degs):
+        row[: deg + 1] = random_complex(rng, deg + 1)
+    got = _circle_sups(coefs, 256)
+    z = np.exp(2j * np.pi * np.arange(200_001) / 200_001)
+    for row, deg, sup in zip(coefs, degs, got):
+        dense = np.abs(np.polyval(row[deg::-1], z)).max()
+        assert dense - 1e-7 <= sup <= dense + 1e-6
+        assert sup == pytest.approx(scalar_circle_sup(row[: deg + 1], 256), rel=1e-13)
+        assert _circle_sups(row[None, : deg + 1], 256)[0] == sup
+
+
+def _cf_oracle_pairs():
+    # Criterion 5's 20 pairs, then edge pairs: a zero, a tiny, a nearly
+    # equal or a purely imaginary coefficient, and a dominant b0.
+    pairs = []
+    for i, child in enumerate(np.random.SeedSequence(1729).spawn(20)):
+        rep = cf_convergence_study(seed=child, degrees=(0,))
+        pairs.append(pytest.param(rep.b0, rep.b1, id=f"criterion5-{i}"))
+    edges = [
+        (0.0, 0.8),
+        (1e-8, 0.5),
+        (0.799, 0.8),
+        (0.8, 0.8j),
+        (0.9, 0.1),
+        (0.5, 0.0),
+        (1.0, 1e-9),
+    ]
+    return pairs + [pytest.param(b0, b1, id=f"edge-{b0}-{b1}") for b0, b1 in edges]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b0, b1", _cf_oracle_pairs())
+def test_cf_fits_match_lstsq_oracle(b0, b1):
+    # The Toeplitz normal equations, solved for all degrees in lockstep,
+    # against one least-squares Lawson loop per degree: every degree's
+    # circle sup within 1e-13 relative.
+    got = _circle_sups(_lawson_fits(b0, b1, 8, 512), 512)
+    want = lstsq_lawson_sups(b0, b1, 8, grid=512)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_cf_fits_do_not_depend_on_the_other_degrees():
+    # A degree's coefficients are the same bits whether it is fitted up
+    # to itself or among higher degrees (identity padding).
+    b0, b1 = 0.3 - 0.2j, 0.5j
+    full = _lawson_fits(b0, b1, 8, 512)
+    for top in range(2, 8):
+        alone = _lawson_fits(b0, b1, top, 512)
+        assert np.array_equal(alone, full[: top - 1, : top + 1])
+
+
+def test_cf_empirical_rejects_degrees_at_grid():
+    with pytest.raises(ValueError):
+        cf_empirical_inf(0.3, 0.5, 16, grid=16)
+    with pytest.raises(ValueError):
+        cf_empirical_inf(0.3, 0.5, -1)
