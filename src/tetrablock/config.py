@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = ["ToolConfig", "DEFAULT_CONFIG"]
@@ -23,8 +24,9 @@ _INT_MINIMA = {"cf_grid": 16, "z_samples": 1, "sup_samples": 1, "falsify_trials"
 class ToolConfig:
     """Numerical tolerances and search budgets.
 
-    The four integer budgets must be ints, not bools, at or above the
-    least value given with each.
+    The four tolerances must be finite positive real numbers, the seed
+    an int, and the four integer budgets ints at or above the least
+    value given with each; a bool is none of these.
 
     Attributes
     ----------
@@ -80,8 +82,13 @@ class ToolConfig:
             "tol_solve",
             "falsify_margin",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name, least in _INT_MINIMA.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -92,15 +92,26 @@ def poly_to_json(p: Poly3) -> list:
 
 
 def poly_from_json(obj) -> Poly3:
-    """Inverse of :func:`poly_to_json`."""
+    """Inverse of :func:`poly_to_json`.
+
+    Input of the wrong shape raises ValueError naming the bad term.
+    """
+    if not isinstance(obj, list):
+        raise ValueError(f"polynomial must be a list of terms, got {obj!r}")
     coeffs: dict[tuple[int, int, int], complex] = {}
-    for term in obj:
-        exp = term["exp"]
-        re, im = term["coef"]
-        if len(exp) != 3:
-            raise ValueError(f"exponent must have three entries, got {exp}")
-        key = (int(exp[0]), int(exp[1]), int(exp[2]))
-        coeffs[key] = coeffs.get(key, 0.0) + complex(re, im)
+    for i, term in enumerate(obj):
+        if not isinstance(term, dict):
+            raise ValueError(f"term {i} must be an object, got {term!r}")
+        try:
+            exp = term["exp"]
+            re, im = term["coef"]
+            if len(exp) != 3:
+                raise ValueError(f"exponent must have three entries, got {exp}")
+            key = (int(exp[0]), int(exp[1]), int(exp[2]))
+            value = complex(re, im)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"term {i}: {exc!r}") from exc
+        coeffs[key] = coeffs.get(key, 0.0) + value
     return Poly3(coeffs)
 
 

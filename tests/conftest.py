@@ -1,5 +1,7 @@
 """Shared fixtures and matrix generators for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,64 @@ def bracket_numerical_radius(t, *, grid=720, refine=40):
         center = float(local[j])
         width *= 0.25
     return best_val, best_theta
+
+
+def cyclic_jacobi_eigh(h):
+    # Reference Jacobi: the cyclic row-by-row ordering, one rotation at a
+    # time, with the same rotation formula, threshold skip, stopping
+    # test and sort as the round-robin solver.
+    from tetrablock.errors import NoConvergenceError
+    from tetrablock.linalg import JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL
+
+    n = h.shape[0]
+    a = np.array(h, dtype=np.complex128)
+    v = np.eye(n, dtype=np.complex128)
+    fro = np.linalg.norm(a)
+    if fro == 0.0 or n < 2:
+        values = np.zeros(n) if fro == 0.0 else a.diagonal().real.copy()
+        return values, v
+
+    def off(m):
+        return float(np.linalg.norm(m - np.diag(m.diagonal())))
+
+    target = JACOBI_OFF_TOL * fro
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if off(a) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = a[p, q]
+                b = abs(beta)
+                if b <= target / (n * n):
+                    continue
+                phase = beta / b
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = c * phase * a[:, p] - s * a[:, q]
+                col_q = s * phase * a[:, p] + c * a[:, q]
+                a[:, p] = col_p
+                a[:, q] = col_q
+                row_p = c * np.conj(phase) * a[p, :] - s * a[q, :]
+                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
+                a[p, :] = row_p
+                a[q, :] = row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vcol_p = c * phase * v[:, p] - s * v[:, q]
+                vcol_q = s * phase * v[:, p] + c * v[:, q]
+                v[:, p] = vcol_p
+                v[:, q] = vcol_q
+    else:
+        if off(a) > target:
+            raise NoConvergenceError("cyclic Jacobi sweeps exhausted")
+
+    values = a.diagonal().real.copy()
+    order = np.argsort(values, kind="stable")
+    return values[order], v[:, order]
 
 
 def compass_defining_abs_min(x1, x2, x3, *, grid=24, refine_iters=60):

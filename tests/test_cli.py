@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -337,3 +338,43 @@ def test_nonpositive_counts_exit_two(capsys, tmp_path):
         assert main(argv) == 2, argv[0]
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv[0]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"seed": 1.5},
+        {"seed": True},
+        {"tol_solve": "x"},
+        {"rank_tol": float("nan")},
+        {"falsify_margin": float("inf")},
+    ],
+)
+def test_bad_config_types_exit_two(capsys, tmp_path, cfg):
+    # Before, a float seed or a string tolerance ended in a TypeError
+    # traceback, and a bool seed, a NaN or an infinite tolerance were
+    # taken as given.
+    path = write_json(tmp_path / "cfg.json", cfg)
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    argv = ["sup", "--config", path, "--poly", poly, "--samples", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and next(iter(cfg)) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_default_configs_construct():
+    from tetrablock.config import DEFAULT_CONFIG, ToolConfig
+
+    assert ToolConfig() == DEFAULT_CONFIG
+    assert ToolConfig.from_dict(dataclasses.asdict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [[[[1, 0, 0], [1, 0]]], {"a": 1}])
+def test_malformed_poly_exits_two(capsys, tmp_path, doc):
+    poly = write_json(tmp_path / "p.json", doc)
+    assert main(["sup", "--poly", poly, "--samples", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -20,7 +20,14 @@ from tetrablock import (
     sqrt_psd,
 )
 
-from conftest import bracket_numerical_radius, random_complex, random_hermitian
+from tetrablock.linalg import _jacobi_eigh, _round_robin
+
+from conftest import (
+    bracket_numerical_radius,
+    cyclic_jacobi_eigh,
+    random_complex,
+    random_hermitian,
+)
 
 
 def test_as_matrix_rejects_rectangular_when_square_required(rng):
@@ -269,3 +276,76 @@ def test_numerical_radius_bounds_and_rotation_invariance(seed, n, phi):
     assert norm <= 2.0 * w + tol
     w_rot, _ = numerical_radius(np.exp(1j * phi) * t)
     assert abs(w_rot - w) <= 1e-12 * w
+
+
+def _jacobi_checks(h, w, v, scale):
+    n = h.shape[0]
+    recon = v @ np.diag(w) @ v.conj().T
+    assert op_norm(recon - h) <= 1e-10 * scale
+    assert op_norm(v.conj().T @ v - np.eye(n)) <= 1e-10
+    assert np.all(np.diff(w) >= 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+def test_round_robin_visits_each_pair_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for p, q in rounds:
+        assert p.size == n // 2 and np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * p.size
+        seen.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 64])
+def test_jacobi_matches_cyclic_oracle(rng, n):
+    h = random_hermitian(rng, n)
+    scale = max(1.0, op_norm(h))
+    w, v = _jacobi_eigh(h)
+    w_cyclic, _ = cyclic_jacobi_eigh(h)
+    assert np.abs(w - w_cyclic).max() <= 1e-12 * scale
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    _jacobi_checks(h, w, v, scale)
+
+
+def _degenerate_inputs(rng):
+    u = np.linalg.qr(random_complex(rng, (6, 6)))[0]
+    x = random_complex(rng, 7)
+    yield "identity", np.eye(5, dtype=np.complex128)
+    yield "repeated", (u * [1.0, 1.0, 1.0, 2.0, 2.0, -3.0]) @ u.conj().T
+    yield "rank one", np.outer(x, x.conj())
+    yield "zero", np.zeros((4, 4), dtype=np.complex128)
+    yield "tiny", 1e-200 * random_hermitian(rng, 9)
+    yield "huge", 1e200 * random_hermitian(rng, 9)
+
+
+def test_jacobi_degenerate_inputs(rng):
+    for name, h in _degenerate_inputs(rng):
+        h = 0.5 * (h + h.conj().T)
+        norm = op_norm(h)
+        w, v = _jacobi_eigh(h)
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * norm, name
+        _jacobi_checks(h, w, v, norm)
+
+
+def test_jacobi_diagonal_input_needs_no_rotation():
+    d = np.array([3.0, -1.0, 2.0, 0.5, -1.0, 7.25])
+    w, v = _jacobi_eigh(np.diag(d).astype(np.complex128))
+    order = np.argsort(d, kind="stable")
+    assert np.array_equal(w, d[order])
+    assert np.array_equal(v, np.eye(d.size)[:, order])
+
+
+def test_jacobi_calls_no_lapack(rng, monkeypatch):
+    h = random_hermitian(rng, 12)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the Jacobi solver called LAPACK")
+
+    with monkeypatch.context() as m:
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            m.setattr(np.linalg, name, no_lapack)
+        w, v = _jacobi_eigh(h)
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * op_norm(h)
+    _jacobi_checks(h, w, v, op_norm(h))

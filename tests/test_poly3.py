@@ -402,6 +402,25 @@ def test_bad_exponent_arity_rejected():
         poly_from_json([{"exp": [1, 0], "coef": [1.0, 0.0]}])
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"a": 1}, "list of terms"),
+        (5, "list of terms"),
+        ([[[1, 0, 0], [1, 0]]], "term 0"),
+        ([{"exp": [1, 0, 0], "coef": [1.0, 0.0]}, {"exp": [1, 0, 0]}], "term 1"),
+        ([{"exp": [1, 0, 0], "coef": 5}], "term 0"),
+        ([{"exp": 3, "coef": [1.0, 0.0]}], "term 0"),
+        ([{"exp": ["a", 0, 0], "coef": [1.0, 0.0]}], "term 0"),
+        ([{"exp": [1, 0, 0], "coef": ["1", 0.0]}], "term 0"),
+    ],
+)
+def test_malformed_poly_json_rejected(doc, where):
+    # Before, most of these escaped as TypeError or KeyError.
+    with pytest.raises(ValueError, match=where):
+        poly_from_json(doc)
+
+
 def test_total_degree():
     assert Poly3({}).total_degree == -1
     assert Poly3({(0, 0, 0): 2.0}).total_degree == 0
