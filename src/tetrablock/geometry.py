@@ -261,7 +261,8 @@ def sup_on_closure(
     ``n_samples`` for a fixed seed when ``refine_iters=0``) is then
     improved by a compass pattern search started from the ``top_k``
     best samples.  The result never drops below the raw sample maximum.
-    ``n_samples`` must be positive: no samples would give no estimate.
+    ``n_samples`` and ``top_k`` must be positive (no samples would give
+    no estimate) and ``refine_iters`` nonnegative (0 skips refinement).
 
     ``p`` is one polynomial, which returns a float, or a sequence of
     polynomials with ``seed`` a matching sequence, which returns an
@@ -284,6 +285,8 @@ def sup_on_closure(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if top_k < 1:
         raise ValueError("top_k must be positive")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
     k = min(top_k, n_samples)
     raw = np.empty(len(polys))
     starts = np.empty((len(polys), k, 3))

@@ -17,6 +17,7 @@ need the defect should measure it once, not per evaluation.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -45,21 +46,29 @@ class Poly3:
     ----------
     coeffs:
         Mapping from exponent triples to complex coefficients.  Zero
-        coefficients are dropped; exponents must be nonnegative ints.
+        coefficients are dropped; exponents must be nonnegative ints
+        (Python or numpy integers, not bools).
+
+    The terms are also packed once, in ``coeffs`` order, as a (t, 3)
+    intp array ``exp_array`` and a (t,) complex array ``coef_array``,
+    both read-only; scalar evaluation reads these, so ``coeffs`` is
+    not to be changed after construction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "exp_array", "coef_array")
 
     def __init__(self, coeffs: dict):
         clean: dict[tuple[int, int, int], complex] = {}
         for exp, c in coeffs.items():
-            m1, m2, m3 = exp
-            if m1 < 0 or m2 < 0 or m3 < 0:
-                raise ValueError(f"negative exponent in {exp}")
+            exp = _exponent(exp)
             c = complex(c)
             if c != 0:
-                clean[(int(m1), int(m2), int(m3))] = c
+                clean[exp] = c
         self.coeffs = clean
+        self.exp_array = np.array(list(clean), dtype=np.intp).reshape(-1, 3)
+        self.coef_array = np.array(list(clean.values()), dtype=np.complex128)
+        self.exp_array.flags.writeable = False
+        self.coef_array.flags.writeable = False
 
     @property
     def total_degree(self) -> int:
@@ -80,6 +89,19 @@ class Poly3:
         return f"Poly3({{{terms}}})"
 
 
+def _exponent(exp) -> tuple[int, int, int]:
+    """``exp`` as three Python ints; ValueError naming it unless it is
+    three nonnegative integers (Python or numpy ints, not bools)."""
+    if len(exp) != 3:
+        raise ValueError(f"exponent must have three entries, got {exp}")
+    for m in exp:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"exponents must be integers, got {exp}")
+    if min(exp) < 0:
+        raise ValueError(f"negative exponent in {exp}")
+    return (int(exp[0]), int(exp[1]), int(exp[2]))
+
+
 def poly_to_json(p: Poly3) -> list:
     """Serialize to the interchange list form, sorted by exponent.
 
@@ -94,7 +116,8 @@ def poly_to_json(p: Poly3) -> list:
 def poly_from_json(obj) -> Poly3:
     """Inverse of :func:`poly_to_json`.
 
-    Input of the wrong shape raises ValueError naming the bad term.
+    Input of the wrong shape, a non-integer exponent or a non-finite
+    coefficient raises ValueError naming the bad term.
     """
     if not isinstance(obj, list):
         raise ValueError(f"polynomial must be a list of terms, got {obj!r}")
@@ -103,12 +126,11 @@ def poly_from_json(obj) -> Poly3:
         if not isinstance(term, dict):
             raise ValueError(f"term {i} must be an object, got {term!r}")
         try:
-            exp = term["exp"]
+            key = _exponent(term["exp"])
             re, im = term["coef"]
-            if len(exp) != 3:
-                raise ValueError(f"exponent must have three entries, got {exp}")
-            key = (int(exp[0]), int(exp[1]), int(exp[2]))
             value = complex(re, im)
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient must be finite, got {value}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"term {i}: {exc!r}") from exc
         coeffs[key] = coeffs.get(key, 0.0) + value
@@ -121,54 +143,68 @@ def eval_scalar_many(p, x1, x2, x3) -> np.ndarray:
     ``p`` is one polynomial or a sequence of B polynomials.  For a
     sequence the points carry a leading batch axis of length B, and
     polynomial b is evaluated at the points of row b; a single
-    polynomial runs as a batch of one, without the batch axis.
-    Cumulative power tables per variable cost one multiply per table
-    row; each term is then one fused product per batch row.  Terms are
-    multiplied and summed in each polynomial's ``coeffs`` order, and a
-    polynomial with fewer terms than the longest in the batch is padded
-    with zero terms, so every row is bit for bit its own evaluation.
+    polynomial runs as a batch of one, without the batch axis.  When
+    every polynomial has the same exponent list (always so for one
+    polynomial, and for the draws of :func:`random_poly` at one
+    degree), the whole batch runs at once on each variable's
+    cumulative power table; otherwise each row runs alone.  Either way
+    the terms of each row are multiplied as ((c * x1^m1) * x2^m2) *
+    x3^m3 and summed in its ``coeffs`` order, so every row is bit for
+    bit its own evaluation.
     """
     single = isinstance(p, Poly3)
     polys = [p] if single else list(p)
-    x1, x2, x3 = np.broadcast_arrays(
+    xs = np.broadcast_arrays(
         np.asarray(x1, dtype=np.complex128),
         np.asarray(x2, dtype=np.complex128),
         np.asarray(x3, dtype=np.complex128),
     )
     if single:
-        x1, x2, x3 = x1[None], x2[None], x3[None]
-    batch = len(polys)
-    if x1.shape[:1] != (batch,):
+        xs = [x[None] for x in xs]
+    if xs[0].shape[:1] != (len(polys),):
         raise ValueError(
-            f"points need a leading batch axis of {batch}, got shape {x1.shape}"
+            f"points need a leading batch axis of {len(polys)}, got shape {xs[0].shape}"
         )
-    terms = max((len(q.coeffs) for q in polys), default=0)
-    exps = np.zeros((batch, terms, 3), dtype=np.intp)
-    coefs = np.zeros((batch, terms), dtype=np.complex128)
-    for b, q in enumerate(polys):
-        if q.coeffs:
-            exps[b, : len(q.coeffs)] = list(q.coeffs)
-            coefs[b, : len(q.coeffs)] = list(q.coeffs.values())
+    out = np.zeros(xs[0].shape, dtype=np.complex128)
+    if polys:
+        key = polys[0].exp_array.tobytes()
+        if all(q.exp_array.tobytes() == key for q in polys):
+            coefs = np.stack([q.coef_array for q in polys], axis=1)
+            _accumulate(out, polys[0].exp_array, coefs, xs)
+        else:
+            for b, q in enumerate(polys):
+                row = slice(b, b + 1)
+                _accumulate(
+                    out[row], q.exp_array, q.coef_array[:, None], [x[row] for x in xs]
+                )
+    return out[0] if single else out
+
+
+def _accumulate(out: np.ndarray, exps: np.ndarray, coefs: np.ndarray, xs) -> None:
+    """Add the terms of one exponent list to ``out`` in place.
+
+    ``exps`` is (t, 3), and ``coefs`` is (t, B) with one column per
+    batch row of ``out`` and of the points ``xs``.  Each factor is a
+    view of a power table row, and every product is written into one
+    reused buffer.
+    """
+    if not len(exps):
+        return
     tables = []
-    for i, x in enumerate((x1, x2, x3)):
-        d = exps[..., i].max(initial=0)
+    for x, d in zip(xs, exps.max(axis=0)):
         tab = np.empty((d + 1,) + x.shape, dtype=np.complex128)
         tab[0] = 1.0
         for k in range(1, d + 1):
-            tab[k] = tab[k - 1] * x
+            np.multiply(tab[k - 1], x, out=tab[k])
         tables.append(tab)
-    rows = np.arange(batch)
-    coef_shape = (batch,) + (1,) * (x1.ndim - 1)
-    out = np.zeros(x1.shape, dtype=np.complex128)
-    for j in range(terms):
-        m1, m2, m3 = exps[:, j].T
-        out += (
-            coefs[:, j].reshape(coef_shape)
-            * tables[0][m1, rows]
-            * tables[1][m2, rows]
-            * tables[2][m3, rows]
-        )
-    return out[0] if single else out
+    t1, t2, t3 = tables
+    coefs = coefs.reshape(coefs.shape + (1,) * (out.ndim - 1))
+    term = np.empty_like(out)
+    for (m1, m2, m3), c in zip(exps.tolist(), coefs):
+        np.multiply(c, t1[m1], out=term)
+        term *= t2[m2]
+        term *= t3[m3]
+        out += term
 
 
 class MonomialBasis:

@@ -371,7 +371,19 @@ def test_default_configs_construct():
     assert ToolConfig.from_dict(dataclasses.asdict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
 
 
-@pytest.mark.parametrize("doc", [[[[1, 0, 0], [1, 0]]], {"a": 1}])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[[1, 0, 0], [1, 0]]],
+        {"a": 1},
+        # A non-integer exponent used to be truncated, and a NaN
+        # coefficient printed "estimate": NaN, which is not JSON.
+        [{"exp": [1.5, 0, 0], "coef": [1.0, 0.0]}],
+        [{"exp": [True, 0, 0], "coef": [1.0, 0.0]}],
+        [{"exp": [1, 0, 0], "coef": [float("nan"), 0.0]}],
+        [{"exp": [1, 0, 0], "coef": [1.0, float("inf")]}],
+    ],
+)
 def test_malformed_poly_exits_two(capsys, tmp_path, doc):
     poly = write_json(tmp_path / "p.json", doc)
     assert main(["sup", "--poly", poly, "--samples", "8"]) == 2

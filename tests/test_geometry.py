@@ -238,11 +238,17 @@ def assert_batch_matches_per_trial(polys, seeds, **kw):
         assert type(alone) is float and alone == w
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_batched_sup_matches_per_trial(degree):
-    polys = [random_poly(degree, seed=100 * degree + i) for i in range(6)]
-    seeds = [np.random.SeedSequence(i) for i in range(6)]
-    assert_batch_matches_per_trial(polys, seeds, n_samples=256)
+@pytest.mark.parametrize(
+    "degree, n_samples",
+    [(1, 256), (2, 256), (3, 256), (3, 4096)],
+    ids=["1", "2", "3", "3-4096"],
+)
+def test_batched_sup_matches_per_trial(degree, n_samples):
+    # The last case samples as many points as the falsifier's screen.
+    count = 6 if n_samples < 4096 else 3
+    polys = [random_poly(degree, seed=100 * degree + i) for i in range(count)]
+    seeds = [np.random.SeedSequence(i) for i in range(count)]
+    assert_batch_matches_per_trial(polys, seeds, n_samples=n_samples)
 
 
 def test_batched_sup_without_refinement():
@@ -259,7 +265,7 @@ def test_batched_sup_freezes_trials_independently():
     # With 64 samples, the first polynomial's search stops at iteration
     # 56, and running it on would raise its estimate in the last bit;
     # the second runs all 60 iterations; the constant stops at 27 and
-    # the empty polynomial (a shorter, padded term list) never moves.
+    # the empty polynomial (a different exponent list) never moves.
     polys = [
         random_poly(1, seed=12),
         random_poly(1, seed=14),
@@ -278,3 +284,9 @@ def test_sup_rejects_no_samples():
     # Zero samples have no maximum; 0.0 would read as a sup.
     with pytest.raises(ValueError):
         sup_on_closure(Poly3({(1, 0, 0): 1.0}), n_samples=0, seed=1)
+
+
+def test_sup_rejects_negative_refine_iters():
+    # A negative count used to mean no refinement, silently.
+    with pytest.raises(ValueError, match="refine_iters"):
+        sup_on_closure(Poly3({(1, 0, 0): 1.0}), n_samples=8, seed=1, refine_iters=-5)

@@ -1,5 +1,7 @@
 """Polynomial evaluation and minimal-extension search tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,9 @@ from tetrablock import (
     poly_to_json,
     random_poly,
 )
-from tetrablock.contractions import _poly_norms
+from tetrablock.contractions import _poly_norms, varopoulos_polynomial
 from tetrablock.counterexample import cf_convergence_study
+from tetrablock.geometry import sample_distinguished_boundary
 from tetrablock.poly3 import (
     _circle_sups,
     _components,
@@ -100,6 +103,48 @@ def test_eval_scalar_many_batch_rows_are_single_evaluations(rng):
         assert np.array_equal(eval_scalar_many(p, x1[b], x2[b], x3[b]), want)
     with pytest.raises(ValueError):
         eval_scalar_many(polys, x1[:2], x2[:2], x3[:2])
+
+
+def _boundary_rows(rows, n, seed):
+    # Distinguished-boundary points, one row per polynomial, as the
+    # falsifier's sup screen evaluates them.
+    x1, x2, x3 = sample_distinguished_boundary(rows * n, seed=seed)
+    return x1.reshape(rows, n), x2.reshape(rows, n), x3.reshape(rows, n)
+
+
+def assert_rows_match_single(polys, x1, x2, x3):
+    many = eval_scalar_many(polys, x1, x2, x3)
+    assert many.shape == x1.shape
+    for b, p in enumerate(polys):
+        assert np.array_equal(many[b], single_eval_scalar_many(p, x1[b], x2[b], x3[b]))
+
+
+def test_eval_scalar_many_refine_shape_matches_single():
+    # The compass refinement's batch: 50 degree-3 draws at 30 points each.
+    polys = [random_poly(3, seed=i) for i in range(50)]
+    assert_rows_match_single(polys, *_boundary_rows(50, 30, seed=1))
+
+
+def test_eval_scalar_many_sampling_shape_matches_single():
+    # The sampling pass: one polynomial at 4096 points, as a batch of
+    # one and on its own.
+    p = random_poly(3, seed=8)
+    x1, x2, x3 = _boundary_rows(1, 4096, seed=2)
+    assert_rows_match_single([p], x1, x2, x3)
+    want = single_eval_scalar_many(p, x1[0], x2[0], x3[0])
+    assert np.array_equal(eval_scalar_many(p, x1[0], x2[0], x3[0]), want)
+
+
+def test_eval_scalar_many_mixed_batch_at_4096_matches_single():
+    polys = [
+        random_poly(3, seed=3),
+        random_poly(2, seed=4),
+        varopoulos_polynomial(),
+        Poly3({}),
+        Poly3({(0, 4, 0): 1.5j, (2, 0, 1): -0.5}),
+        random_poly(3, seed=5),
+    ]
+    assert_rows_match_single(polys, *_boundary_rows(len(polys), 4096, seed=3))
 
 
 def test_eval_operator_diagonal_reduces_to_scalar(rng):
@@ -397,6 +442,29 @@ def test_negative_exponent_rejected():
         Poly3({(0, -1, 0): 1.0})
 
 
+@pytest.mark.parametrize("exp", [(1.5, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, 0, "1")])
+def test_non_integer_exponent_rejected(exp):
+    # 1.5 used to be truncated to 1, and True read as 1.
+    with pytest.raises(ValueError, match=re.escape(f"integers, got {exp}")):
+        Poly3({exp: 1.0})
+
+
+def test_numpy_integer_exponents_accepted():
+    p = Poly3({(np.int64(2), np.intp(0), 1): 1.5})
+    assert p.coeffs == {(2, 0, 1): 1.5}
+    assert all(type(m) is int for m in next(iter(p.coeffs)))
+
+
+def test_poly_packs_terms_in_coeffs_order():
+    p = Poly3({(0, 2, 1): 2.0, (1, 0, 0): 0.0, (3, 0, 0): -1.0j, (0, 0, 0): 0.5})
+    assert p.exp_array.dtype == np.intp and p.exp_array.shape == (3, 3)
+    assert p.exp_array.tolist() == [list(exp) for exp in p.coeffs]
+    assert p.coef_array.tolist() == list(p.coeffs.values())
+    assert not p.exp_array.flags.writeable and not p.coef_array.flags.writeable
+    empty = Poly3({})
+    assert empty.exp_array.shape == (0, 3) and empty.coef_array.shape == (0,)
+
+
 def test_bad_exponent_arity_rejected():
     with pytest.raises(ValueError):
         poly_from_json([{"exp": [1, 0], "coef": [1.0, 0.0]}])
@@ -413,6 +481,17 @@ def test_bad_exponent_arity_rejected():
         ([{"exp": 3, "coef": [1.0, 0.0]}], "term 0"),
         ([{"exp": ["a", 0, 0], "coef": [1.0, 0.0]}], "term 0"),
         ([{"exp": [1, 0, 0], "coef": ["1", 0.0]}], "term 0"),
+        ([{"exp": [1.5, 0, 0], "coef": [1.0, 0.0]}], "term 0"),
+        ([{"exp": [1.0, 0, 0], "coef": [1.0, 0.0]}], "term 0"),
+        ([{"exp": [True, 0, 0], "coef": [1.0, 0.0]}], "term 0"),
+        ([{"exp": [1, 0, 0], "coef": [float("nan"), 0.0]}], "term 0"),
+        (
+            [
+                {"exp": [0, 0, 0], "coef": [1.0, 0.0]},
+                {"exp": [1, 0, 0], "coef": [0.0, float("inf")]},
+            ],
+            "term 1",
+        ),
     ],
 )
 def test_malformed_poly_json_rejected(doc, where):
