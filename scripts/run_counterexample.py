@@ -46,10 +46,11 @@ def main(argv=None) -> int:
         dt = time.perf_counter() - t0
         c1 = rep.obstruction.c1 if rep.obstruction else float("nan")
         c2 = rep.obstruction.c2 if rep.obstruction else float("nan")
+        products = max(rep.products.values()) if rep.products else float("nan")
         outcome = rep.falsify.outcome if rep.falsify else "skipped"
         print(
             f"{depth:>5} {rep.dim:>5} {rep.verdict:<12} {c1:>9.2e} {c2:>9.6f} "
-            f"{max(rep.products.values()):>9.2e} {outcome:>17} {dt:>6.2f}"
+            f"{products:>9.2e} {outcome:>17} {dt:>6.2f}"
         )
         if rep.verdict != "Obstructed":
             worst = rep.verdict

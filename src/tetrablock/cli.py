@@ -25,8 +25,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config import DEFAULT_CONFIG, ToolConfig
 from .contractions import (
     certificate_to_json,
@@ -114,7 +112,7 @@ def _emit(doc: dict, args, config: ToolConfig) -> None:
     if fmt == "text":
         print("\n".join(_flatten(doc)))
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _complex_json(value: complex) -> list:
@@ -257,16 +255,9 @@ def _cmd_model(args, config: ToolConfig) -> int:
     symbol = validate_symbol_pair(
         a1, a2, tol=config.tol_algebraic, z_samples=config.z_samples
     )
-    builders = {
-        "hardy": build_hardy_model,
-        "circulant": build_circulant_model,
-    }
-    model = builders[args.flavor](
-        a1,
-        a2,
-        args.blocks,
-        tol=config.tol_algebraic,
-        z_samples=config.z_samples,
+    build = build_hardy_model if args.flavor == "hardy" else build_circulant_model
+    model = build(
+        a1, a2, args.blocks, tol=config.tol_algebraic, z_samples=config.z_samples
     )
     doc = {
         "schema": SCHEMA_ID,
@@ -274,25 +265,12 @@ def _cmd_model(args, config: ToolConfig) -> int:
         "flavor": model.flavor,
         "blocks": args.blocks,
         "dim": model.dim,
-        "symbol": {
-            "commutator": symbol.commutator,
-            "balance": symbol.balance,
-            "max_pencil_norm": symbol.max_pencil_norm,
-            "valid": symbol.valid,
-        },
+        "symbol": report_to_json(symbol),
         "verdict": "Built",
     }
     if model.flavor == "hardy":
-        interior = interior_identity_report(model)
-        isometry = check_tetra_isometry(model)
-        doc["interior"] = {
-            "interior_dim": interior.interior_dim,
-            "defect_isometry": interior.defect_isometry,
-            "defect_relation_1": interior.defect_relation_1,
-            "defect_relation_2": interior.defect_relation_2,
-            "passed": interior.passed,
-        }
-        doc["commutation"] = isometry.commutation
+        doc["interior"] = report_to_json(interior_identity_report(model))
+        doc["commutation"] = check_tetra_isometry(model).commutation
     else:
         unitary = check_tetra_unitary(model)
         doc["boundary_triple"] = {
@@ -321,8 +299,10 @@ def _cmd_counterexample(args, config: ToolConfig) -> int:
     )
     doc = pipeline_report_to_json(report)
     if args.out:
+        # Serialized whole first, so a non-finite value leaves no file.
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write(text)
     _emit(doc, args, config)
     return 1 if report.verdict in ("Obstructed", "Inconclusive") else 0
 

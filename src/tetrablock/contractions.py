@@ -46,6 +46,7 @@ __all__ = [
     "triple_to_json",
     "triple_from_json",
     "commutation_defect",
+    "relation_defects",
     "UnitaryReport",
     "check_tetra_unitary",
     "IsometryReport",
@@ -174,21 +175,29 @@ class UnitaryReport:
     passed: bool
 
 
-def check_tetra_unitary(t: Triple, *, tol: float | None = None) -> UnitaryReport:
+def relation_defects(t: Triple, cols=slice(None)) -> tuple[float, float, float]:
+    """Defects of T3*T3 = I, T1 = T2*T3 and T2 = T1*T3 on columns ``cols``.
+
+    Each is the operator norm of the identity's two sides restricted to
+    the given columns; the default takes the whole space.
+    """
+    shifted = t.t3[:, cols]
+    isometry = op_norm(t.t3.conj().T @ shifted - np.eye(t.dim)[:, cols])
+    relation_1 = op_norm(t.t1[:, cols] - t.t2.conj().T @ shifted)
+    relation_2 = op_norm(t.t2[:, cols] - t.t1.conj().T @ shifted)
+    return isometry, relation_1, relation_2
+
+
+def check_tetra_unitary(t: Triple) -> UnitaryReport:
     """Check the defining conditions of a boundary triple.
 
     Requires T3 unitary, ||T2|| <= 1, T1 = T2* T3 (and symmetrically
-    T2 = T1* T3), with T1 and T2 normal and everything commuting.
+    T2 = T1* T3), with T1 and T2 normal and everything commuting, each
+    within ``t.tol``.
     """
-    tol = t.tol if tol is None else tol
-    eye = np.eye(t.dim)
-    unitary_defect = max(
-        op_norm(t.t3.conj().T @ t.t3 - eye),
-        op_norm(t.t3 @ t.t3.conj().T - eye),
-    )
+    isometry, relation_1, relation_2 = relation_defects(t)
+    unitary_defect = max(isometry, op_norm(t.t3 @ t.t3.conj().T - np.eye(t.dim)))
     contraction_excess = max(0.0, op_norm(t.t2) - 1.0)
-    relation_1 = op_norm(t.t1 - t.t2.conj().T @ t.t3)
-    relation_2 = op_norm(t.t2 - t.t1.conj().T @ t.t3)
     normality_1 = op_norm(t.t1.conj().T @ t.t1 - t.t1 @ t.t1.conj().T)
     normality_2 = op_norm(t.t2.conj().T @ t.t2 - t.t2 @ t.t2.conj().T)
     comm = commutation_defect(t)
@@ -201,7 +210,7 @@ def check_tetra_unitary(t: Triple, *, tol: float | None = None) -> UnitaryReport
         normality_1,
         normality_2,
     )
-    return UnitaryReport(*defects, passed=bool(max(defects) <= tol))
+    return UnitaryReport(*defects, passed=bool(max(defects) <= t.tol))
 
 
 @dataclass(frozen=True)
@@ -216,29 +225,22 @@ class IsometryReport:
     passed: bool
 
 
-def check_tetra_isometry(t: Triple, *, tol: float | None = None) -> IsometryReport:
+def check_tetra_isometry(t: Triple) -> IsometryReport:
     """Check the defining conditions of an isometric triple.
 
     Requires T3*T3 = I, ||T2|| <= 1, T1 = T2* T3 and T2 = T1* T3,
-    with everything commuting.
+    with everything commuting, each within ``t.tol``.
     """
-    tol = t.tol if tol is None else tol
-    eye = np.eye(t.dim)
-    isometry_defect = op_norm(t.t3.conj().T @ t.t3 - eye)
+    isometry_defect, relation_1, relation_2 = relation_defects(t)
     contraction_excess = max(0.0, op_norm(t.t2) - 1.0)
-    relation_1 = op_norm(t.t1 - t.t2.conj().T @ t.t3)
-    relation_2 = op_norm(t.t2 - t.t1.conj().T @ t.t3)
     comm = commutation_defect(t)
     defects = (comm, isometry_defect, contraction_excess, relation_1, relation_2)
-    return IsometryReport(*defects, passed=bool(max(defects) <= tol))
+    return IsometryReport(*defects, passed=bool(max(defects) <= t.tol))
 
 
-def purity_defect(t: Triple, *, power: int | None = None) -> float:
-    """Norm of (T3*)^power; zero certifies purity at finite depth."""
-    k = t.dim if power is None else int(power)
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    return op_norm(np.linalg.matrix_power(t.t3.conj().T, k))
+def purity_defect(t: Triple) -> float:
+    """Norm of (T3*)^dim; zero certifies purity at finite depth."""
+    return op_norm(np.linalg.matrix_power(t.t3.conj().T, t.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -247,24 +247,28 @@ def cf_convergence_study(
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Everything the end-to-end run measured."""
+    """Everything the end-to-end run measured.
+
+    A stage's results are None when an Inconclusive run never reached
+    it.
+    """
 
     depth: int
     dim: int
     seed: int
-    products: dict
-    defect_projection_error: float | None
-    # The pair of each distinct diagonal block with its number of copies.
-    fundamental: list[tuple[FundamentalPair, int]] | None
-    a1_norm: float | None
-    a2_norm: float | None
-    obstruction: ObstructionReport | None
-    hypotheses: HypothesisReport | None
-    falsify: FalsifyReport | None
-    case_check: CaseInequalityReport | None
-    cf_study: CfStudyReport | None
     verdict: str
     failing_stage: str | None
+    products: dict | None = None
+    defect_projection_error: float | None = None
+    # The pair of each distinct diagonal block with its number of copies.
+    fundamental: list[tuple[FundamentalPair, int]] | None = None
+    a1_norm: float | None = None
+    a2_norm: float | None = None
+    obstruction: ObstructionReport | None = None
+    hypotheses: HypothesisReport | None = None
+    falsify: FalsifyReport | None = None
+    case_check: CaseInequalityReport | None = None
+    cf_study: CfStudyReport | None = None
 
 
 def run_pipeline(
@@ -298,18 +302,8 @@ def run_pipeline(
     w = build_witness(depth, tol=config.tol_algebraic)
     t = w.triple
 
-    results: dict = {
-        "products": None,
-        "defect_projection_error": None,
-        "fundamental": None,
-        "a1_norm": None,
-        "a2_norm": None,
-        "obstruction": None,
-        "hypotheses": None,
-        "falsify": None,
-        "case_check": None,
-        "cf_study": None,
-    }
+    # Each stage stores its results under their PipelineReport names.
+    results: dict = {}
     failing_stage = None
 
     def stage_products():
@@ -417,18 +411,9 @@ def run_pipeline(
         depth=depth,
         dim=t.dim,
         seed=seed,
-        products=results["products"],
-        defect_projection_error=results["defect_projection_error"],
-        fundamental=results["fundamental"],
-        a1_norm=results["a1_norm"],
-        a2_norm=results["a2_norm"],
-        obstruction=results["obstruction"],
-        hypotheses=results["hypotheses"],
-        falsify=results["falsify"],
-        case_check=results["case_check"],
-        cf_study=results["cf_study"],
         verdict=verdict,
         failing_stage=failing_stage,
+        **results,
     )
 
 

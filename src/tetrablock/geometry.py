@@ -14,10 +14,12 @@ boundary is the set |x3| = 1, x1 = conj(x2) * x3, |x2| <= 1.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import complex_from_json
 from .poly3 import Poly3, eval_scalar_many
 
 __all__ = [
@@ -37,20 +39,18 @@ __all__ = [
 class MembershipReport:
     """Outcome of the closed-form membership test.
 
-    ``beta`` is the parameter pair when one exists (None otherwise);
-    ``beta_sum`` is |b1| + |b2|; ``residual`` is the reconstruction
-    error of (x1, x2) from beta, which is zero up to rounding whenever
-    the solve is well posed.  ``consistency`` is only meaningful on the
-    |x3| = 1 face, where membership requires x1 = conj(x2) * x3.
+    ``beta`` is the parameter pair when one exists and ``beta_sum`` is
+    |b1| + |b2|; both are None when there is no pair.  ``residual`` is
+    the reconstruction error of (x1, x2) from beta, which is zero up to
+    rounding whenever the solve is well posed.
     """
 
     in_closure: bool
     distinguished: bool
     x3_abs: float
     beta: tuple[complex, complex] | None
-    beta_sum: float
+    beta_sum: float | None
     residual: float
-    consistency: float
 
 
 def point_to_json(x1: complex, x2: complex, x3: complex) -> dict:
@@ -63,12 +63,12 @@ def point_to_json(x1: complex, x2: complex, x3: complex) -> dict:
 
 
 def point_from_json(obj: dict) -> tuple[complex, complex, complex]:
-    """Inverse of :func:`point_to_json`."""
-    out = []
-    for key in ("x1", "x2", "x3"):
-        re, im = obj[key]
-        out.append(complex(re, im))
-    return tuple(out)
+    """Inverse of :func:`point_to_json`.
+
+    Each component must be a pair read by :func:`complex_from_json`;
+    ValueError names the bad one.
+    """
+    return tuple(complex_from_json(obj[key], key) for key in ("x1", "x2", "x3"))
 
 
 def classify_point(
@@ -83,20 +83,23 @@ def classify_point(
 
     and the point is in the closed domain iff |b1| + |b2| <= 1.  On the
     face |x3| = 1 membership forces x1 = conj(x2) * x3, and then holds
-    iff |x2| <= 1, which is exactly the distinguished boundary.
+    iff |x2| <= 1, which is exactly the distinguished boundary.  A
+    non-finite component raises ValueError.
     """
     x1, x2, x3 = complex(x1), complex(x2), complex(x3)
+    if not (cmath.isfinite(x1) and cmath.isfinite(x2) and cmath.isfinite(x3)):
+        raise ValueError(f"point components must be finite, got {(x1, x2, x3)}")
     a3 = abs(x3)
+    outside = MembershipReport(
+        in_closure=False,
+        distinguished=False,
+        x3_abs=a3,
+        beta=None,
+        beta_sum=None,
+        residual=0.0,
+    )
     if a3 > 1.0 + tol:
-        return MembershipReport(
-            in_closure=False,
-            distinguished=False,
-            x3_abs=a3,
-            beta=None,
-            beta_sum=float("inf"),
-            residual=0.0,
-            consistency=abs(x1 - np.conj(x2) * x3),
-        )
+        return outside
     if a3 < 1.0 - tol:
         denom = 1.0 - a3 * a3
         b1 = (x1 - x3 * np.conj(x2)) / denom
@@ -113,30 +116,17 @@ def classify_point(
             beta=(complex(b1), complex(b2)),
             beta_sum=float(s),
             residual=float(residual),
-            consistency=abs(x1 - np.conj(x2) * x3),
         )
     # |x3| = 1 within tolerance: degenerate face.
-    consistency = abs(x1 - np.conj(x2) * x3)
-    if consistency > tol:
-        return MembershipReport(
-            in_closure=False,
-            distinguished=False,
-            x3_abs=a3,
-            beta=None,
-            beta_sum=float("inf"),
-            residual=0.0,
-            consistency=float(consistency),
-        )
-    ok = abs(x2) <= 1.0 + tol
-    beta = (0.0 + 0.0j, complex(x2)) if ok else None
+    if abs(x1 - np.conj(x2) * x3) > tol or abs(x2) > 1.0 + tol:
+        return outside
     return MembershipReport(
-        in_closure=bool(ok),
-        distinguished=bool(ok),
+        in_closure=True,
+        distinguished=True,
         x3_abs=a3,
-        beta=beta,
-        beta_sum=float(abs(x2)) if ok else float("inf"),
+        beta=(0.0 + 0.0j, complex(x2)),
+        beta_sum=float(abs(x2)),
         residual=0.0,
-        consistency=float(consistency),
     )
 
 
@@ -221,6 +211,10 @@ def defining_abs_min(x1: complex, x2: complex, x3: complex) -> float:
     return max(float(gap.min()), 0.0)
 
 
+# Compass search budget of sup_on_closure: rounds, and starts per
+# polynomial.
+_REFINE_ITERS = 60
+_TOP_K = 5
 # Compass probe directions in the (theta, phi, r^2) parameters; the
 # order breaks ties between equally good probes.
 _COMPASS = np.array(
@@ -245,31 +239,24 @@ def _boundary_points(params: np.ndarray):
     return np.conj(x2) * x3, x2, x3
 
 
-def sup_on_closure(
-    p,
-    *,
-    n_samples: int = 4096,
-    seed=None,
-    refine_iters: int = 60,
-    top_k: int = 5,
-):
+def sup_on_closure(p, *, n_samples: int = 4096, seed=None):
     """Estimate sup |p| over the closed domain.
 
     The modulus of a polynomial attains its sup over the closure on
     the distinguished boundary, so sampling is restricted there.  The
     raw sample maximum (one ``random((n, 3))`` draw, hence monotone in
-    ``n_samples`` for a fixed seed when ``refine_iters=0``) is then
-    improved by a compass pattern search started from the ``top_k``
-    best samples.  The result never drops below the raw sample maximum.
-    ``n_samples`` and ``top_k`` must be positive (no samples would give
-    no estimate) and ``refine_iters`` nonnegative (0 skips refinement).
+    ``n_samples`` for a fixed seed) is then improved by at most
+    ``_REFINE_ITERS`` rounds of a compass pattern search started from
+    the ``_TOP_K`` best samples.  The result never drops below the raw
+    sample maximum.  ``n_samples`` must be positive (no samples would
+    give no estimate).
 
     ``p`` is one polynomial, which returns a float, or a sequence of
     polynomials with ``seed`` a matching sequence, which returns an
     array of the same estimates.  A single polynomial runs as a batch
     of one.  Each polynomial's samples are drawn from its own seed and
     evaluated on their own, so memory does not grow with the batch;
-    the refinement then runs once over all polynomials x ``top_k``
+    the refinement then runs once over all polynomials x ``_TOP_K``
     starts.  A polynomial whose steps have all dropped below 1e-9 is
     frozen by a mask, exactly where its own search would stop, so each
     estimate is bit for bit the one its polynomial gets alone.
@@ -283,11 +270,7 @@ def sup_on_closure(
         )
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if top_k < 1:
-        raise ValueError("top_k must be positive")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be nonnegative, got {refine_iters}")
-    k = min(top_k, n_samples)
+    k = min(_TOP_K, n_samples)
     raw = np.empty(len(polys))
     starts = np.empty((len(polys), k, 3))
     for b, (q, s) in enumerate(zip(polys, seeds)):
@@ -295,10 +278,8 @@ def sup_on_closure(
         vals = np.abs(eval_scalar_many([q], *_boundary_points(u[None])))[0]
         raw[b] = vals.max()
         starts[b] = u[np.argsort(vals)[n_samples - k :]]
-    sups = raw
-    if refine_iters > 0:
-        refined = _compass_refine(polys, starts, refine_iters)
-        sups = np.maximum(raw, refined.max(axis=1))
+    refined = _compass_refine(polys, starts, _REFINE_ITERS)
+    sups = np.maximum(raw, refined.max(axis=1))
     return float(sups[0]) if single else sups
 
 

@@ -12,6 +12,7 @@ symmetrized before factoring.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
+    "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "op_norm",
@@ -71,6 +73,27 @@ def as_matrix(obj, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def complex_from_json(pair, what: str) -> complex:
+    """A ``[re, im]`` pair of a JSON document as a complex number.
+
+    Raises ValueError naming ``what`` unless ``pair`` is a list of two
+    finite real numbers; a bool is not a number here.
+    """
+    if not (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+    ):
+        raise ValueError(f"{what} must be [re, im], two numbers, got {pair!r}")
+    try:
+        value = complex(pair[0], pair[1])
+    except OverflowError:  # an int too large for a float
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {pair!r}")
+    return value
+
+
 def matrix_to_json(a) -> dict:
     """Serialize a matrix to the interchange dict form.
 
@@ -85,23 +108,27 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`, with shape validation."""
+    """Inverse of :func:`matrix_to_json`, with shape validation.
+
+    ``rows`` and ``cols`` must be nonnegative ints and each entry is
+    read by :func:`complex_from_json`; ValueError names the bad item.
+    """
     try:
-        m = int(obj["rows"])
-        n = int(obj["cols"])
-        data = obj["data"]
+        m, n, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
-    if m < 0 or n < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
+        raise ValueError(f"malformed matrix object: {exc!r}") from exc
+    for key, count in (("rows", m), ("cols", n)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"matrix {key} must be a nonnegative int, got {count!r}")
+    if not isinstance(data, list):
+        raise ValueError(f"matrix data must be a list, got {data!r}")
     if len(data) != m * n:
         raise DimensionMismatchError(
             f"expected {m * n} entries for a {m}x{n} matrix, got {len(data)}"
         )
     out = np.empty(m * n, dtype=np.complex128)
     for i, pair in enumerate(data):
-        re, im = pair
-        out[i] = complex(re, im)
+        out[i] = complex_from_json(pair, f"matrix entry {i}")
     return out.reshape(m, n)
 
 
@@ -275,13 +302,13 @@ def herm_eig(h, *, tol: float = 1e-9, backend: str = "lapack") -> HermEig:
     raise ValueError(f"unknown backend {backend!r}; expected 'lapack' or 'jacobi'")
 
 
-def sqrt_psd(h, *, tol: float = 1e-9, backend: str = "lapack") -> np.ndarray:
+def sqrt_psd(h, *, tol: float = 1e-9) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues below ``-tol`` raise NotPSDError; small negatives
     within the tolerance are clamped to zero before the square root.
     """
-    eig = herm_eig(h, tol=tol, backend=backend)
+    eig = herm_eig(h, tol=tol)
     lo = float(eig.values[0]) if eig.values.size else 0.0
     if lo < -tol:
         raise NotPSDError(f"eigenvalue {lo:.3e} below -tol ({-tol:.3e})")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contractions import Triple, dilation_obstruction
+from .contractions import Triple, dilation_obstruction, relation_defects
 from .errors import (
     DimensionMismatchError,
     InconsistentEquationError,
@@ -60,7 +60,6 @@ class SymbolReport:
     commutator: float
     balance: float
     max_pencil_norm: float
-    z_samples: int
     valid: bool
 
 
@@ -94,7 +93,6 @@ def validate_symbol_pair(
         commutator=c1,
         balance=c2,
         max_pencil_norm=max_pencil,
-        z_samples=z_samples,
         valid=c1 <= tol and c2 <= tol and max_pencil <= 1.0 + tol,
     )
 
@@ -146,20 +144,19 @@ class ModelTriple(Triple):
         return Triple(t1=self.t1, t2=self.t2, t3=self.t3, tol=self.tol)
 
 
-def _build_model(a1, a2, depth, shift, flavor, tol, z_samples, validate):
+def _build_model(a1, a2, depth, shift, flavor, tol, z_samples):
     a1 = as_matrix(a1, square=True, name="a1")
     a2 = as_matrix(a2, square=True, name="a2")
     if depth < 1:
         raise TruncationTooSmallError(f"depth must be at least 1, got {depth}")
-    if validate:
-        report = validate_symbol_pair(a1, a2, tol=tol, z_samples=z_samples)
-        if not report.valid:
-            raise ValidationRequiredError(
-                "symbol pair fails admissibility: "
-                f"commutator {report.commutator:.3e}, "
-                f"balance {report.balance:.3e}, "
-                f"max pencil norm {report.max_pencil_norm:.6f}"
-            )
+    report = validate_symbol_pair(a1, a2, tol=tol, z_samples=z_samples)
+    if not report.valid:
+        raise ValidationRequiredError(
+            "symbol pair fails admissibility: "
+            f"commutator {report.commutator:.3e}, "
+            f"balance {report.balance:.3e}, "
+            f"max pencil norm {report.max_pencil_norm:.6f}"
+        )
     k = a1.shape[0]
     eye_n = np.eye(depth)
     eye_k = np.eye(k)
@@ -180,35 +177,31 @@ def _build_model(a1, a2, depth, shift, flavor, tol, z_samples, validate):
 
 
 def build_hardy_model(
-    a1, a2, depth: int, *, tol: float = 1e-9, z_samples: int = 64,
-    validate: bool = True,
+    a1, a2, depth: int, *, tol: float = 1e-9, z_samples: int = 64
 ) -> ModelTriple:
     """Depth-N truncated-shift model of an admissible symbol pair.
 
-    Inadmissible pairs raise ValidationRequiredError; pass
-    ``validate=False`` only when the defects are being studied on
-    purpose.
+    Inadmissible pairs raise ValidationRequiredError.
     """
     shift = np.zeros((depth, depth))
     for i in range(depth - 1):
         shift[i + 1, i] = 1.0
-    return _build_model(a1, a2, depth, shift, "hardy", tol, z_samples, validate)
+    return _build_model(a1, a2, depth, shift, "hardy", tol, z_samples)
 
 
 def build_circulant_model(
-    a1, a2, depth: int, *, tol: float = 1e-9, z_samples: int = 64,
-    validate: bool = True,
+    a1, a2, depth: int, *, tol: float = 1e-9, z_samples: int = 64
 ) -> ModelTriple:
     """Depth-N cyclic-shift model of an admissible symbol pair.
 
     The cyclic shift is unitary, so the result is a boundary-style
     triple: T3 unitary and the pencil relations exact on the whole
-    space.
+    space.  Inadmissible pairs raise ValidationRequiredError.
     """
     shift = np.zeros((depth, depth))
     for i in range(depth):
         shift[(i + 1) % depth, i] = 1.0
-    return _build_model(a1, a2, depth, shift, "circulant", tol, z_samples, validate)
+    return _build_model(a1, a2, depth, shift, "circulant", tol, z_samples)
 
 
 @dataclass(frozen=True)
@@ -216,44 +209,26 @@ class InteriorReport:
     """Model identities restricted to the interior blocks.
 
     For the truncated-shift flavor the three defining identities hold
-    exactly on blocks 0..N-2 (the subspace named by ``interior_dim``),
-    and ``shift_power_norm`` is ||T3^N||, zero exactly by nilpotency.
-    For the cyclic flavor the identities hold globally and the shift
-    power is the identity.
+    exactly on blocks 0..N-2, the subspace named by ``interior_dim``.
+    For the cyclic flavor they hold on the whole space.
     """
 
     interior_dim: int
     defect_isometry: float
     defect_relation_1: float
     defect_relation_2: float
-    shift_power_norm: float
     passed: bool
 
 
-def interior_identity_report(
-    model: ModelTriple, *, tol: float | None = None
-) -> InteriorReport:
-    """Measure the defining identities on the interior block subspace."""
-    tol = model.tol if tol is None else tol
-    n = model.dim
-    k = model.block_dim
-    interior = (model.depth - 1) * k
-    t1, t2, t3 = model.t1, model.t2, model.t3
-    # Each identity is measured on the interior columns only.
-    shifted = t3[:, :interior]
-    d_iso = op_norm(t3.conj().T @ shifted - np.eye(n)[:, :interior])
-    d_rel1 = op_norm(t1[:, :interior] - t2.conj().T @ shifted)
-    d_rel2 = op_norm(t2[:, :interior] - t1.conj().T @ shifted)
-    power = op_norm(np.linalg.matrix_power(t3, model.depth))
-    worst = max(d_iso, d_rel1, d_rel2)
-    return InteriorReport(
-        interior_dim=interior,
-        defect_isometry=float(d_iso),
-        defect_relation_1=float(d_rel1),
-        defect_relation_2=float(d_rel2),
-        shift_power_norm=float(power),
-        passed=bool(worst <= tol),
-    )
+def interior_identity_report(model: ModelTriple) -> InteriorReport:
+    """Measure the defining identities on the interior block subspace.
+
+    Each defect is measured on the interior columns only
+    (:func:`relation_defects`); the report passes within ``model.tol``.
+    """
+    interior = (model.depth - 1) * model.block_dim
+    defects = relation_defects(model, slice(None, interior))
+    return InteriorReport(interior, *defects, passed=bool(max(defects) <= model.tol))
 
 
 @dataclass(frozen=True)
@@ -271,9 +246,7 @@ class RecoveryReport:
     stray_2: float
 
 
-def recover_fundamental(
-    model: ModelTriple, *, tol: float = 1e-9
-) -> RecoveryReport:
+def recover_fundamental(model: ModelTriple) -> RecoveryReport:
     """Recover the symbol pair from a truncated-shift model exactly.
 
     In the hardy flavor, T1* - T2 T3* collapses to A1 supported on the
@@ -281,7 +254,8 @@ def recover_fundamental(
     I - L L* is the projection onto block zero.  Requires depth >= 3
     so the corner block is flanked by genuine interior blocks; smaller
     depths raise TruncationTooSmallError, and the cyclic flavor has no
-    corner to read (its shift defect vanishes).
+    corner to read (its shift defect vanishes).  Strays above
+    ``model.tol`` raise InconsistentEquationError.
     """
     if model.flavor != "hardy":
         raise ValueError("recovery needs the truncated-shift flavor")
@@ -299,7 +273,7 @@ def recover_fundamental(
         embedded = np.zeros_like(diff)
         embedded[:k, :k] = g
         strays.append(op_norm(diff - embedded))
-    if max(strays) > tol:
+    if max(strays) > model.tol:
         raise InconsistentEquationError(
             f"recovered blocks leak outside the corner: strays "
             f"{strays[0]:.3e}, {strays[1]:.3e}"

@@ -17,12 +17,11 @@ need the defect should measure it once, not per evaluation.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .linalg import op_norm
+from .linalg import complex_from_json, op_norm
 
 __all__ = [
     "Poly3",
@@ -116,8 +115,9 @@ def poly_to_json(p: Poly3) -> list:
 def poly_from_json(obj) -> Poly3:
     """Inverse of :func:`poly_to_json`.
 
-    Input of the wrong shape, a non-integer exponent or a non-finite
-    coefficient raises ValueError naming the bad term.
+    Input of the wrong shape, a non-integer exponent or a coefficient
+    that is not two finite numbers (a bool is not one) raises
+    ValueError naming the bad term.
     """
     if not isinstance(obj, list):
         raise ValueError(f"polynomial must be a list of terms, got {obj!r}")
@@ -127,10 +127,7 @@ def poly_from_json(obj) -> Poly3:
             raise ValueError(f"term {i} must be an object, got {term!r}")
         try:
             key = _exponent(term["exp"])
-            re, im = term["coef"]
-            value = complex(re, im)
-            if not cmath.isfinite(value):
-                raise ValueError(f"coefficient must be finite, got {value}")
+            value = complex_from_json(term["coef"], "coefficient")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"term {i}: {exc!r}") from exc
         coeffs[key] = coeffs.get(key, 0.0) + value
@@ -352,12 +349,12 @@ def eval_operator(p: Poly3, basis: MonomialBasis) -> np.ndarray:
     return acc
 
 
-def random_poly(degree: int, *, seed=None, scale: float = 1.0) -> Poly3:
+def random_poly(degree: int, *, seed=None) -> Poly3:
     """Random polynomial with all monomials of total degree <= degree.
 
-    Coefficients are complex Gaussians with standard deviation
-    ``scale`` per component, drawn in lexicographic exponent order so
-    a fixed seed pins the polynomial exactly.
+    Coefficients are complex Gaussians with unit standard deviation per
+    component, drawn in lexicographic exponent order so a fixed seed
+    pins the polynomial exactly.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -371,7 +368,7 @@ def random_poly(degree: int, *, seed=None, scale: float = 1.0) -> Poly3:
     exps.sort()
     re = rng.standard_normal(len(exps))
     im = rng.standard_normal(len(exps))
-    return Poly3({exp: scale * complex(a, b) for exp, (a, b) in zip(exps, zip(re, im))})
+    return Poly3({exp: complex(a, b) for exp, (a, b) in zip(exps, zip(re, im))})
 
 
 # ---------------------------------------------------------------------------

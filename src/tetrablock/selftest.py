@@ -23,7 +23,6 @@ from .counterexample import (
     build_witness,
     case_inequality_check,
     cf_convergence_study,
-    run_pipeline,
     witness_symbol,
 )
 from .geometry import (

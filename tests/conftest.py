@@ -20,11 +20,6 @@ def random_hermitian(rng, n):
     return (g + g.conj().T) / 2.0
 
 
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, (n, n)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def power_table_eval_operator(p, basis):
     # Reference operator evaluation: fresh power tables on every call and
     # every monomial multiplied out, exact zeros included.  Only the

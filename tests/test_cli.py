@@ -50,6 +50,61 @@ def test_classify_outside_still_exits_zero(capsys):
     assert doc["verdict"] == "Outside"
 
 
+def strict_json(text):
+    # NaN and Infinity are not JSON; the standard parser takes them.
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("point", ["(0,0,2)", "(0.3,0.5,1)", "(1.2,1.2,1)"])
+def test_classify_without_parameter_pair_writes_null(capsys, point):
+    # Before, beta_sum was printed as Infinity, which is not JSON.
+    code, out = run_cli(capsys, ["classify", "--point", point])
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["verdict"] == "Outside"
+    assert doc["beta"] is None and doc["beta_sum"] is None
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        "(nan,0,0)",
+        "(0,inf,0)",
+        "(0,0,nanj)",
+        '{"x1": [NaN, 0], "x2": [0, 0], "x3": [0, 0]}',
+        '{"x1": [0, 0], "x2": [0, Infinity], "x3": [0, 0]}',
+        '{"x1": [true, 0], "x2": [0, 0], "x3": [0, 0]}',
+        '{"x1": [0, 0], "x2": ["0", 0], "x3": [0, 0]}',
+        '{"x1": [0, 0], "x2": [0, 0], "x3": [0]}',
+    ],
+)
+def test_classify_bad_point_exits_two(capsys, point):
+    # Before, a NaN component printed NaN fields and exited 0, and a
+    # bool component was read as a number.
+    assert main(["classify", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_non_finite_document_exits_two(capsys, monkeypatch, tmp_path):
+    # A document is never written with NaN or Infinity in it, on stdout
+    # or in the --out file.
+    from tetrablock import cli
+
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    monkeypatch.setattr(cli, "sup_on_closure", lambda *a, **k: float("nan"))
+    assert main(["sup", "--poly", poly, "--samples", "8"]) == 2
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(cli, "pipeline_report_to_json", lambda _: {"x": float("inf")})
+    out = tmp_path / "verdict.json"
+    argv = ["counterexample", "--blocks", "3", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
 def test_classify_json_point_form(capsys):
     point = json.dumps({"x1": [0.2, 0.1], "x2": [0.1, 0.0], "x3": [0.0, 0.0]})
     code, doc = run_json(capsys, ["classify", "--point", point])
@@ -382,6 +437,8 @@ def test_default_configs_construct():
         [{"exp": [True, 0, 0], "coef": [1.0, 0.0]}],
         [{"exp": [1, 0, 0], "coef": [float("nan"), 0.0]}],
         [{"exp": [1, 0, 0], "coef": [1.0, float("inf")]}],
+        # A bool coefficient used to be read as a number.
+        [{"exp": [1, 0, 0], "coef": [True, 0]}],
     ],
 )
 def test_malformed_poly_exits_two(capsys, tmp_path, doc):
@@ -390,3 +447,35 @@ def test_malformed_poly_exits_two(capsys, tmp_path, doc):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(rows=True),
+        lambda m: m.update(cols=1.0),
+        lambda m: m.update(rows="1"),
+        lambda m: m.update(data=[[True, 0.0]]),
+        lambda m: m.update(data=[[0.5, float("nan")]]),
+        lambda m: m.update(data=[["0.5", 0.0]]),
+        lambda m: m.update(data=[[0.5]]),
+    ],
+    ids=[
+        "bool-rows",
+        "float-cols",
+        "string-rows",
+        "bool-entry",
+        "nan-entry",
+        "string-entry",
+        "short-entry",
+    ],
+)
+def test_malformed_matrix_exits_two(capsys, tmp_path, edit):
+    # Before, bool or float rows and cols and bool entries were read as
+    # numbers, and a string entry ended in a TypeError traceback.
+    doc = triple_to_json(Triple([[0.5]], [[0.0]], [[0.0]]))
+    edit(doc["t1"])
+    triple = write_json(tmp_path / "t.json", doc)
+    assert main(["fundamental", "--triple", triple]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -97,13 +97,29 @@ def test_hardy_model_isometry_fails_at_truncation():
     assert rep.isometry_defect == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("cols", [slice(None), slice(None, 6), slice(None, 0)])
+def test_relation_defects_match_the_written_out_identities(cols):
+    # The one helper keeps the expressions each report used to write
+    # out, so its values are the same bit for bit.
+    t = build_hardy_model(*random_symbol_pair(2, seed=56, diagonal=False), 4)
+    t1, t2, t3 = t.t1, t.t2, t.t3
+    want = (
+        op_norm(t3.conj().T @ t3[:, cols] - np.eye(t.dim)[:, cols]),
+        op_norm(t1[:, cols] - t2.conj().T @ t3[:, cols]),
+        op_norm(t2[:, cols] - t1.conj().T @ t3[:, cols]),
+    )
+    assert contractions.relation_defects(t, cols) == want
+    if cols == slice(None):
+        rep = check_tetra_isometry(t)
+        assert rep.isometry_defect == op_norm(t3.conj().T @ t3 - np.eye(t.dim))
+        assert (rep.relation_1, rep.relation_2) == want[1:]
+
+
 def test_purity_defect():
     h = build_hardy_model(*SYMBOLS, 4).as_triple()
     c = build_circulant_model(*SYMBOLS, 4).as_triple()
     assert purity_defect(h) == 0.0
     assert purity_defect(c) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        purity_defect(h, power=-1)
 
 
 def test_extract_fundamental_on_witness():

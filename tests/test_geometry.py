@@ -15,6 +15,7 @@ from tetrablock import (
     sample_distinguished_boundary,
     sup_on_closure,
 )
+from tetrablock import geometry
 from tetrablock.contractions import varopoulos_polynomial
 
 from conftest import compass_defining_abs_min, per_trial_sup_on_closure
@@ -63,14 +64,13 @@ def test_unimodular_x3_branch():
     rep = classify_point(x1, x2, x3)
     assert rep.in_closure
     assert rep.distinguished
-    assert rep.consistency <= 1e-12
     # Consistent but |x2| > 1: outside.
     rep = classify_point(1.2, 1.2, 1.0)
     assert not rep.in_closure
     # Inconsistent: outside no matter how small x2 is.
     rep = classify_point(0.3, 0.5, 1.0)
     assert not rep.in_closure
-    assert rep.consistency > 0.1
+    assert rep.beta is None and rep.beta_sum is None
 
 
 def test_boundary_point_rejects_bad_radius():
@@ -218,23 +218,26 @@ def test_sup_varopoulos_polynomial():
     assert sup_on_closure(p, n_samples=4096, seed=7) == pytest.approx(5.0, abs=1e-6)
 
 
-def test_sup_sample_max_monotone_in_n():
+def test_sup_sample_max_monotone_in_n(monkeypatch):
+    monkeypatch.setattr(geometry, "_REFINE_ITERS", 0)
     p = varopoulos_polynomial()
-    vals = [
-        sup_on_closure(p, n_samples=n, seed=31, refine_iters=0)
-        for n in (256, 1024, 4096)
-    ]
+    vals = [sup_on_closure(p, n_samples=n, seed=31) for n in (256, 1024, 4096)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
-def assert_batch_matches_per_trial(polys, seeds, **kw):
-    batched = sup_on_closure(polys, seed=seeds, **kw)
+def assert_batch_matches_per_trial(polys, seeds, n_samples):
+    batched = sup_on_closure(polys, seed=seeds, n_samples=n_samples)
     want = np.array(
-        [per_trial_sup_on_closure(p, seed=s, **kw) for p, s in zip(polys, seeds)]
+        [
+            per_trial_sup_on_closure(
+                p, seed=s, n_samples=n_samples, refine_iters=geometry._REFINE_ITERS
+            )
+            for p, s in zip(polys, seeds)
+        ]
     )
     assert np.array_equal(batched, want)
     for p, s, w in zip(polys, seeds, want):
-        alone = sup_on_closure(p, seed=s, **kw)
+        alone = sup_on_closure(p, seed=s, n_samples=n_samples)
         assert type(alone) is float and alone == w
 
 
@@ -251,14 +254,16 @@ def test_batched_sup_matches_per_trial(degree, n_samples):
     assert_batch_matches_per_trial(polys, seeds, n_samples=n_samples)
 
 
-def test_batched_sup_without_refinement():
+def test_batched_sup_without_refinement(monkeypatch):
+    monkeypatch.setattr(geometry, "_REFINE_ITERS", 0)
     polys = [random_poly(3, seed=i) for i in range(4)] + [varopoulos_polynomial()]
-    assert_batch_matches_per_trial(polys, list(range(5)), n_samples=512, refine_iters=0)
+    assert_batch_matches_per_trial(polys, list(range(5)), n_samples=512)
 
 
 def test_batched_sup_fewer_samples_than_starts():
+    # Three samples give fewer starts than the five the search keeps.
     polys = [random_poly(2, seed=i) for i in range(3)]
-    assert_batch_matches_per_trial(polys, [7, 8, 9], n_samples=3, top_k=5)
+    assert_batch_matches_per_trial(polys, [7, 8, 9], n_samples=3)
 
 
 def test_batched_sup_freezes_trials_independently():
@@ -285,8 +290,3 @@ def test_sup_rejects_no_samples():
     with pytest.raises(ValueError):
         sup_on_closure(Poly3({(1, 0, 0): 1.0}), n_samples=0, seed=1)
 
-
-def test_sup_rejects_negative_refine_iters():
-    # A negative count used to mean no refinement, silently.
-    with pytest.raises(ValueError, match="refine_iters"):
-        sup_on_closure(Poly3({(1, 0, 0): 1.0}), n_samples=8, seed=1, refine_iters=-5)

@@ -20,7 +20,7 @@ from tetrablock import (
     sqrt_psd,
 )
 
-from tetrablock.linalg import _jacobi_eigh, _round_robin
+from tetrablock.linalg import _jacobi_eigh, _round_robin, complex_from_json
 
 from conftest import (
     bracket_numerical_radius,
@@ -38,6 +38,21 @@ def test_as_matrix_rejects_rectangular_when_square_required(rng):
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_matrix([[1.0, np.inf], [0.0, 1.0]], name="t")
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[True, 0.0], [0.0, False], ["1", 0.0], [None, 0.0], [1.0], 1.0,
+     [float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0]],
+)
+def test_complex_from_json_rejects_and_names(pair):
+    with pytest.raises(ValueError, match="entry 7"):
+        complex_from_json(pair, "entry 7")
+
+
+def test_complex_from_json_reads_numbers():
+    assert complex_from_json([1, -2.5], "z") == complex(1.0, -2.5)
+    assert complex_from_json((0.25, 0), "z") == 0.25
 
 
 def test_matrix_json_round_trip(rng):

@@ -70,11 +70,11 @@ def test_builders_reject_inadmissible_pair():
     big = 0.8 * np.eye(2)
     with pytest.raises(ValidationRequiredError):
         build_hardy_model(big, big, 4)
-    # Opting out of validation builds the (defective) model anyway.
-    m = build_hardy_model(big, big, 4, validate=False)
-    assert m.dim == 8
+    with pytest.raises(ValidationRequiredError):
+        build_circulant_model(big, big, 4)
+    # The depth is checked before the pair.
     with pytest.raises(TruncationTooSmallError):
-        build_hardy_model(big, big, 0, validate=False)
+        build_hardy_model(big, big, 0)
 
 
 def test_model_block_structure():
@@ -123,12 +123,12 @@ def test_interior_identities():
     assert rep.passed
     assert rep.interior_dim == 9
     assert max(rep.defect_isometry, rep.defect_relation_1, rep.defect_relation_2) <= 1e-12
-    assert rep.shift_power_norm == 0.0
+    # The truncated shift on four blocks is nilpotent of order four.
+    powers = [op_norm(np.linalg.matrix_power(h.t3, k)) for k in (3, 4)]
+    assert powers[0] == pytest.approx(1.0, abs=1e-12) and powers[1] == 0.0
     c = build_circulant_model(a1, a2, 4)
     rep = interior_identity_report(c)
     assert rep.passed
-    # The cyclic shift is unitary; its depth-th power is the identity.
-    assert rep.shift_power_norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circulant_model_boundary_structure():
