@@ -50,7 +50,6 @@ from .models import (
     build_circulant_model,
     build_hardy_model,
     interior_identity_report,
-    validate_symbol_pair,
 )
 from .poly3 import cf_empirical_inf, cf_matrix_norm, poly_from_json
 
@@ -252,9 +251,6 @@ def _cmd_obstruction(args, config: ToolConfig) -> int:
 def _cmd_model(args, config: ToolConfig) -> int:
     a1 = matrix_from_json(_load_json_file(args.a1))
     a2 = matrix_from_json(_load_json_file(args.a2))
-    symbol = validate_symbol_pair(
-        a1, a2, tol=config.tol_algebraic, z_samples=config.z_samples
-    )
     build = build_hardy_model if args.flavor == "hardy" else build_circulant_model
     model = build(
         a1, a2, args.blocks, tol=config.tol_algebraic, z_samples=config.z_samples
@@ -265,7 +261,7 @@ def _cmd_model(args, config: ToolConfig) -> int:
         "flavor": model.flavor,
         "blocks": args.blocks,
         "dim": model.dim,
-        "symbol": report_to_json(symbol),
+        "symbol": report_to_json(model.symbol),
         "verdict": "Built",
     }
     if model.flavor == "hardy":

@@ -16,6 +16,7 @@ out a commuting normal boundary dilation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -142,12 +143,21 @@ def triple_to_json(t: Triple) -> dict:
 
 
 def triple_from_json(obj: dict) -> Triple:
-    """Inverse of :func:`triple_to_json`."""
+    """Inverse of :func:`triple_to_json`.
+
+    Raises ValueError naming ``tol`` unless it is a finite positive
+    real number; a bool is not a number here.
+    """
+    tol = obj.get("tol", 1e-9)
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    if not 0.0 < tol <= sys.float_info.max:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     return Triple(
         t1=matrix_from_json(obj["t1"]),
         t2=matrix_from_json(obj["t2"]),
         t3=matrix_from_json(obj["t3"]),
-        tol=float(obj.get("tol", 1e-9)),
+        tol=float(tol),
     )
 
 

@@ -13,6 +13,7 @@ symmetrized before factoring.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,12 @@ JACOBI_MAX_SWEEPS = 100
 # |H| (zero to rounding) and lambda'' is not above _FLAT_CURVE * |H|.
 _FLAT_SLOPE = 8.0 * np.finfo(float).eps
 _FLAT_CURVE = math.sqrt(np.finfo(float).eps)
+
+# numerical_radius solves every _SCAN_STRIDE-th half-circle angle first
+# and then only the angles whose support-line bound reaches the best.
+_SCAN_STRIDE = 12
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def as_matrix(obj, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -316,6 +323,39 @@ def sqrt_psd(h, *, tol: float = 1e-9) -> np.ndarray:
     return (eig.vectors * vals) @ eig.vectors.conj().T
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_geometry(grid: int):
+    """Coarse scan indices and support-line weights of a scan grid.
+
+    Returns ``(coarse, rest, left, right, w_left, w_right, reach)``:
+    the coarse half-circle indices (every ``_SCAN_STRIDE``-th and the
+    last); the other full-circle indices ``rest``, each with the coarse
+    full-circle indices ``left < m < right`` next to it and the weights
+    of the support-line bound between them; and ``reach = 2 (1 +
+    w_left + w_right)``, the multiple of the rounding allowance that
+    the bound needs.  The arrays are read-only, since the cache shares
+    them.
+    """
+    taken = np.zeros(grid // 2, dtype=bool)
+    taken[::_SCAN_STRIDE] = taken[-1] = True
+    coarse = np.flatnonzero(taken)
+    taken = np.concatenate([taken, taken])
+    ring, rest = np.flatnonzero(taken), np.flatnonzero(~taken)
+    # ring holds 0 and grid - 1, so every m in rest has a neighbour on
+    # each side, and the gap between them is at most grid / 2 - 1 steps.
+    pos = np.searchsorted(ring, rest)
+    left, right = ring[pos - 1], ring[pos]
+    step = 2.0 * np.pi / grid
+    span = np.sin((right - left) * step)
+    w_left = np.sin((right - rest) * step) / span
+    w_right = np.sin((rest - left) * step) / span
+    reach = 2.0 * (1.0 + w_left + w_right)
+    out = (coarse, rest, left, right, w_left, w_right, reach)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, float]:
     """Numerical radius of a square matrix, with the maximizing angle.
 
@@ -327,9 +367,54 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
 
     with A = (T + T*) / 2 and B = i (T - T*) / 2.
 
-    Scan: ``grid`` must be even.  One batched ``eigvalsh`` covers the
-    first ``grid / 2`` angles; since H(theta + pi) = -H(theta), the
-    value at theta + pi is minus the smallest eigenvalue at theta.
+    Scan: ``grid`` must be even.  The scan takes the maximum of lambda
+    over the ``grid`` angles 2 pi m / grid.  Since H(theta + pi) =
+    -H(theta), one ``eigvalsh`` at a half-circle angle theta gives
+    lambda at theta and, as minus the smallest eigenvalue, at theta +
+    pi.  Most angles need no solve at all:
+
+    - Coarse pass: one batched ``eigvalsh`` over every
+      ``_SCAN_STRIDE``-th half-circle angle and the last one.  The
+      coarse angles and their opposites split the circle into gaps of
+      at most ``_SCAN_STRIDE`` steps, each less than pi wide.
+    - Bound: lambda(theta) is the support function of the numerical
+      range W(T), a convex set, so for theta between two scanned
+      angles lo < theta < hi with hi - lo < pi,
+
+          lambda(theta) <= (lambda(lo) sin(hi - theta)
+                            + lambda(hi) sin(theta - lo)) / sin(hi - lo),
+
+      the vertex where the two support lines meet.  The weights
+      w_lo, w_hi of this bound depend only on ``grid`` and are
+      cached per grid.
+    - Fine pass: a second batched ``eigvalsh`` over the half-circle
+      angles where the bound at theta or at theta + pi, plus the
+      rounding margin below, reaches the best coarse value.
+
+    Rounding margin: let e bound the error of a computed lambda.  A
+    backward-stable ``eigvalsh`` errs by a modest multiple of n eps
+    |H|, and forming H from the rounded cos and sin adds a few eps |T|;
+    |H| <= |T| <= sum |t_ij|.  So e <= E with the generous allowance
+    E = 64 n (eps sum |t_ij| + tiny), where the ``tiny`` term (the
+    smallest normal float) covers underflow.  A computed lambda at a
+    skipped angle is then at most the exact bound from the computed
+    neighbours plus (1 + w_lo + w_hi) E, and the computed bound is
+    within (w_lo + w_hi) E / 8 of the exact one.  An angle is skipped
+    only when its computed bound plus 2 (1 + w_lo + w_hi) E is below
+    the best coarse value, so its lambda, had it been computed, would
+    have lost to that value strictly.  When E overflows to inf, or any
+    value is NaN, nothing is skipped and the scan is the full scan.
+    An angle that could tie the best value is always solved: on a
+    round range (a Jordan block) or the zero matrix that is every
+    angle, and ties go to the first index as in the full scan.
+
+    Every solved angle's lambda has the bits the full scan gives it:
+    each matrix of the batch is built from cos and sin of the whole
+    angle array, indexed afterwards, and factored on its own.  The
+    values go into a full array of ``grid`` values with -inf at the
+    skipped angles, and the argmax of that array is the scan's best
+    angle, so the first-index tie rule, the best value and everything
+    after it are the full scan's, bit for bit.
 
     Refinement: at most ``refine`` steps of Newton's method on
     lambda'(theta) = v* H'(theta) v, from the best scan angle.  Each
@@ -356,15 +441,32 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
     t = as_matrix(t, square=True)
     if grid < 4 or grid % 2:
         raise ValueError(f"grid must be even and at least 4, got {grid}")
-    if t.shape[0] == 0:
+    n = t.shape[0]
+    if n == 0:
         return 0.0, 0.0
     a = 0.5 * (t + t.conj().T)
     b = 0.5j * (t - t.conj().T)
-    thetas = 2.0 * np.pi * np.arange(grid // 2) / grid
-    ends = np.linalg.eigvalsh(
-        np.cos(thetas)[:, None, None] * a + np.sin(thetas)[:, None, None] * b
-    )
-    tops = np.concatenate([ends[:, -1], -ends[:, 0]])
+    half = grid // 2
+    thetas = 2.0 * np.pi * np.arange(half) / grid
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    tops = np.full(grid, -np.inf)
+
+    def scan(idx):
+        ends = np.linalg.eigvalsh(
+            cos[idx][:, None, None] * a + sin[idx][:, None, None] * b
+        )
+        tops[idx] = ends[:, -1]
+        tops[idx + half] = -ends[:, 0]
+
+    coarse, rest, left, right, w_left, w_right, reach = _scan_geometry(grid)
+    scan(coarse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        allowance = 64.0 * n * (_EPS * float(np.abs(t).sum()) + _TINY)
+        bound = w_left * tops[left] + w_right * tops[right] + reach * allowance
+    need = np.zeros(half, dtype=bool)
+    need[rest[~(bound < tops.max())] % half] = True
+    if need.any():
+        scan(np.flatnonzero(need))
     k = int(np.argmax(tops))
     best_val = float(tops[k])
     theta = best_theta = 2.0 * np.pi * k / grid

@@ -131,13 +131,18 @@ def random_symbol_pair(
 
 @dataclass(frozen=True, kw_only=True)
 class ModelTriple(Triple):
-    """A model triple plus its construction metadata."""
+    """A model triple plus its construction metadata.
+
+    ``symbol`` is the admissibility report of ``(a1, a2)`` that the
+    build checked.
+    """
 
     flavor: str
     depth: int
     block_dim: int
     a1: np.ndarray
     a2: np.ndarray
+    symbol: SymbolReport
 
     def as_triple(self) -> Triple:
         """The plain :class:`Triple`, without the metadata."""
@@ -173,6 +178,7 @@ def _build_model(a1, a2, depth, shift, flavor, tol, z_samples):
         block_dim=k,
         a1=a1,
         a2=a2,
+        symbol=report,
     )
 
 

@@ -209,6 +209,57 @@ def bracket_numerical_radius(t, *, grid=720, refine=40):
     return best_val, best_theta
 
 
+def full_scan_numerical_radius(t, *, grid=720, refine=40):
+    # Reference numerical radius: one eigvalsh over all grid / 2
+    # half-circle angles, then the library's Newton refinement, written
+    # out unchanged.  The pruned scan must give the same bits.
+    from tetrablock.linalg import _FLAT_CURVE, _FLAT_SLOPE, as_matrix
+
+    t = as_matrix(t, square=True)
+    if t.shape[0] == 0:
+        return 0.0, 0.0
+    a = 0.5 * (t + t.conj().T)
+    b = 0.5j * (t - t.conj().T)
+    thetas = 2.0 * np.pi * np.arange(grid // 2) / grid
+    ends = np.linalg.eigvalsh(
+        np.cos(thetas)[:, None, None] * a + np.sin(thetas)[:, None, None] * b
+    )
+    tops = np.concatenate([ends[:, -1], -ends[:, 0]])
+    k = int(np.argmax(tops))
+    best_val = float(tops[k])
+    theta = best_theta = 2.0 * np.pi * k / grid
+
+    lo = theta - 2.0 * np.pi / grid
+    hi = theta + 2.0 * np.pi / grid
+    for _ in range(refine):
+        c, s = math.cos(theta), math.sin(theta)
+        vals, vecs = np.linalg.eigh(c * a + s * b)
+        lam = float(vals[-1])
+        if lam > best_val:
+            best_val, best_theta = lam, theta
+        w = vecs.conj().T @ ((c * b - s * a) @ vecs[:, -1])
+        slope = float(w[-1].real)
+        if slope > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coupling = np.abs(w[:-1]) ** 2 / (lam - vals[:-1])
+        curve = -lam + 2.0 * float(np.sum(coupling))
+        step = -slope / curve if curve < 0.0 else math.nan
+        if abs(step) < 1e-13 or hi - lo < 1e-13:
+            break
+        scale = max(abs(lam), abs(float(vals[0])))
+        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * scale
+        if flat and not curve > _FLAT_CURVE * scale:
+            break
+        theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)
+    best_theta %= 2.0 * np.pi
+    if best_theta == 2.0 * np.pi:
+        best_theta = 0.0
+    return best_val, best_theta
+
+
 def cyclic_jacobi_eigh(h):
     # Reference Jacobi: the cyclic row-by-row ordering, one rotation at a
     # time, with the same rotation formula, threshold skip, stopping

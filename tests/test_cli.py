@@ -16,6 +16,7 @@ from tetrablock import (
     varopoulos_example,
 )
 from tetrablock.cli import main
+from tetrablock.contractions import report_to_json
 from tetrablock.poly3 import Poly3
 
 
@@ -251,6 +252,30 @@ def test_model_circulant_flavor_is_boundary_triple(capsys, tmp_path):
     assert doc["boundary_triple"]["passed"]
 
 
+@pytest.mark.parametrize("flavor", ["hardy", "circulant"])
+def test_model_validates_the_pair_once(capsys, monkeypatch, tmp_path, flavor):
+    # The symbol block is the report the build checked, not a second
+    # stacked SVD over the pencils.
+    from tetrablock import cli, models
+
+    calls = []
+    validate = models.validate_symbol_pair
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(models, "validate_symbol_pair", counting)
+    monkeypatch.setattr(cli, "validate_symbol_pair", counting, raising=False)
+    a1, a2 = random_symbol_pair(2, seed=27)
+    f1 = write_json(tmp_path / "a1.json", matrix_to_json(a1))
+    f2 = write_json(tmp_path / "a2.json", matrix_to_json(a2))
+    argv = ["model", "--a1", f1, "--a2", f2, "--blocks", "4", "--flavor", flavor]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and len(calls) == 1
+    assert doc["symbol"] == report_to_json(validate(a1, a2))
+
+
 def test_model_rejects_inadmissible_pair(capsys, tmp_path):
     big = matrix_to_json(0.9 * np.eye(2))
     f1 = write_json(tmp_path / "a1.json", big)
@@ -479,3 +504,32 @@ def test_malformed_matrix_exits_two(capsys, tmp_path, edit):
     assert main(["fundamental", "--triple", triple]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [True, float("nan"), float("inf"), 0, -1e-9, "1e-9", None, 10**400],
+    ids=["bool", "nan", "inf", "zero", "negative", "string", "null", "huge-int"],
+)
+def test_bad_triple_tol_exits_two(capsys, tmp_path, tol):
+    # Before, "tol": true loaded as 1.0, and the unitary check then
+    # passed on the non-unitary depth-3 witness; NaN loaded too.
+    doc = triple_to_json(build_witness(3).triple)
+    doc["tol"] = tol
+    triple = write_json(tmp_path / "t.json", doc)
+    for argv in (
+        ["fundamental", "--triple", triple],
+        ["falsify", "--triple", triple, "--trials", "2"],
+        ["obstruction", "--triple", triple, "--split", "12"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: tol ")
+
+
+def test_triple_tol_accepts_a_positive_int(capsys, tmp_path):
+    doc = triple_to_json(build_witness(3).triple)
+    doc["tol"] = 1
+    triple = write_json(tmp_path / "t.json", doc)
+    code, _ = run_json(capsys, ["fundamental", "--triple", triple])
+    assert code == 0

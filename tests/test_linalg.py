@@ -20,11 +20,19 @@ from tetrablock import (
     sqrt_psd,
 )
 
-from tetrablock.linalg import _jacobi_eigh, _round_robin, complex_from_json
+from tetrablock.linalg import (
+    _SCAN_STRIDE,
+    _jacobi_eigh,
+    _round_robin,
+    complex_from_json,
+)
+
+from tetrablock.selftest import _model_pairs, witness_symbol
 
 from conftest import (
     bracket_numerical_radius,
     cyclic_jacobi_eigh,
+    full_scan_numerical_radius,
     random_complex,
     random_hermitian,
 )
@@ -265,6 +273,76 @@ def test_numerical_radius_stops_where_the_top_eigenvalue_is_flat(monkeypatch):
         value, theta = numerical_radius(t)
         assert len(calls) <= 2
         assert abs(value - want) <= 1e-15 and 0.0 <= theta < 2.0 * np.pi
+
+
+def criterion_7_pencils():
+    zs = [0.0 + 0.0j] + [complex(np.exp(2j * np.pi * k / 35)) for k in range(35)]
+    pairs = list(_model_pairs(8))
+    pairs.append((witness_symbol(), np.zeros((2, 2), dtype=np.complex128)))
+    for a1, a2 in pairs:
+        for z in zs:
+            yield a1 + z * a2
+
+
+def tied_matrices(grid):
+    """Matrices whose scan has exact or near ties: flat and round
+    ranges, and points and squares turned so that the maximum falls
+    midway between a skipped angle and the coarse angle after it."""
+    square = np.diag([1.0, 1.0j, -1.0, -1.0j])
+    yield np.diag(np.ones(5), 1)
+    yield np.eye(3)
+    yield np.zeros((3, 3))
+    yield square
+    for j in range(1, 15):
+        turn = np.exp(-2j * np.pi * (_SCAN_STRIDE * j - 0.5) / grid)
+        yield turn * square
+        yield turn * np.eye(1)
+        yield turn * np.diag([1.0, 0.5])
+
+
+def pruning_corpus():
+    """(matrix, grid, refine) triples for the full-scan oracle."""
+    for t in criterion_7_pencils():
+        yield t, 360, 30
+    rng = np.random.default_rng(1515)
+    for grid in (4, 6, 360, 720):
+        for n in range(1, 13):
+            for _ in range(3):
+                yield random_complex(rng, (n, n)), grid, 40
+        for t in tied_matrices(grid):
+            yield t, grid, 40
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_pruned_scan_matches_full_scan_bit_for_bit(scale):
+    # The support-line bound only skips angles that cannot win, so the
+    # value and the angle are the full scan's, bits and ties included.
+    with np.errstate(over="ignore"):
+        for t, grid, refine in pruning_corpus():
+            got = numerical_radius(scale * t, grid=grid, refine=refine)
+            want = full_scan_numerical_radius(scale * t, grid=grid, refine=refine)
+            assert got == want, (t.shape, grid, got, want)
+
+
+def test_pruned_scan_solves_few_angles(monkeypatch):
+    # On criterion 7's model pencils the coarse pass and the angles near
+    # the peaks are a small part of the 180 half-circle angles; a scan
+    # that falls back to solving all of them fails here.  The last 36
+    # pencils are the witness cell, whose numerical range is a disc:
+    # every angle ties, so none is skipped.
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(h):
+        solved[-1] += h.shape[0] if h.ndim == 3 else 1
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for t in criterion_7_pencils():
+        solved.append(0)
+        numerical_radius(t, grid=360, refine=30)
+    assert solved[-36:] == [180] * 36
+    assert 0 < max(solved[:-36]) < 60
 
 
 @pytest.mark.parametrize("grid", [3, 5, 361])
