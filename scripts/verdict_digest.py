@@ -13,7 +13,10 @@ The commands: ``counterexample`` at depths 4, 16 and 32 with seeds 1,
 ``model`` in both flavors for block dimensions 2 and 3, depths 4 and
 5, and diagonal and dense symbol pairs, each emitting its triple; and
 ``fundamental`` and ``falsify`` on every emitted triple, and
-``obstruction`` on those of even dimension.  Inputs are written under
+``obstruction`` on those of even dimension; and ``falsify`` runs whose
+screens leave several candidates: the depth-8 witness with criterion
+2's 200 trials and seed, and the Varopoulos triple at degrees 2 and 3
+with 100 trials.  Inputs are written under
 fixed relative names, so the output depends on the package alone.  Run
 it against two checkouts and diff the outputs to check that a change
 keeps every document byte for byte:
@@ -35,7 +38,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tetrablock import matrix_to_json, random_symbol_pair
+from tetrablock import (
+    build_witness,
+    matrix_to_json,
+    random_symbol_pair,
+    triple_to_json,
+    varopoulos_example,
+)
 from tetrablock.cli import main as tetra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,7 +68,15 @@ def _symbol_name(k: int, kind: str, which: str) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """Write the symbol pairs the ``model`` commands read."""
+    """Write the symbol pairs the ``model`` commands read, and the
+    triples of the last ``falsify`` runs."""
+    triples = {
+        "witness-8.json": build_witness(8).triple,
+        "varopoulos.json": varopoulos_example()[0],
+    }
+    for name, triple in triples.items():
+        doc = json.dumps(triple_to_json(triple))
+        (directory / name).write_text(doc, encoding="utf-8")
     for k in (2, 3):
         for kind in ("diag", "dense"):
             pair = random_symbol_pair(k, seed=10 * k, diagonal=kind == "diag")
@@ -100,6 +117,11 @@ def commands() -> list:
                     if k * depth % 2 == 0:  # the split is half the dimension
                         split = ["--split", str(k * depth // 2)]
                         cmds.append((["obstruction", "--triple", triple] + split, None))
+    witness = ["falsify", "--triple", "witness-8.json", "--trials", "200"]
+    cmds.append((witness + ["--seed", "20250801"], None))
+    for degree in ("2", "3"):
+        varopoulos = ["falsify", "--triple", "varopoulos.json", "--trials", "100"]
+        cmds.append((varopoulos + ["--degree", degree, "--seed", "3"], None))
     return cmds
 
 

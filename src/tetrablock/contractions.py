@@ -16,6 +16,7 @@ out a commuting normal boundary dilation.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -30,7 +31,7 @@ from .errors import (
     NotAContractionError,
     NotIsometricEmbeddingError,
 )
-from .geometry import sup_on_closure
+from .geometry import sample_distinguished_boundary, sup_on_closure
 from .linalg import as_matrix, herm_eig, matrix_from_json, matrix_to_json, op_norm
 from .poly3 import (
     MonomialBasis,
@@ -38,6 +39,7 @@ from .poly3 import (
     diagonal_blocks,
     distinct_blocks,
     eval_operator,
+    eval_scalar_many,
     poly_to_json,
     random_poly,
 )
@@ -626,14 +628,20 @@ def violation_certificate(
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
     The norm is the largest over the triple's distinct blocks
-    (:func:`_poly_norms`).  A violation is only reported
-    after the sup estimate has been recomputed with ten times the
-    sample budget and the gap still exceeds the configured margin.  The
-    sampled sup can only undershoot the true sup, which inflates the
-    gap, so a reported violation is not rigorous; the margin and the
-    resampling only make a spurious one less likely.  Only the opposite
-    outcome is rigorous, up to the margin: lhs <= sampled sup + margin
-    <= true sup + margin.
+    (:func:`_poly_norms`).  ``sup_first`` is :func:`sup_on_closure` at
+    ``config.sup_samples`` samples drawn from the first of the two
+    :func:`_sup_seeds` children of ``seed``; it is at least the largest
+    |p| over any prefix of that draw, which is what lets
+    :func:`falsify_spectral_set` skip certificates that cannot matter.
+    A violation is only reported after the sup estimate has been
+    recomputed with ten times the sample budget, from the second child,
+    and the gap still exceeds the configured margin; ``sup_refined`` is
+    the larger of the two estimates, or ``sup_first`` when there was no
+    recompute.  The sampled sup can only undershoot the true sup, which
+    inflates the gap, so a reported violation is not rigorous; the
+    margin and the resampling only make a spurious one less likely.
+    Only the opposite outcome is rigorous, up to the margin: lhs <=
+    sampled sup + margin <= true sup + margin.
     """
     lhs = _poly_norms(t, [p])[0]
     first, second = _sup_seeds(seed)
@@ -689,6 +697,22 @@ def _sup_seeds(seed) -> list:
     ]
 
 
+# Sample points per trial in the falsifier's first bound.
+_SCREEN_SAMPLES = 256
+
+
+def _sample_max(p: Poly3, seed, n: int) -> float:
+    """Largest |p| over the first ``n`` boundary samples of ``seed``'s draw.
+
+    These are the first n points of the draw that
+    ``sup_on_closure(p, seed=seed)`` samples, and each |p| is bit for
+    bit what that estimate sees there, so the result is at most the
+    estimate for any sample count of at least n.
+    """
+    x1, x2, x3 = sample_distinguished_boundary(n, seed=seed)
+    return float(np.abs(eval_scalar_many(p, x1, x2, x3)).max())
+
+
 @dataclass(frozen=True)
 class FalsifyReport:
     """Outcome of a randomized sup-norm inequality search."""
@@ -713,18 +737,35 @@ def falsify_spectral_set(
 
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
-    the trial count.  The work is done once per triple, not per trial:
-    the basis of each of the triple's distinct diagonal blocks
-    (:attr:`Triple.parts`) multiplies out each monomial once, every
-    trial's norm ||p(T)|| is the largest over those blocks, and one
-    batched :func:`sup_on_closure` call gives every
-    trial's first sup estimate.  Only the trials this screen leaves
-    above their sup by the margin are then passed, in trial order, to
-    :func:`violation_certificate`, whose ten-times resample confirms or
-    refutes them.  Every screened number is bit for bit what the
-    certificate computes for that trial alone.  The triple's
-    commutation defect, the largest over its distinct blocks, is
-    reported, not enforced; operator evaluation assumes commutation.
+    the trial count.  Every trial's norm ||p(T)|| is the largest over
+    the triple's distinct diagonal blocks (:attr:`Triple.parts`), whose
+    bases multiply out each monomial once for all trials.  The
+    triple's commutation defect, the largest over its distinct blocks,
+    is reported, not enforced; operator evaluation assumes commutation.
+
+    The outcome is that of certifying every trial with
+    :func:`violation_certificate`, in trial order, but only the trials
+    that can still decide it are certified.  A certificate's sup
+    estimate is never below the largest |p| over any prefix of its
+    sample draw, so the largest |p| over the first ``_SCREEN_SAMPLES``
+    points bounds the trial's sup from below and its ratio ||p(T)|| /
+    sup from above.  A trial whose bound might still matter is first
+    tightened to the largest |p| over its whole draw, and certified
+    only if it still might:
+
+    - Violation pass, in trial order: a trial is certified when
+      ||p(T)|| exceeds its sample maximum by the margin, and the first
+      certificate that violates ends the search.
+    - Worst pass, over the trials run, best first: the trial with the
+      largest bound is tightened, or certified once its bound is the
+      whole draw's, and goes back with its new bound, until a certified
+      ratio comes out on top.  That ratio is at least every other
+      trial's bound, so it is the largest, and equal bounds come out in
+      trial order, so ties still go to the first trial.  The report's
+      certificate is the one computed here.
+
+    Each trial is certified at most once, and every reported number is
+    bit for bit that of certifying every trial in order.
 
     Returns outcome "Violation" with its certificate on the first
     confirmed exceedance, with ``trials_run`` counting the trials up to
@@ -749,40 +790,58 @@ def falsify_spectral_set(
             sup_seeds.append(grand[1])
 
     lhs = _poly_norms(t, polys)
-    sup_first = sup_on_closure(
-        polys,
-        n_samples=config.sup_samples,
-        seed=[_sup_seeds(s)[0] for s in sup_seeds],
-    )
-    worst_ratio = 0.0
-    worst = None
-    for k, p in enumerate(polys):
-        sup, cert = sup_first[k], None
-        if lhs[k] > sup + config.falsify_margin:
-            cert = violation_certificate(t, p, config=config, seed=sup_seeds[k])
-            sup = cert.sup_refined
-        ratio = lhs[k] / max(sup, 1e-300)
-        if ratio > worst_ratio:
-            worst_ratio, worst = ratio, k
-        if cert is not None and cert.violates:
-            return FalsifyReport(
-                outcome="Violation",
-                trials_run=k + 1,
-                worst_ratio=float(worst_ratio),
-                commutation_defect=float(comm),
-                certificate=cert,
+    draws = [_sup_seeds(s)[0] for s in sup_seeds]
+    n = config.sup_samples
+    # below[k] bounds trial k's certified sup from below: first the
+    # largest |p| over a prefix of its draw, then over the whole draw,
+    # then, once certified, the certificate's own sup.
+    prefix = min(_SCREEN_SAMPLES, n)
+    below = np.array([_sample_max(p, s, prefix) for p, s in zip(polys, draws)])
+    whole = np.full(len(polys), prefix == n)
+    certs = {}
+
+    def tighten(k):
+        if not whole[k]:
+            below[k] = _sample_max(polys[k], draws[k], n)
+            whole[k] = True
+        else:
+            certs[k] = violation_certificate(
+                t, polys[k], config=config, seed=sup_seeds[k]
             )
-    certificate = None
-    if worst is not None:
-        certificate = violation_certificate(
-            t, polys[worst], config=config, seed=sup_seeds[worst]
-        )
+            below[k] = certs[k].sup_refined
+
+    violation = None
+    for k in range(len(polys)):
+        while k not in certs and lhs[k] > below[k] + config.falsify_margin:
+            tighten(k)
+        if k in certs and certs[k].violates:
+            violation = k
+            break
+    run = len(polys) if violation is None else violation + 1
+
+    # Best first: take the trial with the largest ratio bound and tighten
+    # it.  A certified ratio that comes out on top is at least every
+    # other trial's bound, and equal bounds come out in trial order.
+    ratios = (lhs[:run] / np.maximum(below[:run], 1e-300)).tolist()
+    heap = [(-r, k) for k, r in enumerate(ratios) if r > 0.0]
+    heapq.heapify(heap)
+    worst_ratio, worst = 0.0, None
+    while heap:
+        neg, k = heapq.heappop(heap)
+        if k in certs:
+            worst_ratio, worst = -neg, k
+            break
+        tighten(k)
+        ratio = float(lhs[k] / max(below[k], 1e-300))
+        if ratio > 0.0:
+            heapq.heappush(heap, (-ratio, k))
+
     return FalsifyReport(
-        outcome="NoViolationFound",
-        trials_run=len(polys),
+        outcome="NoViolationFound" if violation is None else "Violation",
+        trials_run=run,
         worst_ratio=float(worst_ratio),
         commutation_defect=float(comm),
-        certificate=certificate,
+        certificate=certs.get(worst if violation is None else violation),
     )
 
 

@@ -239,77 +239,54 @@ def _boundary_points(params: np.ndarray):
     return np.conj(x2) * x3, x2, x3
 
 
-def sup_on_closure(p, *, n_samples: int = 4096, seed=None):
+def sup_on_closure(p: Poly3, *, n_samples: int = 4096, seed=None) -> float:
     """Estimate sup |p| over the closed domain.
 
     The modulus of a polynomial attains its sup over the closure on
-    the distinguished boundary, so sampling is restricted there.  The
-    raw sample maximum (one ``random((n, 3))`` draw, hence monotone in
-    ``n_samples`` for a fixed seed) is then improved by at most
-    ``_REFINE_ITERS`` rounds of a compass pattern search started from
-    the ``_TOP_K`` best samples.  The result never drops below the raw
-    sample maximum.  ``n_samples`` must be positive (no samples would
-    give no estimate).
-
-    ``p`` is one polynomial, which returns a float, or a sequence of
-    polynomials with ``seed`` a matching sequence, which returns an
-    array of the same estimates.  A single polynomial runs as a batch
-    of one.  Each polynomial's samples are drawn from its own seed and
-    evaluated on their own, so memory does not grow with the batch;
-    the refinement then runs once over all polynomials x ``_TOP_K``
-    starts.  A polynomial whose steps have all dropped below 1e-9 is
-    frozen by a mask, exactly where its own search would stop, so each
-    estimate is bit for bit the one its polynomial gets alone.
+    the distinguished boundary, so sampling is restricted there: the
+    samples are :func:`sample_distinguished_boundary`'s ``n_samples``
+    points for ``seed`` (one ``random((n, 3))`` draw).  The raw sample
+    maximum is then improved by at most ``_REFINE_ITERS`` rounds of a
+    compass pattern search started from the ``_TOP_K`` best samples.
+    The result never drops below the raw sample maximum, and so never
+    below the largest |p| over any prefix of the draw, which is how a
+    caller bounds the estimate from below without running it.
+    ``n_samples`` must be positive (no samples would give no estimate).
     """
-    single = isinstance(p, Poly3)
-    polys = [p] if single else list(p)
-    seeds = [seed] if single else list(seed)
-    if len(seeds) != len(polys):
-        raise ValueError(
-            f"need one seed per polynomial, got {len(seeds)} for {len(polys)}"
-        )
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    u = np.random.default_rng(seed).random((n_samples, 3))
+    vals = np.abs(eval_scalar_many(p, *_boundary_points(u)))
     k = min(_TOP_K, n_samples)
-    raw = np.empty(len(polys))
-    starts = np.empty((len(polys), k, 3))
-    for b, (q, s) in enumerate(zip(polys, seeds)):
-        u = np.random.default_rng(s).random((n_samples, 3))
-        vals = np.abs(eval_scalar_many([q], *_boundary_points(u[None])))[0]
-        raw[b] = vals.max()
-        starts[b] = u[np.argsort(vals)[n_samples - k :]]
-    refined = _compass_refine(polys, starts, _REFINE_ITERS)
-    sups = np.maximum(raw, refined.max(axis=1))
-    return float(sups[0]) if single else sups
+    refined = _compass_refine(p, u[np.argsort(vals)[n_samples - k :]], _REFINE_ITERS)
+    return float(np.maximum(vals.max(), refined.max()))
 
 
-def _compass_refine(polys, current: np.ndarray, iters: int) -> np.ndarray:
-    """Batched compass ascent of |p_b| from ``current[b]``; final values.
+def _compass_refine(p: Poly3, current: np.ndarray, iters: int) -> np.ndarray:
+    """Compass ascent of |p| from each row of ``current``; final values.
 
-    ``current`` has shape (polynomials, starts, 3) and is updated in
-    place.  Each start probes +-step along each parameter axis, moves
-    to its best probe when that improves, and halves its step when not.
+    ``current`` has shape (starts, 3) and is updated in place.  Each
+    start probes +-step along each parameter axis, moves to its best
+    probe when that improves, and halves its step when not.  The search
+    stops once every step is below 1e-9.
     """
-    batch, k, _ = current.shape
-    fcur = np.abs(eval_scalar_many(polys, *_boundary_points(current)))
-    steps = np.full((batch, k), 0.1)
-    live = np.ones(batch, dtype=bool)
+    k = len(current)
+    fcur = np.abs(eval_scalar_many(p, *_boundary_points(current)))
+    steps = np.full(k, 0.1)
     for _ in range(iters):
-        live &= ~np.all(steps < 1e-9, axis=1)
-        if not live.any():
+        if np.all(steps < 1e-9):
             break
-        probes = current[:, :, None, :] + steps[:, :, None, None] * _COMPASS
+        probes = current[:, None, :] + steps[:, None, None] * _COMPASS
         probes[..., 0] %= 1.0
         probes[..., 1] %= 1.0
         probes[..., 2] = np.clip(probes[..., 2], 0.0, 1.0)
         fp = np.abs(
-            eval_scalar_many(polys, *_boundary_points(probes.reshape(batch, -1, 3)))
-        ).reshape(batch, k, 6)
-        bidx = np.argmax(fp, axis=2)
-        bval = np.take_along_axis(fp, bidx[..., None], axis=2)[..., 0]
-        gain = (bval > fcur) & live[:, None]
-        best = np.take_along_axis(probes, bidx[..., None, None], axis=2)[:, :, 0]
-        current[gain] = best[gain]
+            eval_scalar_many(p, *_boundary_points(probes.reshape(-1, 3)))
+        ).reshape(k, 6)
+        bidx = np.argmax(fp, axis=1)
+        bval = fp[np.arange(k), bidx]
+        gain = bval > fcur
+        current[gain] = probes[np.arange(k), bidx][gain]
         fcur[gain] = bval[gain]
-        steps[~gain & live[:, None]] *= 0.5
+        steps[~gain] *= 0.5
     return fcur

@@ -197,6 +197,15 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+def _power_of_two_below(x: float) -> float:
+    """The largest power of two at most ``x``, a positive finite float.
+
+    Dividing a matrix whose largest entry is ``x`` by it is exact and
+    brings that entry into [1, 2).
+    """
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
 def _jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin complex Jacobi iteration on a Hermitian matrix.
 
@@ -221,7 +230,7 @@ def _jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Scaling by a power of two is exact and leaves every rotation as
     # it was; it keeps the Frobenius norms from underflowing (entries
     # near 1e-200) or overflowing (near 1e200).
-    scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    scale = _power_of_two_below(big)
     a = h.astype(np.complex128) / scale
     fro = np.linalg.norm(a)
 
@@ -402,11 +411,10 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
     within (w_lo + w_hi) E / 8 of the exact one.  An angle is skipped
     only when its computed bound plus 2 (1 + w_lo + w_hi) E is below
     the best coarse value, so its lambda, had it been computed, would
-    have lost to that value strictly.  When E overflows to inf, or any
-    value is NaN, nothing is skipped and the scan is the full scan.
-    An angle that could tie the best value is always solved: on a
-    round range (a Jordan block) or the zero matrix that is every
-    angle, and ties go to the first index as in the full scan.
+    have lost to that value strictly.  An angle that could tie the
+    best value is always solved: on a round range (a Jordan block)
+    that is every angle, and ties go to the first index as in the full
+    scan.
 
     Every solved angle's lambda has the bits the full scan gives it:
     each matrix of the batch is built from cos and sin of the whole
@@ -433,6 +441,13 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
     below the scan maximum, so it is a lower bound on the numerical
     radius: a local search can miss a higher peak between scan angles.
 
+    Scaling: all of the above runs on T divided by the power of two at
+    or below its largest entry modulus, and the value is multiplied
+    back.  Dividing by a power of two is exact, so the result for 2^k T
+    is 2^k times that for T, with the same angle; without it, the
+    squared couplings in lambda'' overflow for entries near 1e200.  The
+    zero matrix gives (0.0, 0.0).
+
     Returns
     -------
     (value, theta):
@@ -442,8 +457,11 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
     if grid < 4 or grid % 2:
         raise ValueError(f"grid must be even and at least 4, got {grid}")
     n = t.shape[0]
-    if n == 0:
+    big = float(np.abs(t).max()) if n else 0.0
+    if big == 0.0:
         return 0.0, 0.0
+    scale = _power_of_two_below(big)
+    t = t / scale
     a = 0.5 * (t + t.conj().T)
     b = 0.5j * (t - t.conj().T)
     half = grid // 2
@@ -460,9 +478,8 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
 
     coarse, rest, left, right, w_left, w_right, reach = _scan_geometry(grid)
     scan(coarse)
-    with np.errstate(over="ignore", invalid="ignore"):
-        allowance = 64.0 * n * (_EPS * float(np.abs(t).sum()) + _TINY)
-        bound = w_left * tops[left] + w_right * tops[right] + reach * allowance
+    allowance = 64.0 * n * (_EPS * float(np.abs(t).sum()) + _TINY)
+    bound = w_left * tops[left] + w_right * tops[right] + reach * allowance
     need = np.zeros(half, dtype=bool)
     need[rest[~(bound < tops.max())] % half] = True
     if need.any():
@@ -493,14 +510,14 @@ def numerical_radius(t, *, grid: int = 720, refine: int = 40) -> tuple[float, fl
             break
         # Flat or multiple top eigenvalue: lambda' is zero to rounding
         # and lambda'' is 0/0 or zero to rounding, so no step can gain.
-        scale = max(abs(lam), abs(float(vals[0])))
-        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * scale
-        if flat and not curve > _FLAT_CURVE * scale:
+        size = max(abs(lam), abs(float(vals[0])))
+        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * size
+        if flat and not curve > _FLAT_CURVE * size:
             break
         theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)
     best_theta %= 2.0 * np.pi
     if best_theta == 2.0 * np.pi:
         # A tiny negative angle wraps to 2 pi after rounding.
         best_theta = 0.0
-    return best_val, best_theta
+    return best_val * scale, best_theta
 

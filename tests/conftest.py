@@ -212,12 +212,16 @@ def bracket_numerical_radius(t, *, grid=720, refine=40):
 def full_scan_numerical_radius(t, *, grid=720, refine=40):
     # Reference numerical radius: one eigvalsh over all grid / 2
     # half-circle angles, then the library's Newton refinement, written
-    # out unchanged.  The pruned scan must give the same bits.
+    # out unchanged, both on T scaled by a power of two as the library
+    # scales it.  The pruned scan must give the same bits.
     from tetrablock.linalg import _FLAT_CURVE, _FLAT_SLOPE, as_matrix
 
     t = as_matrix(t, square=True)
-    if t.shape[0] == 0:
+    big = float(np.abs(t).max()) if t.shape[0] else 0.0
+    if big == 0.0:
         return 0.0, 0.0
+    scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    t = t / scale
     a = 0.5 * (t + t.conj().T)
     b = 0.5j * (t - t.conj().T)
     thetas = 2.0 * np.pi * np.arange(grid // 2) / grid
@@ -249,15 +253,15 @@ def full_scan_numerical_radius(t, *, grid=720, refine=40):
         step = -slope / curve if curve < 0.0 else math.nan
         if abs(step) < 1e-13 or hi - lo < 1e-13:
             break
-        scale = max(abs(lam), abs(float(vals[0])))
-        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * scale
-        if flat and not curve > _FLAT_CURVE * scale:
+        size = max(abs(lam), abs(float(vals[0])))
+        flat = abs(slope) <= _FLAT_SLOPE * len(vals) * size
+        if flat and not curve > _FLAT_CURVE * size:
             break
         theta = theta + step if lo < theta + step < hi else 0.5 * (lo + hi)
     best_theta %= 2.0 * np.pi
     if best_theta == 2.0 * np.pi:
         best_theta = 0.0
-    return best_val, best_theta
+    return best_val * scale, best_theta
 
 
 def cyclic_jacobi_eigh(h):

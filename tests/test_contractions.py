@@ -388,6 +388,67 @@ def test_falsifier_matches_per_trial_certificates(triple, trials, degree):
     assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
 
 
+def _deciding_cases():
+    # Cases where the falsifier certifies more than one trial, or stops
+    # at a violation: (id, triple, keyword arguments).
+    witness = build_witness(32).triple
+    varo_triple, varo = varopoulos_example()
+    for seed in (6, 10, 11):
+        yield f"d32-seed{seed}", witness, dict(trials=50, degree=3, seed=seed)
+    yield "varopoulos-deg3", varo_triple, dict(trials=100, degree=3, seed=3)
+    for n in (100, 1):
+        config = ToolConfig(sup_samples=n)
+        yield f"d4-samples{n}", build_witness(4).triple, dict(
+            trials=30, degree=3, seed=2, config=config
+        )
+        yield f"varopoulos-samples{n}", varo_triple, dict(
+            trials=30, degree=3, seed=2, config=config
+        )
+    others = [random_poly(2, seed=i) for i in range(4)]
+    for pos in range(3):
+        polys = others[:pos] + [varo] + others[pos:]
+        yield f"planted-at-{pos}", varo_triple, dict(polys=polys, seed=40)
+    # x1 and x1^2 both violate at a point outside the domain, x1^2 by
+    # more: the worst ratio is that of the trials run, up to x1.
+    outside = Triple(t1=[[2.0]], t2=[[0.0]], t3=[[0.0]])
+    x1, x1_squared = Poly3({(1, 0, 0): 1.0}), Poly3({(2, 0, 0): 1.0})
+    yield "violation-before-larger", outside, dict(
+        polys=[others[0], x1, x1_squared], seed=5
+    )
+
+
+@pytest.mark.parametrize(
+    "triple, kwargs",
+    [pytest.param(triple, kwargs, id=name) for name, triple, kwargs in _deciding_cases()],
+)
+def test_falsifier_matches_per_trial_where_several_trials_decide(triple, kwargs):
+    # The pruned screen certifies few of these trials; the verdict, trial
+    # count, ratio and certificate must still be those of certifying
+    # every trial on its own, bit for bit.
+    rep = falsify_spectral_set(triple, **kwargs)
+    want = per_trial_falsify(triple, **kwargs)
+    assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
+
+
+def test_falsifier_certifies_few_trials_on_the_benchmark_inputs(monkeypatch):
+    # pipeline-d32's inputs: the depth-32 witness, 50 trials, and the
+    # per-op seeds of workload seed 1.  A screen that falls back to
+    # certifying every trial, or certifies one trial twice, fails here.
+    witness = build_witness(32).triple
+    calls = []
+
+    def spy(t, p, **kwargs):
+        calls.append(p)
+        return violation_certificate(t, p, **kwargs)
+
+    monkeypatch.setattr(contractions, "violation_certificate", spy)
+    for seed in np.random.SeedSequence(1).generate_state(16).tolist():
+        calls.clear()
+        falsify_spectral_set(witness, trials=50, degree=3, seed=seed)
+        assert 1 <= len(calls) <= 3
+        assert all(p is not q for i, p in enumerate(calls) for q in calls[:i])
+
+
 def test_falsifier_stops_at_first_confirmed_violation():
     t, varo = varopoulos_example()
     benign = Poly3({(0, 0, 0): 0.5, (0, 0, 1): 0.25})
@@ -424,12 +485,27 @@ def test_falsifier_refutes_unconfirmed_candidates(monkeypatch):
 
     monkeypatch.setattr(contractions, "violation_certificate", spy)
     rep = falsify_spectral_set(t, trials=20, degree=2, seed=4, config=config)
-    # Four refuted candidates, then the worst trial's certificate.
-    assert len(certs) == 5 and not any(c.violates for c in certs)
-    assert all(c.sup_refined > c.sup_first for c in certs[:-1])
     monkeypatch.undo()
+    # Exactly the four trials that pass the one-sample screen are
+    # resampled, and the resample refutes each of them.
+    screened = []
+    for child in np.random.SeedSequence(4).spawn(20):
+        poly_seed, sup_seed = child.spawn(2)
+        p = random_poly(2, seed=poly_seed)
+        cert = violation_certificate(t, p, config=config, seed=sup_seed)
+        if cert.lhs > cert.sup_first + cert.margin:
+            screened.append(cert)
+    assert len(screened) == 4
+    assert [c for c in certs if c.sup_refined > c.sup_first] == screened
+    assert not any(c.violates for c in certs)
     want = per_trial_falsify(t, trials=20, degree=2, seed=4, config=config)
     assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
+
+
+def test_falsifier_with_no_trials_finds_nothing():
+    rep = falsify_spectral_set(build_witness(3).triple, trials=0, seed=1)
+    assert (rep.outcome, rep.trials_run, rep.worst_ratio) == ("NoViolationFound", 0, 0.0)
+    assert rep.certificate is None
 
 
 def test_falsifier_rejects_negative_trials():

@@ -313,15 +313,29 @@ def pruning_corpus():
             yield t, grid, 40
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
 def test_pruned_scan_matches_full_scan_bit_for_bit(scale):
     # The support-line bound only skips angles that cannot win, so the
     # value and the angle are the full scan's, bits and ties included.
-    with np.errstate(over="ignore"):
-        for t, grid, refine in pruning_corpus():
-            got = numerical_radius(scale * t, grid=grid, refine=refine)
-            want = full_scan_numerical_radius(scale * t, grid=grid, refine=refine)
-            assert got == want, (t.shape, grid, got, want)
+    # Nothing may overflow on the way, at any of the three scales.
+    for t, grid, refine in pruning_corpus():
+        got = numerical_radius(scale * t, grid=grid, refine=refine)
+        want = full_scan_numerical_radius(scale * t, grid=grid, refine=refine)
+        assert got == want, (t.shape, grid, got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_numerical_radius_scales_by_powers_of_two_exactly(k):
+    # Scaling T by 2^k scales the value by 2^k and keeps the angle, bit
+    # for bit and with no overflow in the refinement's squares.
+    rng = np.random.default_rng(1717)
+    corpus = [random_complex(rng, (n, n)) for n in range(1, 9)]
+    corpus += [np.diag(np.ones(3), 1)] + list(criterion_7_pencils())[::60]
+    for t in corpus:
+        value, theta = numerical_radius(t)
+        assert numerical_radius(2.0**k * t) == (2.0**k * value, theta)
 
 
 def test_pruned_scan_solves_few_angles(monkeypatch):
