@@ -5,29 +5,24 @@ dilation-obstruction pipeline."""
 from .config import DEFAULT_CONFIG, ToolConfig
 from .contractions import (
     Certificate,
-    DilationReport,
     FalsifyReport,
     FundamentalPair,
     HypothesisReport,
-    IsometryReport,
     ObstructionReport,
     Triple,
     UnitaryReport,
     certificate_to_json,
     check_obstruction_hypotheses,
-    check_tetra_isometry,
     check_tetra_unitary,
     commutation_defect,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
-    purity_defect,
     report_to_json,
     triple_from_json,
     triple_to_json,
     varopoulos_example,
     varopoulos_polynomial,
-    verify_dilation,
     violation_certificate,
 )
 from .counterexample import (
@@ -60,10 +55,8 @@ from .errors import (
 )
 from .geometry import (
     MembershipReport,
-    boundary_point,
     classify_point,
     defining_abs_min,
-    on_distinguished_boundary,
     point_from_json,
     point_to_json,
     sample_distinguished_boundary,

@@ -29,8 +29,8 @@ from .config import DEFAULT_CONFIG, ToolConfig
 from .contractions import (
     certificate_to_json,
     check_obstruction_hypotheses,
-    check_tetra_isometry,
     check_tetra_unitary,
+    commutation_defect,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
@@ -266,7 +266,7 @@ def _cmd_model(args, config: ToolConfig) -> int:
     }
     if model.flavor == "hardy":
         doc["interior"] = report_to_json(interior_identity_report(model))
-        doc["commutation"] = check_tetra_isometry(model).commutation
+        doc["commutation"] = commutation_defect(model)
     else:
         unitary = check_tetra_unitary(model)
         doc["boundary_triple"] = {

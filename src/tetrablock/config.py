@@ -102,7 +102,9 @@ class ToolConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToolConfig":
-        """Build a config from a dict, rejecting unknown keys."""
+        """Build a config from a dict; ValueError for a non-dict or an unknown key."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -52,9 +52,6 @@ __all__ = [
     "relation_defects",
     "UnitaryReport",
     "check_tetra_unitary",
-    "IsometryReport",
-    "check_tetra_isometry",
-    "purity_defect",
     "FundamentalPair",
     "extract_fundamental",
     "ObstructionReport",
@@ -62,8 +59,6 @@ __all__ = [
     "HypothesisReport",
     "check_obstruction_hypotheses",
     "report_to_json",
-    "DilationReport",
-    "verify_dilation",
     "Certificate",
     "certificate_to_json",
     "violation_certificate",
@@ -147,9 +142,12 @@ def triple_to_json(t: Triple) -> dict:
 def triple_from_json(obj: dict) -> Triple:
     """Inverse of :func:`triple_to_json`.
 
-    Raises ValueError naming ``tol`` unless it is a finite positive
-    real number; a bool is not a number here.
+    Raises ValueError naming the triple unless ``obj`` is a dict, and
+    naming ``tol`` unless it is a finite positive real number; a bool
+    is not a number here.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"triple must be a JSON object, got {obj!r}")
     tol = obj.get("tol", 1e-9)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool):
         raise ValueError(f"tol must be a real number, got {tol!r}")
@@ -223,36 +221,6 @@ def check_tetra_unitary(t: Triple) -> UnitaryReport:
         normality_2,
     )
     return UnitaryReport(*defects, passed=bool(max(defects) <= t.tol))
-
-
-@dataclass(frozen=True)
-class IsometryReport:
-    """Defects of the isometric-triple structure."""
-
-    commutation: float
-    isometry_defect: float
-    contraction_excess: float
-    relation_1: float
-    relation_2: float
-    passed: bool
-
-
-def check_tetra_isometry(t: Triple) -> IsometryReport:
-    """Check the defining conditions of an isometric triple.
-
-    Requires T3*T3 = I, ||T2|| <= 1, T1 = T2* T3 and T2 = T1* T3,
-    with everything commuting, each within ``t.tol``.
-    """
-    isometry_defect, relation_1, relation_2 = relation_defects(t)
-    contraction_excess = max(0.0, op_norm(t.t2) - 1.0)
-    comm = commutation_defect(t)
-    defects = (comm, isometry_defect, contraction_excess, relation_1, relation_2)
-    return IsometryReport(*defects, passed=bool(max(defects) <= t.tol))
-
-
-def purity_defect(t: Triple) -> float:
-    """Norm of (T3*)^dim; zero certifies purity at finite depth."""
-    return op_norm(np.linalg.matrix_power(t.t3.conj().T, t.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -504,93 +472,6 @@ def report_to_json(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dilation verification.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DilationReport:
-    """Compression defects of a candidate dilation.
-
-    ``max_compression_defect`` is the worst monomial defect
-    ||V* Q^m V - T^m|| over total degrees 1..max_degree; the
-    ``extension_defects`` measure whether each big operator's adjoint
-    leaves the embedded subspace invariant (zero for a genuine
-    extension, not required for a plain power dilation).
-    """
-
-    max_compression_defect: float
-    worst_monomial: tuple[int, int, int]
-    extension_defects: tuple[float, float, float]
-    max_degree: int
-    passed: bool
-
-
-def verify_dilation(
-    small: Triple,
-    big: Triple,
-    embed,
-    *,
-    max_degree: int = 3,
-    tol: float = 1e-9,
-) -> DilationReport:
-    """Check that ``big`` power-dilates ``small`` through ``embed``.
-
-    ``embed`` is an isometry from the small space into the big one
-    (columns orthonormal).  For every monomial in the three variables
-    with total degree between 1 and ``max_degree``, the compression of
-    the big monomial must match the small one.
-    """
-    v = as_matrix(embed, name="embed")
-    if v.shape != (big.dim, small.dim):
-        raise DimensionMismatchError(
-            f"embed must be {big.dim}x{small.dim}, got {v.shape}"
-        )
-    gram_defect = op_norm(v.conj().T @ v - np.eye(small.dim))
-    if gram_defect > tol:
-        raise NotIsometricEmbeddingError(
-            f"embedding is not isometric (defect {gram_defect:.3e})"
-        )
-
-    # Absent (exactly zero) monomials compress as zero matrices.
-    small_zero = np.zeros((small.dim, small.dim), dtype=np.complex128)
-    big_zero = np.zeros((big.dim, big.dim), dtype=np.complex128)
-
-    worst = 0.0
-    worst_mono = (0, 0, 0)
-    for m1 in range(max_degree + 1):
-        for m2 in range(max_degree + 1 - m1):
-            for m3 in range(max_degree + 1 - m1 - m2):
-                if m1 + m2 + m3 == 0:
-                    continue
-                exp = (m1, m2, m3)
-                big_mono = big.basis.monomial(exp)
-                if big_mono is None:
-                    big_mono = big_zero
-                small_mono = small.basis.monomial(exp)
-                if small_mono is None:
-                    small_mono = small_zero
-                defect = op_norm(v.conj().T @ big_mono @ v - small_mono)
-                if defect > worst:
-                    worst = defect
-                    worst_mono = (m1, m2, m3)
-
-    proj = v @ v.conj().T
-    comp = np.eye(big.dim) - proj
-    ext = tuple(
-        float(op_norm(comp @ q.conj().T @ proj))
-        for q in (big.t1, big.t2, big.t3)
-    )
-    return DilationReport(
-        max_compression_defect=float(worst),
-        worst_monomial=worst_mono,
-        extension_defects=ext,
-        max_degree=max_degree,
-        passed=bool(worst <= tol),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Randomized inequality falsifier.
 # ---------------------------------------------------------------------------
 
@@ -664,18 +545,30 @@ def violation_certificate(
     )
 
 
+# Matrix entries per stacked SVD in _poly_norms: all the trials at
+# once on small blocks, one matrix at a time from 256x256 up.
+_STACK_ENTRIES = 1 << 16
+
+
 def _poly_norms(t: Triple, polys) -> np.ndarray:
     """||p(T)|| for each polynomial, the largest over the distinct blocks.
 
     Each polynomial is evaluated on the basis of every distinct block
-    (:attr:`Triple.parts`); a one-block triple is evaluated whole and
-    normed by :func:`op_norm`.
+    (:attr:`Triple.parts`), and each block's values are normed by
+    stacked SVDs of at most ``_STACK_ENTRIES`` entries: every norm is
+    its matrix's largest singular value, as :func:`op_norm` gives it,
+    with the same ValueError on non-finite entries.
     """
     norms = np.zeros(len(polys))
     for part, _ in t.parts:
-        norms = np.maximum(
-            norms, [op_norm(eval_operator(p, part.basis)) for p in polys]
-        )
+        step = max(1, _STACK_ENTRIES // part.dim**2)
+        for lo in range(0, len(polys), step):
+            chunk = slice(lo, lo + step)
+            stack = np.stack([eval_operator(p, part.basis) for p in polys[chunk]])
+            if not np.isfinite(stack).all():
+                raise ValueError("matrix contains non-finite entries")
+            sigma = np.linalg.svd(stack, compute_uv=False)
+            norms[chunk] = np.maximum(norms[chunk], sigma.max(axis=-1))
     return norms
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "classify_point",
     "point_to_json",
     "point_from_json",
-    "on_distinguished_boundary",
-    "boundary_point",
     "sample_distinguished_boundary",
     "defining_abs_min",
     "sup_on_closure",
@@ -128,32 +126,6 @@ def classify_point(
         beta_sum=float(abs(x2)),
         residual=0.0,
     )
-
-
-def on_distinguished_boundary(
-    x1: complex, x2: complex, x3: complex, *, tol: float = 1e-9
-) -> bool:
-    """True when the point satisfies the three boundary identities."""
-    x1, x2, x3 = complex(x1), complex(x2), complex(x3)
-    return (
-        abs(abs(x3) - 1.0) <= tol
-        and abs(x1 - np.conj(x2) * x3) <= tol
-        and abs(x2) <= 1.0 + tol
-    )
-
-
-def boundary_point(theta: float, phi: float, radius: float) -> tuple[complex, complex, complex]:
-    """Distinguished-boundary point from angle/radius coordinates.
-
-    ``x3 = exp(i theta)``, ``x2 = radius * exp(i phi)`` with
-    0 <= radius <= 1, and ``x1 = conj(x2) * x3``.
-    """
-    if not 0.0 <= radius <= 1.0:
-        raise ValueError("radius must lie in [0, 1]")
-    x3 = complex(np.exp(1j * theta))
-    x2 = complex(radius * np.exp(1j * phi))
-    x1 = complex(np.conj(x2) * x3)
-    return x1, x2, x3
 
 
 def sample_distinguished_boundary(

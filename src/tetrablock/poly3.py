@@ -2,12 +2,12 @@
 minimal-norm extension utilities.
 
 A polynomial is held sparsely as ``{(m1, m2, m3): coefficient}``.
-Scalar evaluation uses cumulative power tables and takes a batch of
-points and of polynomials at once; operator evaluation substitutes a
-commuting matrix triple, ordered as ``T1^m1 T2^m2 T3^m3``.  The
-triple's monomials come from a ``MonomialBasis``, which builds each
-power and monomial once and keeps exactly zero ones as absent, so
-callers evaluating many polynomials on one triple share its basis.
+Scalar evaluation uses cumulative power tables over a batch of
+points; operator evaluation substitutes a commuting matrix triple,
+ordered as ``T1^m1 T2^m2 T3^m3``.  The triple's monomials come from
+a ``MonomialBasis``, which builds each power and monomial once and
+keeps exactly zero ones as absent, so callers evaluating many
+polynomials on one triple share its basis.
 ``diagonal_blocks`` and ``distinct_blocks`` find the block form of
 square matrices: their block-diagonal partition and its distinct
 blocks with where each occurs.
@@ -134,74 +134,38 @@ def poly_from_json(obj) -> Poly3:
     return Poly3(coeffs)
 
 
-def eval_scalar_many(p, x1, x2, x3) -> np.ndarray:
+def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
     """Evaluate at arrays of points (broadcast together).
 
-    ``p`` is one polynomial or a sequence of B polynomials.  For a
-    sequence the points carry a leading batch axis of length B, and
-    polynomial b is evaluated at the points of row b; a single
-    polynomial runs as a batch of one, without the batch axis.  When
-    every polynomial has the same exponent list (always so for one
-    polynomial, and for the draws of :func:`random_poly` at one
-    degree), the whole batch runs at once on each variable's
-    cumulative power table; otherwise each row runs alone.  Either way
-    the terms of each row are multiplied as ((c * x1^m1) * x2^m2) *
-    x3^m3 and summed in its ``coeffs`` order, so every row is bit for
-    bit its own evaluation.
+    Each variable gets a cumulative power table over the points, and
+    the terms are multiplied as ((c * x1^m1) * x2^m2) * x3^m3, each
+    factor a view of a table row and every product written into one
+    reused buffer, then summed in ``p.coeffs`` order.
     """
-    single = isinstance(p, Poly3)
-    polys = [p] if single else list(p)
     xs = np.broadcast_arrays(
         np.asarray(x1, dtype=np.complex128),
         np.asarray(x2, dtype=np.complex128),
         np.asarray(x3, dtype=np.complex128),
     )
-    if single:
-        xs = [x[None] for x in xs]
-    if xs[0].shape[:1] != (len(polys),):
-        raise ValueError(
-            f"points need a leading batch axis of {len(polys)}, got shape {xs[0].shape}"
-        )
     out = np.zeros(xs[0].shape, dtype=np.complex128)
-    if polys:
-        key = polys[0].exp_array.tobytes()
-        if all(q.exp_array.tobytes() == key for q in polys):
-            coefs = np.stack([q.coef_array for q in polys], axis=1)
-            _accumulate(out, polys[0].exp_array, coefs, xs)
-        else:
-            for b, q in enumerate(polys):
-                row = slice(b, b + 1)
-                _accumulate(
-                    out[row], q.exp_array, q.coef_array[:, None], [x[row] for x in xs]
-                )
-    return out[0] if single else out
-
-
-def _accumulate(out: np.ndarray, exps: np.ndarray, coefs: np.ndarray, xs) -> None:
-    """Add the terms of one exponent list to ``out`` in place.
-
-    ``exps`` is (t, 3), and ``coefs`` is (t, B) with one column per
-    batch row of ``out`` and of the points ``xs``.  Each factor is a
-    view of a power table row, and every product is written into one
-    reused buffer.
-    """
-    if not len(exps):
-        return
+    if not p.coeffs:
+        return out
     tables = []
-    for x, d in zip(xs, exps.max(axis=0)):
+    for x, d in zip(xs, p.exp_array.max(axis=0)):
         tab = np.empty((d + 1,) + x.shape, dtype=np.complex128)
         tab[0] = 1.0
         for k in range(1, d + 1):
-            np.multiply(tab[k - 1], x, out=tab[k])
+            # tab[k, ...] is an array view even for 0-d points.
+            np.multiply(tab[k - 1], x, out=tab[k, ...])
         tables.append(tab)
     t1, t2, t3 = tables
-    coefs = coefs.reshape(coefs.shape + (1,) * (out.ndim - 1))
     term = np.empty_like(out)
-    for (m1, m2, m3), c in zip(exps.tolist(), coefs):
+    for (m1, m2, m3), c in zip(p.exp_array.tolist(), p.coef_array):
         np.multiply(c, t1[m1], out=term)
         term *= t2[m2]
         term *= t3[m3]
         out += term
+    return out
 
 
 class MonomialBasis:

@@ -444,6 +444,16 @@ def test_bad_config_types_exit_two(capsys, tmp_path, cfg):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cfg", [5, None], ids=["int", "null"])
+def test_config_file_not_an_object_exits_two(capsys, tmp_path, cfg):
+    # Before, a config file holding 5 or null ended in a TypeError
+    # traceback and exit code 1.
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["classify", "--point", "(0,0,0)", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: config ")
+
+
 def test_default_configs_construct():
     from tetrablock.config import DEFAULT_CONFIG, ToolConfig
 
@@ -525,6 +535,21 @@ def test_bad_triple_tol_exits_two(capsys, tmp_path, tol):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: tol ")
+
+
+@pytest.mark.parametrize("doc", [[1], 5], ids=["list", "int"])
+def test_triple_file_not_an_object_exits_two(capsys, tmp_path, doc):
+    # Before, a triple file holding [1] or 5 ended in an AttributeError
+    # traceback and exit code 1.
+    triple = write_json(tmp_path / "t.json", doc)
+    for argv in (
+        ["fundamental", "--triple", triple],
+        ["falsify", "--triple", triple, "--trials", "2"],
+        ["obstruction", "--triple", triple, "--split", "12"],
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: triple "), argv[0]
 
 
 def test_triple_tol_accepts_a_positive_int(capsys, tmp_path):

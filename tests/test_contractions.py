@@ -1,4 +1,4 @@
-"""Triple structure checks, fundamental operators, dilation verification."""
+"""Triple structure checks, fundamental operators, the obstruction and the falsifier."""
 
 import json
 
@@ -14,12 +14,10 @@ from tetrablock import (
     Poly3,
     ToolConfig,
     Triple,
-    boundary_point,
     build_circulant_model,
     build_hardy_model,
     build_witness,
     check_obstruction_hypotheses,
-    check_tetra_isometry,
     check_tetra_unitary,
     commutation_defect,
     dilation_obstruction,
@@ -27,14 +25,12 @@ from tetrablock import (
     falsify_spectral_set,
     op_norm,
     pipeline_report_to_json,
-    purity_defect,
     random_poly,
     random_symbol_pair,
     run_pipeline,
     triple_from_json,
     triple_to_json,
     varopoulos_example,
-    verify_dilation,
     violation_certificate,
     witness_symbol,
 )
@@ -84,17 +80,10 @@ def test_witness_is_not_tetra_unitary():
     assert rep.unitary_defect == pytest.approx(1.0, abs=1e-12)
 
 
-def test_circulant_model_is_tetra_isometry():
-    m = build_circulant_model(*SYMBOLS, 6)
-    assert check_tetra_isometry(m.as_triple()).passed
-
-
 def test_hardy_model_isometry_fails_at_truncation():
     m = build_hardy_model(*SYMBOLS, 4)
-    rep = check_tetra_isometry(m.as_triple())
-    assert not rep.passed
     # The truncated shift drops exactly one slot, so the defect is 1.
-    assert rep.isometry_defect == pytest.approx(1.0, abs=1e-12)
+    assert contractions.relation_defects(m)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cols", [slice(None), slice(None, 6), slice(None, 0)])
@@ -109,17 +98,6 @@ def test_relation_defects_match_the_written_out_identities(cols):
         op_norm(t2[:, cols] - t1.conj().T @ t3[:, cols]),
     )
     assert contractions.relation_defects(t, cols) == want
-    if cols == slice(None):
-        rep = check_tetra_isometry(t)
-        assert rep.isometry_defect == op_norm(t3.conj().T @ t3 - np.eye(t.dim))
-        assert (rep.relation_1, rep.relation_2) == want[1:]
-
-
-def test_purity_defect():
-    h = build_hardy_model(*SYMBOLS, 4).as_triple()
-    c = build_circulant_model(*SYMBOLS, 4).as_triple()
-    assert purity_defect(h) == 0.0
-    assert purity_defect(c) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extract_fundamental_on_witness():
@@ -253,67 +231,6 @@ def test_hypotheses_boundary_across_blocks_equals_dense(rows):
     want = dense_hypotheses(w.triple, w.split, s)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
     assert 0.9 < rep.defect_kernel < 1.0
-
-
-def test_circulant_dilates_hardy():
-    h = build_hardy_model(*SYMBOLS, 4)
-    c = build_circulant_model(*SYMBOLS, 8)
-    embed = np.zeros((c.dim, h.dim))
-    embed[: h.dim, :] = np.eye(h.dim)
-    rep = verify_dilation(h.as_triple(), c.as_triple(), embed, max_degree=4)
-    assert rep.passed
-    assert rep.max_compression_defect <= 1e-10
-    # A power dilation need not be an extension; the defects just
-    # report how far the adjoints leak off the subspace.
-    assert max(rep.extension_defects) > 0.1
-
-
-def test_unitary_power_dilation_stops_at_degree_one():
-    t = 0.6
-    s = np.sqrt(1.0 - t * t)
-    u = np.array([[t, s], [s, -t]])
-    small = Triple(t1=[[t]], t2=[[t]], t3=[[t]])
-    big = Triple(t1=u, t2=u, t3=u)
-    v = np.array([[1.0], [0.0]])
-    assert verify_dilation(small, big, v, max_degree=1).passed
-    rep = verify_dilation(small, big, v, max_degree=2)
-    assert not rep.passed
-    # u squares to the identity, so every degree-2 monomial compresses
-    # to 1 instead of t^2.
-    assert rep.max_compression_defect == pytest.approx(1.0 - t * t, abs=1e-12)
-
-
-def test_verify_dilation_treats_absent_monomials_as_zero():
-    # The witness sits as a direct summand of a bigger triple, so every
-    # compression is exact, including the witness's zero monomials.
-    w = build_witness(3).triple
-    d = np.diag([0.5, -0.25, 0.75])
-    zeros = np.zeros((w.dim, 3))
-
-    def with_block(m):
-        return np.block([[m, zeros], [zeros.T, d]])
-
-    big = Triple(t1=with_block(w.t1), t2=with_block(w.t2), t3=with_block(w.t3))
-    v = np.vstack([np.eye(w.dim), zeros.T])
-    rep = verify_dilation(w, big, v, max_degree=3)
-    assert rep.passed
-    assert rep.max_compression_defect == 0.0
-    # A zero monomial on either side compresses against 0.5^|m| on the
-    # other, so the worst defect is 0.5, first met at (0, 0, 1).
-    half = Triple(t1=[[0.5]], t2=[[0.5]], t3=[[0.5]])
-    zero = Triple(t1=[[0.0]], t2=[[0.0]], t3=[[0.0]])
-    for small, big in ((half, zero), (zero, half)):
-        rep = verify_dilation(small, big, [[1.0]], max_degree=3)
-        assert not rep.passed
-        assert rep.max_compression_defect == 0.5
-        assert rep.worst_monomial == (0, 0, 1)
-
-
-def test_verify_dilation_requires_isometric_embed():
-    small = Triple(t1=[[0.5]], t2=[[0.5]], t3=[[0.5]])
-    big = Triple(t1=np.eye(2), t2=np.eye(2), t3=np.eye(2))
-    with pytest.raises(NotIsometricEmbeddingError):
-        verify_dilation(small, big, np.array([[2.0], [0.0]]))
 
 
 def test_varopoulos_certificate():
@@ -474,7 +391,9 @@ def test_falsifier_refutes_unconfirmed_candidates(monkeypatch):
     # At a point of the distinguished boundary ||p(T)|| = |p(x)| <= sup |p|,
     # but a one-sample sup can fall short of it: such first-pass
     # candidates are certified, and the tenfold resample refutes them.
-    x1, x2, x3 = boundary_point(0.3, 1.1, 0.9)
+    x3 = complex(np.exp(1j * 0.3))
+    x2 = complex(0.9 * np.exp(1j * 1.1))
+    x1 = complex(np.conj(x2) * x3)
     t = Triple(t1=[[x1]], t2=[[x2]], t3=[[x3]])
     config = ToolConfig(sup_samples=1)
     certs = []

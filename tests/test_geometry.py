@@ -5,11 +5,9 @@ import pytest
 
 from tetrablock import (
     Poly3,
-    boundary_point,
     random_poly,
     classify_point,
     defining_abs_min,
-    on_distinguished_boundary,
     point_from_json,
     point_to_json,
     sample_distinguished_boundary,
@@ -60,7 +58,9 @@ def test_large_x3_is_outside():
 
 def test_unimodular_x3_branch():
     # Consistent and small: on the distinguished boundary.
-    x1, x2, x3 = boundary_point(0.7, 1.9, 0.4)
+    x3 = complex(np.exp(1j * 0.7))
+    x2 = complex(0.4 * np.exp(1j * 1.9))
+    x1 = complex(np.conj(x2) * x3)
     rep = classify_point(x1, x2, x3)
     assert rep.in_closure
     assert rep.distinguished
@@ -73,24 +73,17 @@ def test_unimodular_x3_branch():
     assert rep.beta is None and rep.beta_sum is None
 
 
-def test_boundary_point_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        boundary_point(0.0, 0.0, 1.5)
-
-
 def test_distinguished_boundary_identities(rng):
     x1, x2, x3 = sample_distinguished_boundary(300, seed=6)
     assert np.max(np.abs(np.abs(x3) - 1.0)) <= 1e-12
     assert np.max(np.abs(x1 - np.conj(x2) * x3)) <= 1e-12
     assert np.max(np.abs(np.abs(x1) - np.abs(x2))) <= 1e-12
     for i in range(0, 300, 37):
-        assert on_distinguished_boundary(x1[i], x2[i], x3[i])
         rep = classify_point(x1[i], x2[i], x3[i])
         assert rep.in_closure and rep.distinguished
 
 
 def test_interior_point_not_distinguished():
-    assert not on_distinguished_boundary(0.0, 0.0, 0.0)
     rep = classify_point(0.1, 0.2, 0.3)
     assert rep.in_closure and not rep.distinguished
 

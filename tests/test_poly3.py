@@ -20,7 +20,8 @@ from tetrablock import (
     poly_to_json,
     random_poly,
 )
-from tetrablock.contractions import _poly_norms, varopoulos_polynomial
+from tetrablock import contractions
+from tetrablock.contractions import _poly_norms, varopoulos_example, varopoulos_polynomial
 from tetrablock.counterexample import cf_convergence_study
 from tetrablock.geometry import sample_distinguished_boundary
 from tetrablock.poly3 import (
@@ -84,67 +85,44 @@ def test_eval_scalar_many_broadcasts():
     assert abs(out[1, 1] - (1.0 + 4.0)) <= 1e-12
 
 
-def test_eval_scalar_many_batch_rows_are_single_evaluations(rng):
-    # Different exponent sets and term counts, an empty polynomial and
-    # a constant: row b must be bit for bit polynomial b on its own.
-    polys = [
-        random_poly(3, seed=1),
-        Poly3({(0, 4, 0): 1.5j, (2, 0, 1): -0.5}),
-        Poly3({}),
-        random_poly(1, seed=2),
-        Poly3({(0, 0, 0): 2.0 - 1.0j}),
-    ]
-    x1, x2, x3 = (random_complex(rng, (len(polys), 7, 3)) for _ in range(3))
-    many = eval_scalar_many(polys, x1, x2, x3)
-    assert many.shape == (len(polys), 7, 3)
-    for b, p in enumerate(polys):
-        want = single_eval_scalar_many(p, x1[b], x2[b], x3[b])
-        assert np.array_equal(many[b], want)
-        assert np.array_equal(eval_scalar_many(p, x1[b], x2[b], x3[b]), want)
-    with pytest.raises(ValueError):
-        eval_scalar_many(polys, x1[:2], x2[:2], x3[:2])
-
-
-def _boundary_rows(rows, n, seed):
-    # Distinguished-boundary points, one row per polynomial, as the
-    # falsifier's sup screen evaluates them.
-    x1, x2, x3 = sample_distinguished_boundary(rows * n, seed=seed)
-    return x1.reshape(rows, n), x2.reshape(rows, n), x3.reshape(rows, n)
-
-
-def assert_rows_match_single(polys, x1, x2, x3):
-    many = eval_scalar_many(polys, x1, x2, x3)
-    assert many.shape == x1.shape
-    for b, p in enumerate(polys):
-        assert np.array_equal(many[b], single_eval_scalar_many(p, x1[b], x2[b], x3[b]))
+def assert_matches_single(p, x1, x2, x3):
+    got = eval_scalar_many(p, x1, x2, x3)
+    assert np.array_equal(got, single_eval_scalar_many(p, x1, x2, x3))
 
 
 def test_eval_scalar_many_refine_shape_matches_single():
-    # The compass refinement's batch: 50 degree-3 draws at 30 points each.
-    polys = [random_poly(3, seed=i) for i in range(50)]
-    assert_rows_match_single(polys, *_boundary_rows(50, 30, seed=1))
+    # The compass refinement's shape: 5 starts times 6 probes, on 50
+    # degree-3 draws.
+    x1, x2, x3 = sample_distinguished_boundary(30, seed=1)
+    for i in range(50):
+        assert_matches_single(random_poly(3, seed=i), x1, x2, x3)
 
 
 def test_eval_scalar_many_sampling_shape_matches_single():
-    # The sampling pass: one polynomial at 4096 points, as a batch of
-    # one and on its own.
+    # The sampling pass: one polynomial at 4096 points, and at broadcast
+    # and 0-d points.
     p = random_poly(3, seed=8)
-    x1, x2, x3 = _boundary_rows(1, 4096, seed=2)
-    assert_rows_match_single([p], x1, x2, x3)
-    want = single_eval_scalar_many(p, x1[0], x2[0], x3[0])
-    assert np.array_equal(eval_scalar_many(p, x1[0], x2[0], x3[0]), want)
+    x1, x2, x3 = sample_distinguished_boundary(4096, seed=2)
+    assert_matches_single(p, x1, x2, x3)
+    assert_matches_single(p, x1[:64, None], x2[None, :5], x3[0])
+    assert_matches_single(p, x1[0], x2[0], x3[0])
 
 
 def test_eval_scalar_many_mixed_batch_at_4096_matches_single():
+    # Different exponent sets and term counts, an empty polynomial and
+    # a constant, each evaluated on its own at 4096 points.
     polys = [
         random_poly(3, seed=3),
         random_poly(2, seed=4),
         varopoulos_polynomial(),
         Poly3({}),
         Poly3({(0, 4, 0): 1.5j, (2, 0, 1): -0.5}),
-        random_poly(3, seed=5),
+        random_poly(1, seed=2),
+        Poly3({(0, 0, 0): 2.0 - 1.0j}),
     ]
-    assert_rows_match_single(polys, *_boundary_rows(len(polys), 4096, seed=3))
+    x1, x2, x3 = sample_distinguished_boundary(4096, seed=3)
+    for p in polys:
+        assert_matches_single(p, x1, x2, x3)
 
 
 def test_eval_operator_diagonal_reduces_to_scalar(rng):
@@ -383,6 +361,44 @@ def test_block_norm_matches_full_norm_on_witness(depth):
     for p, got in zip(polys, norms):
         full = op_norm(eval_operator(p, t.basis))
         assert abs(got - full) <= 1e-13 * full
+
+
+def _multi_block_triple(rng):
+    # Two copies of one 2x2 block and a distinct 1x1 block.
+    mats = []
+    for _ in range(3):
+        m = np.zeros((5, 5), dtype=np.complex128)
+        m[:2, :2] = m[2:4, 2:4] = random_complex(rng, (2, 2)) / 2.0
+        m[4, 4] = random_complex(rng, ()) / 2.0
+        mats.append(m)
+    return Triple(*mats)
+
+
+@pytest.mark.parametrize("stack_entries", [None, 8], ids=["one-stack", "chunked"])
+@pytest.mark.parametrize("which", ["witness", "varopoulos", "multi-block"])
+def test_poly_norms_are_the_largest_block_op_norm(monkeypatch, which, stack_entries):
+    # Stacked SVDs, one or several per block, give op_norm's value bit
+    # for bit.
+    if stack_entries is not None:
+        monkeypatch.setattr(contractions, "_STACK_ENTRIES", stack_entries)
+    t = {
+        "witness": lambda: build_witness(32).triple,
+        "varopoulos": lambda: varopoulos_example()[0],
+        "multi-block": lambda: _multi_block_triple(np.random.default_rng(6)),
+    }[which]()
+    polys = [random_poly(d, seed=10 * d + k) for d in range(4) for k in range(5)]
+    polys += [Poly3({}), varopoulos_polynomial()]
+    want = [
+        max(op_norm(eval_operator(p, part.basis)) for part, _ in t.parts)
+        for p in polys
+    ]
+    assert _poly_norms(t, polys).tolist() == want
+
+
+def test_poly_norms_reject_non_finite_values():
+    t = Triple([[1.0]], [[1.0]], [[1.0]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        _poly_norms(t, [Poly3({(0, 0, 0): 1e308, (1, 0, 0): 1e308})])
 
 
 def test_basis_grows_power_tables_after_first_use(rng):
