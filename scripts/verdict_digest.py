@@ -13,13 +13,14 @@ The commands: ``counterexample`` at depths 4, 16 and 32 with seeds 1,
 ``model`` in both flavors for block dimensions 2 and 3, depths 4 and
 5, and diagonal and dense symbol pairs, each emitting its triple; and
 ``fundamental`` and ``falsify`` on every emitted triple, and
-``obstruction`` on those of even dimension; and ``falsify`` runs whose
+``obstruction`` on those of even dimension; ``falsify`` runs whose
 screens leave several candidates: the depth-8 witness with criterion
 2's 200 trials and seed, and the Varopoulos triple at degrees 2 and 3
-with 100 trials.  Inputs are written under
-fixed relative names, so the output depends on the package alone.  Run
-it against two checkouts and diff the outputs to check that a change
-keeps every document byte for byte:
+with 100 trials; ``cf`` on two pairs and the zero pair at degrees 0,
+2 and 8; and ``sup`` on the Varopoulos polynomial.  Inputs are written
+under fixed relative names, so the output depends on the package
+alone.  Run it against two checkouts and diff the outputs to check
+that a change keeps every document byte for byte:
 
 Usage:
     PYTHONPATH=src python3 scripts/verdict_digest.py > after.txt
@@ -41,9 +42,11 @@ from pathlib import Path
 from tetrablock import (
     build_witness,
     matrix_to_json,
+    poly_to_json,
     random_symbol_pair,
     triple_to_json,
     varopoulos_example,
+    varopoulos_polynomial,
 )
 from tetrablock.cli import main as tetra
 
@@ -68,8 +71,8 @@ def _symbol_name(k: int, kind: str, which: str) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """Write the symbol pairs the ``model`` commands read, and the
-    triples of the last ``falsify`` runs."""
+    """Write the symbol pairs the ``model`` commands read, the triples
+    of the last ``falsify`` runs and the polynomial of ``sup``."""
     triples = {
         "witness-8.json": build_witness(8).triple,
         "varopoulos.json": varopoulos_example()[0],
@@ -77,6 +80,8 @@ def write_inputs(directory: Path) -> None:
     for name, triple in triples.items():
         doc = json.dumps(triple_to_json(triple))
         (directory / name).write_text(doc, encoding="utf-8")
+    doc = json.dumps(poly_to_json(varopoulos_polynomial()))
+    (directory / "varopoulos-poly.json").write_text(doc, encoding="utf-8")
     for k in (2, 3):
         for kind in ("diag", "dense"):
             pair = random_symbol_pair(k, seed=10 * k, diagonal=kind == "diag")
@@ -122,6 +127,11 @@ def commands() -> list:
     for degree in ("2", "3"):
         varopoulos = ["falsify", "--triple", "varopoulos.json", "--trials", "100"]
         cmds.append((varopoulos + ["--degree", degree, "--seed", "3"], None))
+    for b0, b1 in (("0.6", "0.8"), ("0.3-0.2j", "0.5j"), ("0", "0")):
+        for degree in ("0", "2", "8"):
+            cf = ["cf", "--b0", b0, "--b1", b1, "--degree", degree]
+            cmds.append((cf, None))
+    cmds.append((["sup", "--poly", "varopoulos-poly.json", "--seed", "5"], None))
     return cmds
 
 

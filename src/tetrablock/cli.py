@@ -45,7 +45,7 @@ from .counterexample import (
 )
 from .errors import TetrablockError
 from .geometry import classify_point, point_from_json, point_to_json, sup_on_closure
-from .linalg import matrix_from_json, matrix_to_json, op_norm
+from .linalg import complex_to_json, matrix_from_json, matrix_to_json, op_norm
 from .models import (
     build_circulant_model,
     build_hardy_model,
@@ -114,10 +114,6 @@ def _emit(doc: dict, args, config: ToolConfig) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
-def _complex_json(value: complex) -> list:
-    return [float(value.real), float(value.imag)]
-
-
 def _cmd_classify(args, config: ToolConfig) -> int:
     x1, x2, x3 = _parse_point(args.point)
     rep = classify_point(x1, x2, x3, tol=config.tol_algebraic)
@@ -130,7 +126,7 @@ def _cmd_classify(args, config: ToolConfig) -> int:
         "x3_abs": rep.x3_abs,
         "beta": None
         if rep.beta is None
-        else [_complex_json(rep.beta[0]), _complex_json(rep.beta[1])],
+        else [complex_to_json(rep.beta[0]), complex_to_json(rep.beta[1])],
         "beta_sum": rep.beta_sum,
         "residual": rep.residual,
         "verdict": "InClosure" if rep.in_closure else "Outside",
@@ -160,12 +156,12 @@ def _cmd_cf(args, config: ToolConfig) -> int:
     b0 = _parse_complex(args.b0)
     b1 = _parse_complex(args.b1)
     mu = cf_matrix_norm(b0, b1)
-    value = cf_empirical_inf(b0, b1, args.degree, grid=config.cf_grid)
+    value = cf_empirical_inf(b0, b1, [args.degree], grid=config.cf_grid)[0]
     doc = {
         "schema": SCHEMA_ID,
         "tool": "cf",
-        "b0": _complex_json(b0),
-        "b1": _complex_json(b1),
+        "b0": complex_to_json(b0),
+        "b1": complex_to_json(b1),
         "degree": args.degree,
         "matrix_norm": mu,
         "empirical_inf": value,

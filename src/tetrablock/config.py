@@ -17,7 +17,7 @@ from dataclasses import dataclass
 __all__ = ["ToolConfig", "DEFAULT_CONFIG"]
 
 # The least value of each integer budget.
-_INT_MINIMA = {"cf_grid": 16, "z_samples": 1, "sup_samples": 1, "falsify_trials": 0}
+_INT_MINIMA = {"cf_grid": 16, "z_samples": 3, "sup_samples": 1, "falsify_trials": 0}
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class ToolConfig:
         by this margin before it is promoted to a verdict.
     cf_grid:
         Number of roots of unity on which the minimal-norm extension
-        search fits and scores its polynomials; at least 16.
+        search fits its polynomials; at least 16.
     z_samples:
-        Number of roots of unity used to certify contractivity of an
-        operator pencil on the circle; at least 1.
+        Number of roots of unity at which a symbol pair's pencil norm
+        is sampled to bound its sup on the circle; at least 3.
     sup_samples:
         Default boundary sample count for polynomial sup estimates;
         at least 1.

@@ -32,7 +32,14 @@ from .errors import (
     NotIsometricEmbeddingError,
 )
 from .geometry import sample_distinguished_boundary, sup_on_closure
-from .linalg import as_matrix, herm_eig, matrix_from_json, matrix_to_json, op_norm
+from .linalg import (
+    as_matrix,
+    complex_to_json,
+    herm_eig,
+    matrix_from_json,
+    matrix_to_json,
+    op_norm,
+)
 from .poly3 import (
     MonomialBasis,
     Poly3,
@@ -464,7 +471,7 @@ def report_to_json(rep) -> dict:
     for field in fields(rep):
         value = getattr(rep, field.name)
         if isinstance(value, complex):
-            value = [value.real, value.imag]
+            value = complex_to_json(value)
         elif isinstance(value, tuple):
             value = list(value)
         doc[field.name] = value

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_from_json
+from .linalg import complex_from_json, complex_to_json
 from .poly3 import Poly3, eval_scalar_many
 
 __all__ = [
@@ -54,9 +54,9 @@ class MembershipReport:
 def point_to_json(x1: complex, x2: complex, x3: complex) -> dict:
     """Serialize a point to ``{"x1": [re, im], ...}``."""
     return {
-        "x1": [float(complex(x1).real), float(complex(x1).imag)],
-        "x2": [float(complex(x2).real), float(complex(x2).imag)],
-        "x3": [float(complex(x3).real), float(complex(x3).imag)],
+        "x1": complex_to_json(x1),
+        "x2": complex_to_json(x2),
+        "x3": complex_to_json(x3),
     }
 
 

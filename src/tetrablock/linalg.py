@@ -29,6 +29,7 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
+    "complex_to_json",
     "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -80,6 +81,12 @@ def as_matrix(obj, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def complex_to_json(value) -> list:
+    """A number as the ``[re, im]`` pair of a JSON document."""
+    value = complex(value)
+    return [value.real, value.imag]
+
+
 def complex_from_json(pair, what: str) -> complex:
     """A ``[re, im]`` pair of a JSON document as a complex number.
 
@@ -109,8 +116,7 @@ def matrix_to_json(a) -> dict:
     """
     a = as_matrix(a)
     m, n = a.shape
-    flat = a.reshape(-1)
-    data = [[float(z.real), float(z.imag)] for z in flat]
+    data = [complex_to_json(z) for z in a.reshape(-1)]
     return {"rows": m, "cols": n, "data": data}
 
 

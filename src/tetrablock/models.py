@@ -26,6 +26,7 @@ the corner block of T1* - T2 T3*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,13 @@ def validate_symbol_pair(
 ) -> SymbolReport:
     """Measure the three admissibility conditions of a symbol pair.
 
-    The pencil condition is sampled at ``z_samples`` roots of unity,
-    all pencils' singular values coming from one stacked SVD; for the
-    commuting-normal pairs this package builds models from, the pencil
-    norm is a trigonometric polynomial of low degree in the angle, so
-    a modest sample count pins the sup tightly.
+    ``valid`` is decided on ``max_pencil_norm``, an upper bound on the
+    sup of ||A1* + z A2|| over |z| = 1: its largest value at the M =
+    ``z_samples`` >= 3 roots of unity, from one stacked SVD, plus
+    (1 - cos(pi/M)) ||A2|| and a rounding allowance.  For |z| = 1,
+    cos(pi/M) z lies in the roots' convex hull, where the norm, convex
+    in z, is at most that largest value.  A pair whose sup lies within
+    the slack below 1 is refused.
     """
     a1 = as_matrix(a1, square=True, name="a1")
     a2 = as_matrix(a2, square=True, name="a2")
@@ -80,14 +83,17 @@ def validate_symbol_pair(
         raise DimensionMismatchError(
             f"symbol pair must share a shape, got {a1.shape}, {a2.shape}"
         )
-    if z_samples < 1:
-        raise ValueError("z_samples must be positive")
+    if z_samples < 3:
+        raise ValueError("z_samples must be at least 3")
     # Commutation and balanced self-commutators are the two invariants
     # of the obstruction predicate.
     invariants = dilation_obstruction(a1, a2, tol=tol)
     roots = np.exp(2j * np.pi * np.arange(z_samples) / z_samples)
     pencils = a1.conj().T + roots[:, None, None] * a2
-    max_pencil = float(np.linalg.svd(pencils, compute_uv=False).max(initial=0.0))
+    sampled = float(np.linalg.svd(pencils, compute_uv=False).max(initial=0.0))
+    a2_norm = op_norm(a2)
+    rounding = 8.0 * len(a2) * math.ulp(1.0) * (sampled + 2.0 * a2_norm)
+    max_pencil = sampled + (1.0 - math.cos(math.pi / z_samples)) * a2_norm + rounding
     c1, c2 = invariants.c1, invariants.c2
     return SymbolReport(
         commutator=c1,

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import complex_from_json, op_norm
+from .linalg import complex_from_json, complex_to_json, op_norm
 
 __all__ = [
     "Poly3",
@@ -107,7 +107,7 @@ def poly_to_json(p: Poly3) -> list:
     Each term is ``{"exp": [m1, m2, m3], "coef": [re, im]}``.
     """
     return [
-        {"exp": list(exp), "coef": [float(c.real), float(c.imag)]}
+        {"exp": list(exp), "coef": complex_to_json(c)}
         for exp, c in sorted(p.coeffs.items())
     ]
 
@@ -342,9 +342,10 @@ def random_poly(degree: int, *, seed=None) -> Poly3:
 
 # Reweighted least-squares steps per degree in :func:`cf_empirical_inf`.
 _LAWSON_STEPS = 300
-# Golden-section ratio, and the local maxima each circle sup refines.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_PEAKS = 8
+# Roots of unity per unit of degree at which a fit's circle sup is read.
+_SCORE_STEPS = 64
+# Largest ratio of a circle sup to its maximum over those roots.
+_SCORE_FACTOR = 1.0 / math.sqrt(1.0 - (math.pi / _SCORE_STEPS) ** 2 / 2.0)
 
 
 def cf_matrix_norm(b0: complex, b1: complex) -> float:
@@ -356,68 +357,26 @@ def cf_matrix_norm(b0: complex, b1: complex) -> float:
     return op_norm([[b0, 0.0], [b1, b0]])
 
 
-def _horner(coefs: np.ndarray, z) -> np.ndarray:
-    """Polynomials with coefficients lowest power first along the last
-    axis of ``coefs``, evaluated at ``z`` (broadcast against the rest)."""
-    out = np.zeros(np.broadcast_shapes(coefs.shape[:-1], np.shape(z)), np.complex128)
-    for j in range(coefs.shape[-1] - 1, -1, -1):
-        out = out * z + coefs[..., j]
-    return out
+def _circle_sup_bound(row: np.ndarray, d: int) -> float:
+    """Upper bound on sup |p| over the unit circle, for p of degree at
+    most d >= 1 with coefficients ``row[: d + 1]``, lowest power first.
 
-
-def _circle_sups(coefs: np.ndarray, grid: int) -> np.ndarray:
-    """Sup of |p| on the unit circle for each coefficient row of ``coefs``.
-
-    Rows hold coefficients lowest power first; zero padding at the top
-    does not change a row's values.  Each row is scanned at ``grid``
-    equispaced angles, and its strongest eight circular local maxima
-    are refined by golden-section search on the bracket of their two
-    neighbouring angles.  Every (row, maximum) lane runs in one
-    vectorised search; a lane is frozen by a mask once its bracket is
-    below 1e-13, exactly where its own search would stop, so each
-    row's sup does not depend on the other rows.
+    f = |p|^2 is a real trigonometric polynomial of degree d.  At its
+    maximiser f' = 0, and Bernstein's inequality applied twice gives
+    |f''| <= d^2 ||f||, so the nearest of M = 64 d roots of unity, within
+    pi/M, has f >= ||f|| (1 - (d pi/M)^2 / 2) = ||f|| (1 - (pi/64)^2 / 2).
+    Hence the largest |p| over them, from one FFT, times _SCORE_FACTOR
+    bounds the sup, with one factor for every degree.  The FFT's error,
+    added first, is within log2(M) 16 eps sqrt(M) ||c||_1 (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm. 24.2, with
+    ||c||_1 for ||c||_2, which over- or underflows at extreme scales).
     """
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    vals = np.abs(_horner(coefs[:, None, :], np.exp(1j * thetas)))
-    peak = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
-    strongest = np.argsort(np.where(peak, vals, -np.inf), axis=1)[:, -_PEAKS:]
-    rows, slot = np.nonzero(np.take_along_axis(peak, strongest, axis=1))
-    lanes = coefs[rows]
-
-    def f(theta):
-        return np.abs(_horner(lanes, np.exp(1j * theta)))
-
-    step = 2.0 * np.pi / grid
-    centre = thetas[strongest[rows, slot]]
-    a, b = centre - step, centre + step
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    state = np.stack([a, b, c, d, f(c), f(d)])
-    live = np.ones(len(rows), dtype=bool)
-    for _ in range(60):
-        a, b, c, d, fc, fd = state
-        # Keep [a, d] when f(c) > f(d), else [c, b]; one new probe each.
-        left = fc > fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fp = f(probe)
-        moved = np.stack(
-            [
-                a,
-                b,
-                np.where(left, probe, d),
-                np.where(left, c, probe),
-                np.where(left, fp, fd),
-                np.where(left, fc, fp),
-            ]
-        )
-        state = np.where(live, moved, state)
-        live &= state[1] - state[0] >= 1e-13
-        if not live.any():
-            break
-    best = vals.max(axis=1)
-    np.maximum.at(best, rows, state[4:].max(axis=0))
-    return best
+    m = _SCORE_STEPS * d
+    coefs = row[: d + 1]
+    peak = float(np.abs(np.fft.fft(coefs, n=m)).max())
+    eta = 16.0 * math.ulp(1.0)
+    rounding = math.log2(m) * eta * math.sqrt(m) * float(np.abs(coefs).sum())
+    return (peak + rounding) * _SCORE_FACTOR
 
 
 def _normal_equations_index(n: int, grid: int) -> np.ndarray:
@@ -485,16 +444,10 @@ def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
     return coefs[:, : top + 1]
 
 
-def cf_empirical_inf(
-    b0: complex,
-    b1: complex,
-    extra_degree,
-    *,
-    grid: int = 512,
-):
+def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> tuple:
     """Smallest circle sup found for a polynomial starting b0 + b1*z + ...
 
-    For each degree d = 2..extra_degree, Lawson's iteration (Lawson
+    For each degree d = 2..max(degrees), Lawson's iteration (Lawson
     1961) fits the free coefficients of degrees 2..d on the ``grid``
     roots of unity: weighted least squares from uniform weights, after
     each fit multiplying every weight by its residual magnitude and
@@ -502,27 +455,22 @@ def cf_empirical_inf(
     approach its minimax solution.  Each least-squares fit solves the
     Toeplitz normal equations built from the weights' Fourier moments,
     and all degrees run their fixed 300 steps in lockstep, one batched
-    solve per step.  Every degree's fit is then scored by one
-    vectorised circle-sup search, and the running minimum over
-    degrees, starting from |b0| + |b1|, is returned.  A degree's fit
-    and score do not depend on ``extra_degree`` or on the other
-    degrees, so the result is deterministic and nonincreasing in
-    ``extra_degree``; it is the sup of an actual polynomial, hence
-    essentially at or above :func:`cf_matrix_norm`.
-
-    ``extra_degree`` may also be a sequence of degrees.  Each degree up
-    to the largest is then fitted once, and the tuple of running minima
-    at the requested degrees is returned, each equal to a separate call
-    with that degree.  Degrees must be below ``grid``.
+    solve per step.  Each fit is scored by :func:`_circle_sup_bound`,
+    and the tuple of running minima over degrees, starting from
+    |b0| + |b1|, at the requested degrees is returned.  A degree's fit
+    and score depend only on b0, b1, the degree and ``grid``, so each
+    value equals a separate call's with its degree alone, bit for bit,
+    and is nonincreasing in the degree.  Each is an upper bound on the
+    sup of an actual polynomial, hence at or above
+    :func:`cf_matrix_norm` up to rounding.  Degrees must be below ``grid``.
     """
-    single = isinstance(extra_degree, (int, np.integer))
-    degrees = [extra_degree] if single else [int(d) for d in extra_degree]
+    degrees = [int(d) for d in degrees]
     if any(d < 0 for d in degrees):
-        raise ValueError("extra_degree must be nonnegative")
+        raise ValueError("degrees must be nonnegative")
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if max(degrees, default=0) >= grid:
-        raise ValueError(f"extra_degree must be below grid ({grid})")
+        raise ValueError(f"degrees must be below grid ({grid})")
     best = float(abs(b0) + abs(b1))
     # running[d] is the running minimum after fitting degrees 2..d.
     running = [best, best]
@@ -530,8 +478,7 @@ def cf_empirical_inf(
     # weights undefined, so the zero pair fits nothing.
     top = max(degrees, default=0) if best else 1
     if top >= 2:
-        for sup in _circle_sups(_lawson_fits(b0, b1, top, grid), grid):
-            best = min(best, float(sup))
+        for r, row in enumerate(_lawson_fits(b0, b1, top, grid)):
+            best = min(best, _circle_sup_bound(row, r + 2))
             running.append(best)
-    values = tuple(running[min(d, top)] for d in degrees)
-    return values[0] if single else values
+    return tuple(running[min(d, top)] for d in degrees)

@@ -167,7 +167,9 @@ def criterion_5() -> CriterionResult:
     distribution, one child of ``SeedSequence(1729)`` each, at degrees
     0, 2, 4 and 8.  The values are a running minimum over degrees, so
     they are monotone by construction; the floor and the 2% ratio are
-    what this criterion measures.
+    what this criterion measures.  Each value bounds a fitted
+    polynomial's circle sup from above, so the 2% check holds for that
+    polynomial; the floor holds in exact arithmetic and tests rounding.
     """
     t0 = time.perf_counter()
     worst_ratio = 0.0

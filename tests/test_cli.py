@@ -393,6 +393,7 @@ def test_split_mismatch_exits_two(capsys, tmp_path):
         {"cf_grid": 100.5},
         {"cf_grid": 15},
         {"z_samples": 0},
+        {"z_samples": 2},
         {"falsify_trials": -3},
     ],
 )

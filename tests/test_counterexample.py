@@ -79,21 +79,20 @@ def test_cf_study_fits_each_degree_once(monkeypatch):
     import tetrablock.poly3 as poly3
 
     fits = []
-    circle_sups = poly3._circle_sups
+    circle_sup_bound = poly3._circle_sup_bound
 
-    def counting(coefs, grid):
-        # The degree of each fitted row: its last nonzero coefficient.
-        fits.extend(int(np.flatnonzero(row)[-1]) for row in coefs)
-        return circle_sups(coefs, grid)
+    def counting(row, d):
+        fits.append(d)
+        return circle_sup_bound(row, d)
 
-    monkeypatch.setattr(poly3, "_circle_sups", counting)
+    monkeypatch.setattr(poly3, "_circle_sup_bound", counting)
     rep = cf_convergence_study(seed=123, grid=256)
     # Degrees 2..8 are each fitted once (the running minimum carries
     # them to 4 and 8), not 1 + 3 + 7 times.
     assert fits == list(range(2, 9))
-    monkeypatch.setattr(poly3, "_circle_sups", circle_sups)
+    monkeypatch.setattr(poly3, "_circle_sup_bound", circle_sup_bound)
     separate = tuple(
-        poly3.cf_empirical_inf(rep.b0, rep.b1, d, grid=256) for d in rep.degrees
+        poly3.cf_empirical_inf(rep.b0, rep.b1, [d], grid=256)[0] for d in rep.degrees
     )
     assert rep.values == separate
 

@@ -1,5 +1,7 @@
 """Functional-model builders: structure oracles, validation, recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,8 @@ def test_random_symbol_pair_deterministic():
 
 def test_validate_symbol_pair_pencil_sup_matches_per_angle_norms():
     # One stacked SVD gives, bit for bit, the largest of the per-angle
-    # operator norms, also for a zero and an empty pair.
+    # operator norms, also for a zero and an empty pair; the bound adds
+    # the chord slack and the rounding allowance to it.
     pairs = [
         random_symbol_pair(8, seed=child, diagonal=(i % 2 == 0))
         for i, child in enumerate(np.random.SeedSequence(40).spawn(12))
@@ -47,8 +50,27 @@ def test_validate_symbol_pair_pencil_sup_matches_per_angle_norms():
     pairs += [(np.zeros((3, 3)), np.zeros((3, 3))), (np.zeros((0, 0)),) * 2]
     for a1, a2 in pairs:
         roots = np.exp(2j * np.pi * np.arange(64) / 64)
-        want = max(op_norm(a1.conj().T + z * a2) for z in roots)
-        assert validate_symbol_pair(a1, a2).max_pencil_norm == want
+        sampled = max(op_norm(a1.conj().T + z * a2) for z in roots)
+        a2_norm = op_norm(a2)
+        rounding = 8.0 * len(a2) * math.ulp(1.0) * (sampled + 2.0 * a2_norm)
+        slack = (1.0 - math.cos(math.pi / 64)) * a2_norm
+        assert validate_symbol_pair(a1, a2).max_pencil_norm == sampled + slack + rounding
+
+
+def test_validate_symbol_pair_refuses_a_pencil_peaking_between_roots():
+    # |0.5001 + 0.5001 e^{i(theta - pi/64)}| peaks at 1.0002, midway
+    # between two of the 64 roots, where it reads 1.0002 cos(pi/128),
+    # below one; the sampled maximum alone would accept the pair.
+    a1 = np.array([[0.5001]])
+    a2 = np.array([[0.5001 * np.exp(-1j * np.pi / 64)]])
+    roots = np.exp(2j * np.pi * np.arange(64) / 64)
+    assert np.abs(a1[0, 0] + roots * a2[0, 0]).max() <= 1.0
+    rep = validate_symbol_pair(a1, a2)
+    assert rep.commutator == 0.0 and rep.balance == 0.0
+    assert rep.max_pencil_norm >= 1.0002
+    assert not rep.valid
+    with pytest.raises(ValueError, match="at least 3"):
+        validate_symbol_pair(a1, a2, z_samples=2)
 
 
 def test_validate_symbol_pair_flags_each_defect():
@@ -62,7 +84,8 @@ def test_validate_symbol_pair_flags_each_defect():
     assert not rep.valid
     # Pencil too large.
     rep = validate_symbol_pair(0.8 * np.eye(2), 0.8 * np.eye(2))
-    assert rep.max_pencil_norm == pytest.approx(1.6, abs=1e-9)
+    slack = (1.0 - math.cos(math.pi / 64)) * 0.8
+    assert rep.max_pencil_norm == pytest.approx(1.6 + slack, abs=1e-9)
     assert not rep.valid
 
 

@@ -61,7 +61,7 @@ def test_verdict_digest_hashes_each_document(tmp_path, capsys):
     script = load_script("verdict_digest")
     script.write_inputs(tmp_path)
     for argv, _ in script.commands():
-        for flag in ("--a1", "--a2"):
+        for flag in ("--a1", "--a2", "--poly"):
             if flag in argv:
                 assert (tmp_path / argv[argv.index(flag) + 1]).exists()
     model = ["model", "--a1", "sym-2-diag-a1.json", "--a2", "sym-2-diag-a2.json",
