@@ -9,9 +9,11 @@ command printed, or a file it wrote (``model --emit``,
 seed 1, full size) follow, marked ``op``.
 
 The commands: ``counterexample`` at depths 4, 16 and 32 with seeds 1,
-7 and 12345; ``classify`` on points inside and outside the domain;
-``model`` in both flavors for block dimensions 2 and 3, depths 4 and
-5, and diagonal and dense symbol pairs, each emitting its triple; and
+7 and 12345, and at depth 4 with seed 1 in ``--format text``;
+``classify`` on points inside and outside the domain, and on one of
+them in ``--format text``; ``model`` in both flavors for block
+dimensions 2 and 3, depths 4 and 5, and diagonal and dense symbol
+pairs, each emitting its triple; and
 ``fundamental`` and ``falsify`` on every emitted triple, and
 ``obstruction`` on those of even dimension; ``falsify`` runs whose
 screens leave several candidates: the depth-8 witness with criterion
@@ -99,7 +101,10 @@ def commands() -> list:
             cmds.append((argv, None))
     argv = ["counterexample", "--blocks", "4", "--seed", "1", "--out", "verdict.json"]
     cmds.append((argv, "verdict.json"))
+    argv = ["counterexample", "--blocks", "4", "--seed", "1", "--format", "text"]
+    cmds.append((argv, None))
     cmds.extend((["classify", "--point", point], None) for point in POINTS)
+    cmds.append((["classify", "--point", POINTS[2], "--format", "text"], None))
     for flavor in ("hardy", "circulant"):
         for k in (2, 3):
             for depth in (4, 5):

@@ -11,13 +11,14 @@ from .contractions import (
     ObstructionReport,
     Triple,
     UnitaryReport,
-    certificate_to_json,
     check_obstruction_hypotheses,
     check_tetra_unitary,
     commutation_defect,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    falsify_to_json,
+    fundamental_to_json,
     report_to_json,
     triple_from_json,
     triple_to_json,
@@ -37,6 +38,7 @@ from .counterexample import (
     cf_convergence_study,
     pipeline_report_to_json,
     run_pipeline,
+    verdict_document,
     witness_symbol,
 )
 from .errors import (

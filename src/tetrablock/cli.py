@@ -27,25 +27,22 @@ import sys
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .contractions import (
-    certificate_to_json,
     check_obstruction_hypotheses,
     check_tetra_unitary,
     commutation_defect,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    falsify_to_json,
+    fundamental_to_json,
     report_to_json,
     triple_from_json,
     triple_to_json,
 )
-from .counterexample import (
-    SCHEMA_ID,
-    pipeline_report_to_json,
-    run_pipeline,
-)
+from .counterexample import pipeline_report_to_json, run_pipeline, verdict_document
 from .errors import TetrablockError
 from .geometry import classify_point, point_from_json, point_to_json, sup_on_closure
-from .linalg import complex_to_json, matrix_from_json, matrix_to_json, op_norm
+from .linalg import complex_to_json, matrix_from_json, matrix_to_json
 from .models import (
     build_circulant_model,
     build_hardy_model,
@@ -83,15 +80,20 @@ def _load_json_file(path: str):
 
 
 def _resolve_seed(args, config: ToolConfig) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("TETRA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"TETRA_SEED must be an integer, got {env!r}")
-    return config.seed
+    # A flag or TETRA_SEED is checked here, by name; the config checks
+    # its own seed.
+    name, value = "--seed", getattr(args, "seed", None)
+    if value is None:
+        name, value = "TETRA_SEED", os.environ.get("TETRA_SEED")
+    if value is None:
+        return config.seed
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+    return seed
 
 
 def _flatten(doc, prefix="") -> list:
@@ -106,31 +108,32 @@ def _flatten(doc, prefix="") -> list:
     return lines
 
 
+def _render(doc: dict) -> str:
+    """The JSON text of a verdict document, for stdout and ``--out``."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _emit(doc: dict, args, config: ToolConfig) -> None:
     fmt = getattr(args, "format", None) or config.output_format
-    if fmt == "text":
-        print("\n".join(_flatten(doc)))
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    print("\n".join(_flatten(doc)) if fmt == "text" else _render(doc))
 
 
 def _cmd_classify(args, config: ToolConfig) -> int:
     x1, x2, x3 = _parse_point(args.point)
     rep = classify_point(x1, x2, x3, tol=config.tol_algebraic)
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "classify",
-        "point": point_to_json(x1, x2, x3),
-        "in_closure": rep.in_closure,
-        "distinguished_boundary": rep.distinguished,
-        "x3_abs": rep.x3_abs,
-        "beta": None
+    doc = verdict_document(
+        "classify",
+        "InClosure" if rep.in_closure else "Outside",
+        point=point_to_json(x1, x2, x3),
+        in_closure=rep.in_closure,
+        distinguished_boundary=rep.distinguished,
+        x3_abs=rep.x3_abs,
+        beta=None
         if rep.beta is None
         else [complex_to_json(rep.beta[0]), complex_to_json(rep.beta[1])],
-        "beta_sum": rep.beta_sum,
-        "residual": rep.residual,
-        "verdict": "InClosure" if rep.in_closure else "Outside",
-    }
+        beta_sum=rep.beta_sum,
+        residual=rep.residual,
+    )
     _emit(doc, args, config)
     return 0
 
@@ -140,14 +143,9 @@ def _cmd_sup(args, config: ToolConfig) -> int:
     seed = _resolve_seed(args, config)
     samples = args.samples if args.samples is not None else config.sup_samples
     value = sup_on_closure(poly, n_samples=samples, seed=seed)
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "sup",
-        "seed": seed,
-        "samples": samples,
-        "estimate": value,
-        "verdict": "Estimated",
-    }
+    doc = verdict_document(
+        "sup", "Estimated", seed=seed, samples=samples, estimate=value
+    )
     _emit(doc, args, config)
     return 0
 
@@ -157,17 +155,16 @@ def _cmd_cf(args, config: ToolConfig) -> int:
     b1 = _parse_complex(args.b1)
     mu = cf_matrix_norm(b0, b1)
     value = cf_empirical_inf(b0, b1, [args.degree], grid=config.cf_grid)[0]
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "cf",
-        "b0": complex_to_json(b0),
-        "b1": complex_to_json(b1),
-        "degree": args.degree,
-        "matrix_norm": mu,
-        "empirical_inf": value,
-        "ratio": value / mu if mu > 0 else None,
-        "verdict": "Estimated",
-    }
+    doc = verdict_document(
+        "cf",
+        "Estimated",
+        b0=complex_to_json(b0),
+        b1=complex_to_json(b1),
+        degree=args.degree,
+        matrix_norm=mu,
+        empirical_inf=value,
+        ratio=value / mu if mu > 0 else None,
+    )
     _emit(doc, args, config)
     return 0
 
@@ -177,18 +174,13 @@ def _cmd_fundamental(args, config: ToolConfig) -> int:
     pair = extract_fundamental(
         triple, rank_tol=config.rank_tol, tol_solve=config.tol_solve
     )
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "fundamental",
-        "rank": pair.rank,
-        "residual_1": pair.residual_1,
-        "residual_2": pair.residual_2,
-        "a1": matrix_to_json(pair.a1),
-        "a2": matrix_to_json(pair.a2),
-        "a1_norm": float(op_norm(pair.a1)),
-        "a2_norm": float(op_norm(pair.a2)),
-        "verdict": "Extracted",
-    }
+    doc = verdict_document(
+        "fundamental",
+        "Extracted",
+        **fundamental_to_json([(pair, 1)]),
+        a1=matrix_to_json(pair.a1),
+        a2=matrix_to_json(pair.a2),
+    )
     _emit(doc, args, config)
     return 0
 
@@ -200,20 +192,14 @@ def _cmd_falsify(args, config: ToolConfig) -> int:
     rep = falsify_spectral_set(
         triple, trials=trials, degree=args.degree, seed=seed, config=config
     )
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "falsify",
-        "seed": seed,
-        "trials": trials,
-        "degree": args.degree,
-        "outcome": rep.outcome,
-        "worst_ratio": rep.worst_ratio,
-        "commutation_defect": rep.commutation_defect,
-        "verdict": rep.outcome,
-    }
-    cert = rep.certificate
-    if cert is not None and cert.violates:
-        doc["certificate"] = certificate_to_json(cert)
+    doc = verdict_document(
+        "falsify",
+        rep.outcome,
+        seed=seed,
+        trials=trials,
+        degree=args.degree,
+        **falsify_to_json(rep),
+    )
     _emit(doc, args, config)
     return 1 if rep.outcome == "Violation" else 0
 
@@ -229,17 +215,16 @@ def _cmd_obstruction(args, config: ToolConfig) -> int:
     hypotheses = check_obstruction_hypotheses(
         triple, args.split, tol=config.tol_algebraic, rank_tol=config.rank_tol
     )
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "obstruction",
-        "split": args.split,
-        "rank": pair.rank,
-        "c1": obstruction.c1,
-        "c2": obstruction.c2,
-        "tol": obstruction.tol,
-        "hypotheses": report_to_json(hypotheses),
-        "verdict": "Obstructed" if obstruction.obstructed else "Unobstructed",
-    }
+    doc = verdict_document(
+        "obstruction",
+        "Obstructed" if obstruction.obstructed else "Unobstructed",
+        split=args.split,
+        rank=pair.rank,
+        c1=obstruction.c1,
+        c2=obstruction.c2,
+        tol=obstruction.tol,
+        hypotheses=report_to_json(hypotheses),
+    )
     _emit(doc, args, config)
     return 1 if obstruction.obstructed else 0
 
@@ -251,27 +236,22 @@ def _cmd_model(args, config: ToolConfig) -> int:
     model = build(
         a1, a2, args.blocks, tol=config.tol_algebraic, z_samples=config.z_samples
     )
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "model",
-        "flavor": model.flavor,
-        "blocks": args.blocks,
-        "dim": model.dim,
-        "symbol": report_to_json(model.symbol),
-        "verdict": "Built",
-    }
     if model.flavor == "hardy":
-        doc["interior"] = report_to_json(interior_identity_report(model))
-        doc["commutation"] = commutation_defect(model)
-    else:
-        unitary = check_tetra_unitary(model)
-        doc["boundary_triple"] = {
-            "commutation": unitary.commutation,
-            "unitary_defect": unitary.unitary_defect,
-            "relation_1": unitary.relation_1,
-            "relation_2": unitary.relation_2,
-            "passed": unitary.passed,
+        checks = {
+            "interior": report_to_json(interior_identity_report(model)),
+            "commutation": commutation_defect(model),
         }
+    else:
+        checks = {"boundary_triple": report_to_json(check_tetra_unitary(model))}
+    doc = verdict_document(
+        "model",
+        "Built",
+        flavor=model.flavor,
+        blocks=args.blocks,
+        dim=model.dim,
+        symbol=report_to_json(model.symbol),
+        **checks,
+    )
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             json.dump(triple_to_json(model), fh, indent=2, sort_keys=True)
@@ -292,7 +272,7 @@ def _cmd_counterexample(args, config: ToolConfig) -> int:
     doc = pipeline_report_to_json(report)
     if args.out:
         # Serialized whole first, so a non-finite value leaves no file.
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = _render(doc)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     _emit(doc, args, config)
@@ -314,8 +294,9 @@ def _cmd_selftest(args, config: ToolConfig) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, run, *, seeded: bool = False) -> None:
     # Only the randomized commands take --seed; the others reject it.
+    sub.set_defaults(run=run)
     sub.add_argument(
         "--config", help="path to a ToolConfig JSON file", default=None
     )
@@ -340,33 +321,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="membership of a point in the closed domain")
     p.add_argument("--point", required=True, help="'(a,b,c)' or JSON point")
-    _add_common(p)
+    _add_common(p, _cmd_classify)
 
     p = subs.add_parser("sup", help="sup of |p| over the closed domain")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p, seeded=True)
+    _add_common(p, _cmd_sup, seeded=True)
 
     p = subs.add_parser("cf", help="minimal circle sup completing b0 + b1 z")
     p.add_argument("--b0", required=True)
     p.add_argument("--b1", required=True)
     p.add_argument("--degree", type=int, default=8)
-    _add_common(p)
+    _add_common(p, _cmd_cf)
 
     p = subs.add_parser("fundamental", help="extract the fundamental pair")
     p.add_argument("--triple", required=True, help="triple JSON file")
-    _add_common(p)
+    _add_common(p, _cmd_fundamental)
 
     p = subs.add_parser("falsify", help="random search for a sup-norm violation")
     p.add_argument("--triple", required=True, help="triple JSON file")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--degree", type=int, default=3)
-    _add_common(p, seeded=True)
+    _add_common(p, _cmd_falsify, seeded=True)
 
     p = subs.add_parser("obstruction", help="dilation obstruction invariants")
     p.add_argument("--triple", required=True, help="triple JSON file")
     p.add_argument("--split", type=int, required=True, help="half dimension")
-    _add_common(p)
+    _add_common(p, _cmd_obstruction)
 
     p = subs.add_parser("model", help="build a functional model from symbols")
     p.add_argument("--a1", required=True, help="matrix JSON file")
@@ -374,32 +355,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--flavor", choices=("hardy", "circulant"), default="hardy")
     p.add_argument("--emit", default=None, help="write the triple JSON here")
-    _add_common(p)
+    _add_common(p, _cmd_model)
 
     p = subs.add_parser("counterexample", help="run the full witness pipeline")
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--out", default=None, help="also write the verdict JSON here")
-    _add_common(p, seeded=True)
+    _add_common(p, _cmd_counterexample, seeded=True)
 
     p = subs.add_parser("selftest", help="run the acceptance suite")
-    _add_common(p)
+    _add_common(p, _cmd_selftest)
 
     return parser
-
-
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "sup": _cmd_sup,
-    "cf": _cmd_cf,
-    "fundamental": _cmd_fundamental,
-    "falsify": _cmd_falsify,
-    "obstruction": _cmd_obstruction,
-    "model": _cmd_model,
-    "counterexample": _cmd_counterexample,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -412,7 +380,7 @@ def main(argv=None) -> int:
         config = (
             ToolConfig.from_json(args.config) if args.config else DEFAULT_CONFIG
         )
-        return _DISPATCH[args.command](args, config)
+        return args.run(args, config)
     except TetrablockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ class ToolConfig:
     """Numerical tolerances and search budgets.
 
     The four tolerances must be finite positive real numbers, the seed
-    an int, and the four integer budgets ints at or above the least
-    value given with each; a bool is none of these.
+    a nonnegative int, and the four integer budgets ints at or above
+    the least value given with each; a bool is none of these.
 
     Attributes
     ----------
@@ -87,8 +87,9 @@ class ToolConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
         for name, least in _INT_MINIMA.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

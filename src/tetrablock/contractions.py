@@ -66,11 +66,12 @@ __all__ = [
     "HypothesisReport",
     "check_obstruction_hypotheses",
     "report_to_json",
+    "fundamental_to_json",
     "Certificate",
-    "certificate_to_json",
     "violation_certificate",
     "FalsifyReport",
     "falsify_spectral_set",
+    "falsify_to_json",
     "varopoulos_example",
     "varopoulos_polynomial",
 ]
@@ -478,6 +479,23 @@ def report_to_json(rep) -> dict:
     return doc
 
 
+def fundamental_to_json(pairs) -> dict:
+    """The fundamental block of a verdict document.
+
+    ``pairs`` holds one ``(FundamentalPair, count)`` entry per distinct
+    block of a direct sum, ``count`` being its number of copies: the
+    rank is summed over every copy, and the residuals and the norms of
+    A1 and A2 are the largest over the blocks.
+    """
+    return {
+        "rank": sum(count * p.rank for p, count in pairs),
+        "residual_1": max(p.residual_1 for p, _ in pairs),
+        "residual_2": max(p.residual_2 for p, _ in pairs),
+        "a1_norm": max(float(op_norm(p.a1)) for p, _ in pairs),
+        "a2_norm": max(float(op_norm(p.a2)) for p, _ in pairs),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Randomized inequality falsifier.
 # ---------------------------------------------------------------------------
@@ -493,17 +511,6 @@ class Certificate:
     sup_refined: float
     margin: float
     violates: bool
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    """The certificate's entries in a verdict document."""
-    return {
-        "poly": poly_to_json(cert.poly),
-        "lhs": cert.lhs,
-        "sup_first": cert.sup_first,
-        "sup_refined": cert.sup_refined,
-        "margin": cert.margin,
-    }
 
 
 def violation_certificate(
@@ -743,6 +750,28 @@ def falsify_spectral_set(
         commutation_defect=float(comm),
         certificate=certs.get(worst if violation is None else violation),
     )
+
+
+def falsify_to_json(rep: FalsifyReport) -> dict:
+    """The falsify block of a verdict document.
+
+    The certificate is written only when it violates.
+    """
+    doc = {
+        "outcome": rep.outcome,
+        "worst_ratio": rep.worst_ratio,
+        "commutation_defect": rep.commutation_defect,
+    }
+    cert = rep.certificate
+    if cert is not None and cert.violates:
+        doc["certificate"] = {
+            "poly": poly_to_json(cert.poly),
+            "lhs": cert.lhs,
+            "sup_first": cert.sup_first,
+            "sup_refined": cert.sup_refined,
+            "margin": cert.margin,
+        }
+    return doc
 
 
 def varopoulos_polynomial() -> Poly3:

@@ -34,11 +34,12 @@ from .contractions import (
     HypothesisReport,
     ObstructionReport,
     Triple,
-    certificate_to_json,
     check_obstruction_hypotheses,
     dilation_obstruction,
     extract_fundamental,
     falsify_spectral_set,
+    falsify_to_json,
+    fundamental_to_json,
     report_to_json,
 )
 from .errors import TetrablockError
@@ -48,6 +49,7 @@ from .poly3 import cf_empirical_inf, cf_matrix_norm
 __all__ = [
     "SCHEMA_ID",
     "VERDICT_SCHEMA",
+    "verdict_document",
     "witness_symbol",
     "Witness",
     "build_witness",
@@ -74,6 +76,15 @@ VERDICT_SCHEMA = {
         "seed": {"type": "integer"},
     },
 }
+
+
+def verdict_document(tool: str, verdict: str, **body) -> dict:
+    """A verdict document: ``body``'s blocks in the envelope of ``tool``.
+
+    This is the one writer of the ``schema``, ``tool`` and ``verdict``
+    keys of :data:`VERDICT_SCHEMA`.
+    """
+    return {"schema": SCHEMA_ID, "tool": tool, **body, "verdict": verdict}
 
 
 def witness_symbol() -> np.ndarray:
@@ -118,10 +129,7 @@ def build_witness(depth: int, *, tol: float = 1e-9) -> Witness:
 
     t2 = np.zeros((dim, dim), dtype=np.complex128)
 
-    shift = np.zeros((n, n))
-    for i in range(n - 1):
-        shift[i + 1, i] = 1.0
-    v = np.kron(shift, np.eye(2))
+    v = np.kron(np.eye(n, k=-1), np.eye(2))
     t3 = np.zeros((dim, dim), dtype=np.complex128)
     t3[2 * cell : 3 * cell, cell : 2 * cell] = v
     t3[3 * cell : 4 * cell, 0:cell] = np.eye(cell)
@@ -148,6 +156,16 @@ class CaseInequalityReport:
     passed: bool
 
 
+def _lower_norm(d0, c, d1):
+    """The norm of [[d0, 0], [c, d1]] for d0, d1 >= 0, elementwise.
+
+    Its singular values s1 >= s2 have s1^2 + s2^2 = d0^2 + c^2 + d1^2
+    and s1 s2 = d0 d1, so they sum to hypot(d0 + d1, c) and differ by
+    hypot(d0 - d1, c); s1 is the half-sum of the two.
+    """
+    return (np.hypot(d0 + d1, c) + np.hypot(d0 - d1, c)) / 2.0
+
+
 def case_inequality_check(
     n_samples: int = 10_000,
     *,
@@ -159,9 +177,8 @@ def case_inequality_check(
     Checked claim: the norm of [[a0, 0], [a3, a0 + a1/4]] never
     exceeds the norm of [[a0, 0], [a1 + a3, a0]] when a0 <= a1, nor
     the norm of [[a0, 0], [a0 + a3, a0]] when a0 > a1.  Norms are
-    computed by batched singular value decomposition, one direct
-    2x2 evaluation per sample.  The worst margin (right minus left)
-    is reported along with the count below -tol.
+    computed in closed form by :func:`_lower_norm`.  The worst margin
+    (right minus left) is reported along with the count below -tol.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -169,18 +186,8 @@ def case_inequality_check(
     a = 2.0 * rng.random((n_samples, 3))
     a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
 
-    lhs = np.zeros((n_samples, 2, 2))
-    lhs[:, 0, 0] = a0
-    lhs[:, 1, 0] = a3
-    lhs[:, 1, 1] = a0 + a1 / 4.0
-
-    rhs = np.zeros((n_samples, 2, 2))
-    rhs[:, 0, 0] = a0
-    rhs[:, 1, 1] = a0
-    rhs[:, 1, 0] = np.where(a0 <= a1, a1 + a3, a0 + a3)
-
-    lhs_norm = np.linalg.svd(lhs, compute_uv=False)[:, 0]
-    rhs_norm = np.linalg.svd(rhs, compute_uv=False)[:, 0]
+    lhs_norm = _lower_norm(a0, a3, a0 + a1 / 4.0)
+    rhs_norm = _lower_norm(a0, np.where(a0 <= a1, a1 + a3, a0 + a3), a0)
     margins = rhs_norm - lhs_norm
     worst = float(margins.min())
     violations = int((margins < -tol).sum())
@@ -262,8 +269,6 @@ class PipelineReport:
     defect_projection_error: float | None = None
     # The pair of each distinct diagonal block with its number of copies.
     fundamental: list[tuple[FundamentalPair, int]] | None = None
-    a1_norm: float | None = None
-    a2_norm: float | None = None
     obstruction: ObstructionReport | None = None
     hypotheses: HypothesisReport | None = None
     falsify: FalsifyReport | None = None
@@ -309,19 +314,12 @@ def run_pipeline(
     def stage_products():
         norms = {}
         for part, _ in t.parts:
-            t1, t2, t3 = part.t1, part.t2, part.t3
-            for name, product in (
-                ("t1 t1", t1 @ t1),
-                ("t1 t2", t1 @ t2),
-                ("t1 t3", t1 @ t3),
-                ("t2 t1", t2 @ t1),
-                ("t2 t2", t2 @ t2),
-                ("t2 t3", t2 @ t3),
-                ("t3 t1", t3 @ t1),
-                ("t3 t2", t3 @ t2),
-                ("t3 t3", t3 @ t3),
-                ("t1* t3", t1.conj().T @ t3),
-            ):
+            ops = {"t1": part.t1, "t2": part.t2, "t3": part.t3}
+            products = {
+                f"{a} {b}": x @ y for a, x in ops.items() for b, y in ops.items()
+            }
+            products["t1* t3"] = part.t1.conj().T @ part.t3
+            for name, product in products.items():
                 norms[name] = max(norms.get(name, 0.0), op_norm(product))
         results["products"] = norms
 
@@ -334,7 +332,7 @@ def run_pipeline(
         results["defect_projection_error"] = worst
 
     def stage_fundamental():
-        pairs = [
+        results["fundamental"] = [
             (
                 extract_fundamental(
                     part, rank_tol=config.rank_tol, tol_solve=config.tol_solve
@@ -343,9 +341,6 @@ def run_pipeline(
             )
             for part, where in t.parts
         ]
-        results["fundamental"] = pairs
-        results["a1_norm"] = max(float(op_norm(p.a1)) for p, _ in pairs)
-        results["a2_norm"] = max(float(op_norm(p.a2)) for p, _ in pairs)
 
     def stage_obstruction():
         reports = [
@@ -424,53 +419,27 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
     a byte-identical document.  Stages an Inconclusive run never
     reached serialize as null.
     """
-    doc = {
-        "schema": SCHEMA_ID,
-        "tool": "counterexample",
-        "seed": report.seed,
-        "depth": report.depth,
-        "dim": report.dim,
-        "products": None,
-        "products_max": None,
-        "defect_projection_error": report.defect_projection_error,
-        "fundamental": None,
-        "obstruction": None,
-        "hypotheses": None,
-        "falsify": None,
-        "case_inequalities": None,
-        "cf_study": None,
-        "verdict": report.verdict,
-        "failing_stage": report.failing_stage,
-    }
-    if report.products is not None:
-        doc["products"] = {k: v for k, v in sorted(report.products.items())}
-        doc["products_max"] = max(report.products.values())
-    if report.fundamental is not None:
-        pairs = report.fundamental
-        doc["fundamental"] = {
-            "rank": sum(count * p.rank for p, count in pairs),
-            "residual_1": max(p.residual_1 for p, _ in pairs),
-            "residual_2": max(p.residual_2 for p, _ in pairs),
-            "a1_norm": report.a1_norm,
-            "a2_norm": report.a2_norm,
-        }
-    if report.obstruction is not None:
-        doc["obstruction"] = report_to_json(report.obstruction)
-    if report.hypotheses is not None:
-        doc["hypotheses"] = report_to_json(report.hypotheses)
-    if report.falsify is not None:
-        falsify = {
-            "outcome": report.falsify.outcome,
-            "trials_run": report.falsify.trials_run,
-            "worst_ratio": report.falsify.worst_ratio,
-            "commutation_defect": report.falsify.commutation_defect,
-        }
-        cert = report.falsify.certificate
-        if cert is not None and cert.violates:
-            falsify["certificate"] = certificate_to_json(cert)
-        doc["falsify"] = falsify
-    if report.case_check is not None:
-        doc["case_inequalities"] = report_to_json(report.case_check)
-    if report.cf_study is not None:
-        doc["cf_study"] = report_to_json(report.cf_study)
-    return doc
+
+    def block(value, to_json):
+        return None if value is None else to_json(value)
+
+    products = report.products
+    return verdict_document(
+        "counterexample",
+        report.verdict,
+        seed=report.seed,
+        depth=report.depth,
+        dim=report.dim,
+        products=block(products, lambda p: dict(sorted(p.items()))),
+        products_max=block(products, lambda p: max(p.values())),
+        defect_projection_error=report.defect_projection_error,
+        fundamental=block(report.fundamental, fundamental_to_json),
+        obstruction=block(report.obstruction, report_to_json),
+        hypotheses=block(report.hypotheses, report_to_json),
+        falsify=block(
+            report.falsify, lambda f: {**falsify_to_json(f), "trials_run": f.trials_run}
+        ),
+        case_inequalities=block(report.case_check, report_to_json),
+        cf_study=block(report.cf_study, report_to_json),
+        failing_stage=report.failing_stage,
+    )

@@ -195,9 +195,7 @@ def build_hardy_model(
 
     Inadmissible pairs raise ValidationRequiredError.
     """
-    shift = np.zeros((depth, depth))
-    for i in range(depth - 1):
-        shift[i + 1, i] = 1.0
+    shift = np.eye(depth, k=-1)
     return _build_model(a1, a2, depth, shift, "hardy", tol, z_samples)
 
 
@@ -210,9 +208,7 @@ def build_circulant_model(
     triple: T3 unitary and the pencil relations exact on the whole
     space.  Inadmissible pairs raise ValidationRequiredError.
     """
-    shift = np.zeros((depth, depth))
-    for i in range(depth):
-        shift[(i + 1) % depth, i] = 1.0
+    shift = np.roll(np.eye(depth), 1, axis=0)
     return _build_model(a1, a2, depth, shift, "circulant", tol, z_samples)
 
 

@@ -69,13 +69,6 @@ class Poly3:
         self.exp_array.flags.writeable = False
         self.coef_array.flags.writeable = False
 
-    @property
-    def total_degree(self) -> int:
-        """Largest total degree, or -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(exp) for exp in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly3):
             return NotImplemented

@@ -3,12 +3,16 @@
 import dataclasses
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from tetrablock import (
+    VERDICT_SCHEMA,
     Triple,
+    build_circulant_model,
     build_witness,
+    check_tetra_unitary,
     matrix_to_json,
     poly_to_json,
     random_symbol_pair,
@@ -250,6 +254,9 @@ def test_model_circulant_flavor_is_boundary_triple(capsys, tmp_path):
     assert code == 0
     assert doc["flavor"] == "circulant"
     assert doc["boundary_triple"]["passed"]
+    # Every defect that decides "passed" is written, normality too.
+    unitary = check_tetra_unitary(build_circulant_model(a1, a2, 5))
+    assert doc["boundary_triple"] == report_to_json(unitary)
 
 
 @pytest.mark.parametrize("flavor", ["hardy", "circulant"])
@@ -342,6 +349,60 @@ def test_seed_only_on_randomized_commands(capsys, tmp_path):
     for argv, want in randomized:
         code, doc = run_json(capsys, argv + ["--seed", "4"])
         assert code == want and doc["seed"] == 4, argv[0]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_negative_seed_exits_two_naming_it(capsys, monkeypatch, tmp_path, source):
+    # Before, each source ended in numpy's bare "expected non-negative
+    # integer", which names neither the seed nor where it came from.
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    argv = ["sup", "--poly", poly, "--samples", "8"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("TETRA_SEED", "-2")
+    else:
+        argv += ["--config", write_json(tmp_path / "cfg.json", {"seed": -4})]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert ("TETRA_SEED" if source == "env" else "seed") in captured.err
+
+
+def _envelope_commands(tmp_path) -> dict:
+    # One run of every command that prints a verdict document.
+    triple = write_json(tmp_path / "t.json", triple_to_json(build_witness(3).triple))
+    poly = write_json(tmp_path / "p.json", poly_to_json(Poly3({(1, 0, 0): 1.0})))
+    a1, a2 = random_symbol_pair(2, seed=25)
+    a1 = write_json(tmp_path / "a1.json", matrix_to_json(a1))
+    a2 = write_json(tmp_path / "a2.json", matrix_to_json(a2))
+    model = ["model", "--a1", a1, "--a2", a2, "--blocks", "3", "--flavor"]
+    return {
+        "classify": ["classify", "--point", "(0.2,0.3,0.5)"],
+        "sup": ["sup", "--poly", poly, "--samples", "32"],
+        "cf": ["cf", "--b0", "0.6", "--b1", "0.8", "--degree", "2"],
+        "fundamental": ["fundamental", "--triple", triple],
+        "falsify": ["falsify", "--triple", triple, "--trials", "2"],
+        "obstruction": ["obstruction", "--triple", triple, "--split", "12"],
+        "model-hardy": model + ["hardy"],
+        "model-circulant": model + ["circulant"],
+        "counterexample": ["counterexample", "--blocks", "3", "--trials", "2"],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["classify", "sup", "cf", "fundamental", "falsify", "obstruction",
+     "model-hardy", "model-circulant", "counterexample"],
+)
+def test_every_document_in_the_envelope(capsys, tmp_path, name):
+    argv = _envelope_commands(tmp_path)[name]
+    code, doc = run_json(capsys, argv)
+    assert code in (0, 1)
+    jsonschema.validate(doc, VERDICT_SCHEMA)
+    assert doc["tool"] == argv[0]
+    # Only the randomized commands echo a seed.
+    assert ("seed" in doc) == (argv[0] in ("sup", "falsify", "counterexample"))
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

@@ -55,6 +55,30 @@ def test_case_inequality_check():
     assert rep == case_inequality_check(5000, seed=77)
 
 
+def test_lower_norm_matches_svd():
+    # The closed form against the largest singular value, on random
+    # entries and on the edges: zeros, c = 0 and d0 = d1.
+    rng = np.random.default_rng(8)
+    d0, c, d1 = 2.0 * rng.random((3, 1000))
+    edges = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [0.0, 1.5, 0.0],
+            [0.7, 0.0, 0.2],
+            [0.2, 0.0, 0.7],
+            [0.0, 0.0, 1.3],
+            [0.9, 0.4, 0.9],
+            [1.1, 0.0, 1.1],
+            [0.0, 0.3, 0.8],
+        ]
+    )
+    d0, c, d1 = np.concatenate([np.stack([d0, c, d1]), edges.T], axis=1)
+    mats = np.zeros((d0.size, 2, 2))
+    mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1] = d0, c, d1
+    want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    np.testing.assert_allclose(ce._lower_norm(d0, c, d1), want, rtol=1e-14, atol=0)
+
+
 def test_case_inequality_corner():
     # With a0 = 0 the comparison is sqrt(a3^2 + (a1/4)^2) <= a1 + a3,
     # which holds with slack whenever a1 or a3 is positive; the random
@@ -104,7 +128,7 @@ def test_pipeline_obstructed_verdict_each_depth():
         assert rep.failing_stage is None
         assert max(rep.products.values()) == 0.0
         assert rep.defect_projection_error <= 1e-12
-        assert rep.a2_norm <= 1e-12
+        assert pipeline_report_to_json(rep)["fundamental"]["a2_norm"] <= 1e-12
         assert rep.obstruction.c1 <= 1e-12
         assert rep.obstruction.c2 == pytest.approx(0.0625, abs=1e-10)
         assert rep.hypotheses.passed

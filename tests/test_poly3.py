@@ -515,17 +515,11 @@ def test_malformed_poly_json_rejected(doc, where):
         poly_from_json(doc)
 
 
-def test_total_degree():
-    assert Poly3({}).total_degree == -1
-    assert Poly3({(0, 0, 0): 2.0}).total_degree == 0
-    assert Poly3({(1, 2, 3): 1.0, (0, 0, 1): 1.0}).total_degree == 6
-
-
 def test_random_poly_deterministic_and_degree_bounded():
     p = random_poly(3, seed=42)
     q = random_poly(3, seed=42)
     assert p == q
-    assert p.total_degree <= 3
+    assert max(map(sum, p.coeffs)) <= 3
     assert p.coeffs  # a Gaussian draw of this size never lands at zero
     r = random_poly(3, seed=43)
     assert r != p
