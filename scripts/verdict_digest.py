@@ -18,11 +18,13 @@ pairs, each emitting its triple; and
 ``obstruction`` on those of even dimension; ``falsify`` runs whose
 screens leave several candidates: the depth-8 witness with criterion
 2's 200 trials and seed, and the Varopoulos triple at degrees 2 and 3
-with 100 trials; ``cf`` on two pairs and the zero pair at degrees 0,
-2 and 8; and ``sup`` on the Varopoulos polynomial.  Inputs are written
-under fixed relative names, so the output depends on the package
-alone.  Run it against two checkouts and diff the outputs to check
-that a change keeps every document byte for byte:
+with 100 trials; ``obstruction`` on the depth-8 witness at its half
+split, whose strict-mode hypotheses see the truncation boundary;
+``cf`` on two pairs and the zero pair at degrees 0, 2 and 8; and
+``sup`` on the Varopoulos polynomial.  Inputs are written under fixed
+relative names, so the output depends on the package alone.  Run it
+against two checkouts and diff the outputs to check that a change
+keeps every document byte for byte:
 
 Usage:
     PYTHONPATH=src python3 scripts/verdict_digest.py > after.txt
@@ -129,6 +131,8 @@ def commands() -> list:
                         cmds.append((["obstruction", "--triple", triple] + split, None))
     witness = ["falsify", "--triple", "witness-8.json", "--trials", "200"]
     cmds.append((witness + ["--seed", "20250801"], None))
+    witness = ["obstruction", "--triple", "witness-8.json", "--split", "32"]
+    cmds.append((witness, None))
     for degree in ("2", "3"):
         varopoulos = ["falsify", "--triple", "varopoulos.json", "--trials", "100"]
         cmds.append((varopoulos + ["--degree", degree, "--seed", "3"], None))

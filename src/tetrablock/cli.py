@@ -114,8 +114,14 @@ def _render(doc: dict) -> str:
 
 
 def _emit(doc: dict, args, config: ToolConfig) -> None:
+    # Rendered whole first, in both forms, so that a non-finite value
+    # exits 2 in text form too and leaves no --out file.
+    text = _render(doc)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     fmt = getattr(args, "format", None) or config.output_format
-    print("\n".join(_flatten(doc)) if fmt == "text" else _render(doc))
+    print("\n".join(_flatten(doc)) if fmt == "text" else text)
 
 
 def _cmd_classify(args, config: ToolConfig) -> int:
@@ -269,13 +275,7 @@ def _cmd_counterexample(args, config: ToolConfig) -> int:
         degree=args.degree,
         seed=seed,
     )
-    doc = pipeline_report_to_json(report)
-    if args.out:
-        # Serialized whole first, so a non-finite value leaves no file.
-        text = _render(doc)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _emit(doc, args, config)
+    _emit(pipeline_report_to_json(report), args, config)
     return 1 if report.verdict in ("Obstructed", "Inconclusive") else 0
 
 

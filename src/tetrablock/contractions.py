@@ -368,49 +368,19 @@ class HypothesisReport:
     passed: bool
 
 
-def _hypothesis_projectors(n: int, split, boundary, *, tol: float) -> tuple:
-    # The projector onto the first ``split`` coordinates, which must be
-    # exactly half of ``n``, and, when ``boundary`` is given, the
-    # projector S S* onto the span of its columns, which must be
-    # orthonormal to within ``tol``.
-    if split is None or split <= 0 or 2 * split != n:
-        raise BadSplitError(
-            f"split must be half the dimension, got split={split}, dim={n}"
-        )
-    p_first = np.diag((np.arange(n) < split).astype(np.complex128))
-    if boundary is None:
-        return (p_first,)
-    s = as_matrix(boundary, name="boundary")
-    if s.shape[0] != n:
-        raise DimensionMismatchError(f"boundary must have {n} rows, got {s.shape[0]}")
-    gram_defect = op_norm(s.conj().T @ s - np.eye(s.shape[1]))
-    if gram_defect > tol:
-        raise NotIsometricEmbeddingError(
-            f"boundary columns are not orthonormal (defect {gram_defect:.3e})"
-        )
-    # S S* vanishes off the rows where S does, so only those multiply.
-    rows = np.flatnonzero(s.any(axis=1))
-    p_s = np.zeros((n, n), dtype=np.complex128)
-    p_s[np.ix_(rows, rows)] = s[rows] @ s[rows].conj().T
-    return (p_first, p_s)
-
-
-def _hypothesis_defects(t3, p_first, p_s=None, *, tol, rank_tol) -> tuple:
-    # The four defects of one triple (or one block of it); p_s is None
-    # in strict mode.
+def _hypothesis_defects(t3, first, boundary, *, tol, rank_tol) -> tuple:
+    # The four defects of T3, or of one block of it, given the 0/1
+    # masks of its first-half and boundary coordinates.  Strict mode is
+    # an empty boundary.
     eye = np.eye(t3.shape[0])
-    p_second = eye - p_first
+    p_first, p_s = np.diag(first * 1.0), np.diag(boundary * 1.0)
     d2 = eye - t3.conj().T @ t3
     eig = herm_eig(d2, tol=max(tol, 1e-9))
     kernel_vecs = eig.vectors[:, eig.values <= rank_tol]
     p_ker = kernel_vecs @ kernel_vecs.conj().T
     p_range = eye - p_ker
-    if p_s is None:
-        defect_kernel = op_norm(p_ker - p_first)
-        defect_range = op_norm(p_range - p_second)
-    else:
-        defect_kernel = op_norm(p_ker - p_first + p_s)
-        defect_range = op_norm(p_range - p_second - p_s)
+    defect_kernel = op_norm(p_ker - p_first + p_s)
+    defect_range = op_norm(p_range - (eye - p_first) - p_s)
     shift_kills_range = op_norm(t3 @ p_range)
     shift_maps_kernel = op_norm((eye - p_range) @ t3 @ p_ker)
     return defect_kernel, defect_range, shift_kills_range, shift_maps_kernel
@@ -422,14 +392,15 @@ def check_obstruction_hypotheses(
     *,
     tol: float = 1e-9,
     rank_tol: float = 1e-8,
-    boundary=None,
+    boundary=(),
 ) -> HypothesisReport:
     """Check the subspace hypotheses for a triple split into halves.
 
-    T3 and the projectors onto the first half and onto the boundary
-    are block-diagonal under their common :func:`diagonal_blocks`, so
-    the check runs once on each of their :func:`distinct_blocks`, and
-    each defect is the largest over them.
+    The projectors onto the first half and onto the boundary are
+    diagonal, so they join no two blocks of the triple: the check runs
+    on its :attr:`Triple.parts`, once per distinct part and pair of
+    first-half and boundary masks, and each defect is the largest over
+    those pieces.
 
     Parameters
     ----------
@@ -438,26 +409,50 @@ def check_obstruction_hypotheses(
     split:
         Dimension of the first half; must be exactly half the space.
     boundary:
-        Optional n-by-d matrix with orthonormal columns spanning the
-        truncation boundary.  When given, the kernel/range comparisons
-        are made relative to it: the kernel may lose the boundary and
-        the range may gain it, which is exactly the finite-depth
-        picture of an isometry truncated to a strict shift.
+        Distinct integer coordinates spanning the truncation boundary;
+        empty (the default) for the strict check.  When given, the
+        kernel/range comparisons are made relative to it: the kernel
+        may lose the boundary and the range may gain it, which is
+        exactly the finite-depth picture of an isometry truncated to a
+        strict shift.
     """
-    mats = (t.t3,) + _hypothesis_projectors(t.dim, split, boundary, tol=tol)
-    pieces = distinct_blocks(mats, diagonal_blocks(mats))
+    if split is None or split <= 0 or 2 * split != t.dim:
+        raise BadSplitError(
+            f"split must be half the dimension, got split={split}, dim={t.dim}"
+        )
+    # Only a 1-D integer array is read as coordinates (an empty one may
+    # have any dtype): a matrix or a 0/1 mask is refused, not misread.
+    coords = np.asarray(boundary)
+    if coords.ndim != 1 or (coords.size and coords.dtype.kind not in "iu"):
+        raise ValueError(
+            f"boundary must be 1-D integer coordinates, got {coords.dtype} "
+            f"of shape {coords.shape}"
+        )
+    if coords.size and not (0 <= coords.min() and coords.max() < t.dim):
+        raise DimensionMismatchError(f"boundary coordinates must lie in [0, {t.dim})")
+    if len(set(coords.tolist())) < len(coords):
+        raise NotIsometricEmbeddingError(
+            "a boundary coordinate repeats, so its columns are not orthonormal"
+        )
+    # One piece per distinct pair of masks on each part.  (np.unique
+    # would import numpy.ma, a megabyte, into every pipeline run.)
     defects = [
-        _hypothesis_defects(*sub, tol=tol, rank_tol=rank_tol) for sub, _ in pieces
+        _hypothesis_defects(part.t3, first, inside, tol=tol, rank_tol=rank_tol)
+        for part, where in t.parts
+        for first, inside in {
+            m.tobytes(): m
+            for m in np.stack([where < split, np.isin(where, coords)], axis=1)
+        }.values()
     ]
     defects = [max(column) for column in zip(*defects)]
     defect_kernel, defect_range, shift_kills_range, shift_maps_kernel = defects
     return HypothesisReport(
-        mode="strict" if boundary is None else "interior",
+        mode="interior" if len(coords) else "strict",
         defect_kernel=float(defect_kernel),
         defect_range=float(defect_range),
         shift_kills_range=float(shift_kills_range),
         shift_maps_kernel=float(shift_maps_kernel),
-        boundary_dim=0 if boundary is None else np.shape(boundary)[1],
+        boundary_dim=len(coords),
         passed=bool(max(defects) <= tol),
     )
 

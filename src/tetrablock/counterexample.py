@@ -14,7 +14,7 @@ inequality itself holds on the same triple.
 
 At any finite depth the kernel/range hypotheses hold relative to a
 two-dimensional truncation boundary, the final cell of the shifted
-copy; the builder returns that subspace so the hypothesis check can
+copy; the builder returns its coordinates so the hypothesis check can
 run in interior mode.  (In exact arithmetic no finite-dimensional
 triple satisfies the strict hypotheses with a nonzero invariant: the
 strict versions force the shift to a unitary pairing of the halves,
@@ -99,7 +99,7 @@ def witness_symbol() -> np.ndarray:
 
 @dataclass(frozen=True)
 class Witness:
-    """The built triple plus the split and truncation-boundary data."""
+    """The built triple, its split and its truncation boundary's coordinates."""
 
     triple: Triple
     split: int
@@ -112,8 +112,9 @@ def build_witness(depth: int, *, tol: float = 1e-9) -> Witness:
 
     The space is four copies of C^(2N); the first two copies form the
     first half of the split, the last two the second half.  The
-    returned boundary matrix spans the final cell of the second copy,
-    which is exactly where the truncated shift fails to be surjective.
+    returned boundary is the coordinates of the final cell of the
+    second copy, which is exactly where the truncated shift fails to be
+    surjective.
     """
     if depth < 3:
         # Below three blocks the shift degenerates and the kernel/range
@@ -134,13 +135,10 @@ def build_witness(depth: int, *, tol: float = 1e-9) -> Witness:
     t3[2 * cell : 3 * cell, cell : 2 * cell] = v
     t3[3 * cell : 4 * cell, 0:cell] = np.eye(cell)
 
-    boundary = np.zeros((dim, 2), dtype=np.complex128)
-    boundary[2 * cell - 2, 0] = 1.0
-    boundary[2 * cell - 1, 1] = 1.0
     return Witness(
         triple=Triple(t1=t1, t2=t2, t3=t3, tol=tol),
         split=2 * cell,
-        boundary=boundary,
+        boundary=np.arange(2 * cell - 2, 2 * cell),
         depth=depth,
     )
 
@@ -257,7 +255,8 @@ class PipelineReport:
     """Everything the end-to-end run measured.
 
     A stage's results are None when an Inconclusive run never reached
-    it.
+    it; ``failure`` names the failing stage's exception, as
+    ``"<ExceptionType>: <message>"``.
     """
 
     depth: int
@@ -265,6 +264,7 @@ class PipelineReport:
     seed: int
     verdict: str
     failing_stage: str | None
+    failure: str | None = None
     products: dict | None = None
     defect_projection_error: float | None = None
     # The pair of each distinct diagonal block with its number of copies.
@@ -300,8 +300,8 @@ def run_pipeline(
     Every operator stage works on the distinct blocks
     (:attr:`Triple.parts`) and takes each norm and residual as the
     largest over them, and the fundamental pair's rank as the sum over
-    every copy, so its cost does not grow with depth.  The hypotheses
-    check partitions T3 and its projectors the same way on its own.
+    every copy, so its cost does not grow with depth.  So does the
+    hypotheses check, whose projectors are coordinate masks.
     """
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)
@@ -309,7 +309,7 @@ def run_pipeline(
 
     # Each stage stores its results under their PipelineReport names.
     results: dict = {}
-    failing_stage = None
+    failing_stage = failure = None
 
     def stage_products():
         norms = {}
@@ -392,8 +392,8 @@ def run_pipeline(
     for name, fn in stages:
         try:
             fn()
-        except (TetrablockError, np.linalg.LinAlgError):
-            failing_stage = name
+        except (TetrablockError, np.linalg.LinAlgError) as exc:
+            failing_stage, failure = name, f"{type(exc).__name__}: {exc}"
             break
 
     if failing_stage is not None:
@@ -408,6 +408,7 @@ def run_pipeline(
         seed=seed,
         verdict=verdict,
         failing_stage=failing_stage,
+        failure=failure,
         **results,
     )
 
@@ -417,7 +418,8 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
 
     The document holds no timing, so that a fixed seed and flags yield
     a byte-identical document.  Stages an Inconclusive run never
-    reached serialize as null.
+    reached serialize as null, and ``failure`` is written only when a
+    stage failed.
     """
 
     def block(value, to_json):
@@ -442,4 +444,5 @@ def pipeline_report_to_json(report: PipelineReport) -> dict:
         case_inequalities=block(report.case_check, report_to_json),
         cf_study=block(report.cf_study, report_to_json),
         failing_stage=report.failing_stage,
+        **({} if report.failure is None else {"failure": report.failure}),
     )

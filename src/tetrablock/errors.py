@@ -59,7 +59,7 @@ class BadSplitError(TetrablockError):
 
 
 class NotIsometricEmbeddingError(TetrablockError):
-    """The supplied embedding fails to be isometric within tolerance."""
+    """The supplied embedding is not isometric: a boundary coordinate repeats."""
 
 
 class ValidationRequiredError(TetrablockError):

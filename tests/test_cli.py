@@ -110,6 +110,24 @@ def test_non_finite_document_exits_two(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == "" and not out.exists()
 
 
+@pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+def test_non_finite_document_exits_two_in_text_form(capsys, tmp_path):
+    # The text form refuses what the JSON form refuses: before, both
+    # commands printed an inf field and exited 0.
+    big = Poly3({(1, 0, 0): 1e308, (0, 1, 0): 1e308})
+    poly = write_json(tmp_path / "p.json", poly_to_json(big))
+    sup = ["sup", "--poly", poly, "--samples", "64", "--seed", "1"]
+    cf = ["cf", "--b0", "1e308", "--b1", "1e308"]
+    for argv in (sup, cf):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not JSON compliant" in captured.err
+
+
 def test_classify_json_point_form(capsys):
     point = json.dumps({"x1": [0.2, 0.1], "x2": [0.1, 0.0], "x3": [0.0, 0.0]})
     code, doc = run_json(capsys, ["classify", "--point", point])

@@ -9,6 +9,7 @@ import pytest
 
 from tetrablock import (
     VERDICT_SCHEMA,
+    BadSplitError,
     FundamentalPair,
     NoConvergenceError,
     ToolConfig,
@@ -36,7 +37,7 @@ def test_build_witness_shapes():
     w = build_witness(5)
     assert w.triple.dim == 40
     assert w.split == 20
-    assert w.boundary.shape == (40, 2)
+    assert w.boundary.tolist() == [18, 19]
     assert w.depth == 5
 
 
@@ -169,7 +170,27 @@ def test_pipeline_inconclusive_on_stage_failure(monkeypatch):
     jsonschema.validate(doc, VERDICT_SCHEMA)
     assert doc["verdict"] == "Inconclusive"
     assert doc["failing_stage"] == "fundamental"
+    assert doc["failure"] == "NoConvergenceError: synthetic failure"
     json.dumps(doc)  # still strictly serializable
+
+
+def test_pipeline_document_names_the_failure(monkeypatch):
+    # The failing stage's exception type and message sit next to its
+    # name; a run that succeeds has no failure key.
+    ok = pipeline_report_to_json(run_pipeline(4, trials=5, degree=2, seed=7))
+    assert ok["failing_stage"] is None and "failure" not in ok
+
+    def boom(*args, **kwargs):
+        raise BadSplitError("boom")
+
+    monkeypatch.setattr(ce, "check_obstruction_hypotheses", boom)
+    rep = run_pipeline(4, trials=5, degree=2, seed=7)
+    assert (rep.failing_stage, rep.failure) == ("hypotheses", "BadSplitError: boom")
+    doc = pipeline_report_to_json(rep)
+    assert doc["verdict"] == "Inconclusive"
+    assert doc["failing_stage"] == "hypotheses"
+    assert doc["failure"] == "BadSplitError: boom"
+    assert doc["obstruction"] == ok["obstruction"] and doc["falsify"] is None
 
 
 def test_pipeline_programming_error_propagates(monkeypatch):

@@ -301,10 +301,8 @@ def assert_occurrences_tile(parts, mats):
 def test_witness_is_a_direct_sum_of_three_distinct_blocks(depth):
     w = build_witness(depth)
     t = w.triple
-    n = t.dim
     jordan = np.array([[0.0, 0.0], [1.0, 0.0]])
-    zero2 = np.zeros((2, 2))
-    one, zero1 = np.ones((1, 1)), np.zeros((1, 1))
+    zero2, zero1 = np.zeros((2, 2)), np.zeros((1, 1))
     # The triple's block form: 4 depth - 2 copies of (0, 0, J), two 1x1
     # zero blocks and one (f1, 0, 0).
     parts = t.parts
@@ -316,20 +314,17 @@ def test_witness_is_a_direct_sum_of_three_distinct_blocks(depth):
     assert_occurrences_tile(
         [((p.t1, p.t2, p.t3), where) for p, where in parts], (t.t1, t.t2, t.t3)
     )
-    # What the hypotheses check sees, (T3, P_first, S S*): the same 4
-    # depth - 2 shift blocks, each with its first coordinate in the first
-    # half; the two boundary coordinates; and f1's two coordinates, on
-    # which T3 vanishes, apart.
-    p_first = np.diag((np.arange(n) < w.split).astype(float))
-    mats = (t.t3, p_first, w.boundary @ w.boundary.conj().T)
-    pieces = distinct_blocks(mats, diagonal_blocks(mats))
-    assert [len(where) for _, where in pieces] == [4 * depth - 2, 2, 2]
-    want = [(jordan, np.diag([1.0, 0.0]), zero2), (zero1, one, one), (zero1,) * 3]
-    for (sub, _), restrictions in zip(pieces, want):
-        assert np.array_equal(sub, np.stack(restrictions))
-    boundary_rows = np.flatnonzero(w.boundary.any(axis=1))
-    assert np.array_equal(pieces[1][1].ravel(), boundary_rows)
-    assert_occurrences_tile(pieces, mats)
+    # What the hypotheses check sees, the parts' first-half and boundary
+    # masks: every shift block has its first coordinate in the first
+    # half; the two 1x1 zero blocks are the boundary, in the first half;
+    # f1's block lies in the second half, off the boundary.
+    masks = [
+        np.unique(np.stack([where < w.split, np.isin(where, w.boundary)], 1), axis=0)
+        for _, where in parts
+    ]
+    want = [[[[1, 0], [0, 0]]], [[[1], [1]]], [[[0, 0], [0, 0]]]]
+    assert [m.astype(int).tolist() for m in masks] == want
+    assert np.array_equal(parts[1][1].ravel(), w.boundary)
 
 
 def test_parts_key_on_projectors_and_couple_through_them():
