@@ -9,7 +9,8 @@ command printed, or a file it wrote (``model --emit``,
 seed 1, full size) follow, marked ``op``.
 
 The commands: ``counterexample`` at depths 4, 16 and 32 with seeds 1,
-7 and 12345, and at depth 4 with seed 1 in ``--format text``;
+7 and 12345, at depth 4 with seed 1 in ``--format text``, and at depth
+256 (dim 2048) with 20 trials and seed 1;
 ``classify`` on points inside and outside the domain, and on one of
 them in ``--format text``; ``model`` in both flavors for block
 dimensions 2 and 3, depths 4 and 5, and diagonal and dense symbol
@@ -104,6 +105,8 @@ def commands() -> list:
     argv = ["counterexample", "--blocks", "4", "--seed", "1", "--out", "verdict.json"]
     cmds.append((argv, "verdict.json"))
     argv = ["counterexample", "--blocks", "4", "--seed", "1", "--format", "text"]
+    cmds.append((argv, None))
+    argv = ["counterexample", "--blocks", "256", "--trials", "20", "--seed", "1"]
     cmds.append((argv, None))
     cmds.extend((["classify", "--point", point], None) for point in POINTS)
     cmds.append((["classify", "--point", POINTS[2], "--format", "text"], None))

@@ -7,7 +7,8 @@ and returns an exit code with a fixed meaning:
 * 0: the computation succeeded and the verdict, if any, is affirmative.
 * 1: the computation succeeded but the verdict is negative
   (Violation, Obstructed, Inconclusive, or a failing selftest).
-* 2: usage or input error.
+* 2: usage or input error, including an input too large to run
+  (a MemoryError).
 
 The distinction lets shell scripts separate "the math said no" from
 "the tool could not run".  Randomized commands echo the seed they
@@ -386,6 +387,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Input too large to run is an input error, not a negative verdict.
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -88,6 +88,13 @@ class Triple:
     Two derived objects are computed once, on first use, and kept on
     the triple: its :attr:`basis` of memoized monomials and its block
     form :attr:`parts`.
+
+    A triple is built either from its matrices or, with
+    :meth:`direct_sum`, from its distinct blocks and where they occur.
+    A direct sum's block form is given, and its dense T1, T2, T3 (and
+    so its basis) are scattered from the blocks only when something
+    reads them: a direct sum of many small blocks is worked on without
+    ever forming a dim x dim matrix.
     """
 
     t1: np.ndarray
@@ -105,7 +112,60 @@ class Triple:
                 f"{self.t1.shape}, {self.t2.shape}, {self.t3.shape}"
             )
 
-    @property
+    @staticmethod
+    def direct_sum(parts, *, tol: float = 1e-9) -> Triple:
+        """The direct sum of blocks placed at given coordinates.
+
+        ``parts`` lists ``(block, where)`` pairs: a block :class:`Triple`
+        and a (count, size) integer array whose rows are the coordinates
+        of its copies, size being the block's dimension.  Together the
+        rows must cover ``range(dim)`` exactly once.  The result's
+        :attr:`parts` is ``parts`` as given (each ``where`` as an
+        array), and its dimension is the number of coordinates.  A
+        block mismatching its rows raises DimensionMismatchError, and
+        coordinates that do not tile ``range(dim)`` raise ValueError.
+        """
+        parts = [(part, np.asarray(where)) for part, where in parts]
+        if not parts:
+            raise ValueError("a direct sum needs at least one block")
+        for part, where in parts:
+            if where.ndim != 2 or where.shape[1] != part.dim:
+                raise DimensionMismatchError(
+                    f"a {part.dim}x{part.dim} block needs (count, {part.dim}) "
+                    f"occurrences, got shape {where.shape}"
+                )
+            if where.dtype.kind not in "iu":
+                raise ValueError(f"occurrences must be integers, got {where.dtype}")
+        coords = np.concatenate([where.ravel() for _, where in parts]).astype(np.intp)
+        dim = len(coords)
+        if not (
+            dim
+            and coords.min() >= 0
+            and coords.max() < dim
+            and np.bincount(coords, minlength=dim).max() == 1
+        ):
+            raise ValueError(f"occurrences must tile range({dim}) exactly once")
+        self = object.__new__(Triple)
+        object.__setattr__(self, "tol", tol)
+        # Prefilled cached properties; t1, t2, t3 wait for __getattr__.
+        self.__dict__.update(dim=dim, parts=parts)
+        return self
+
+    def __getattr__(self, name):
+        # Only a direct sum lacks its matrices: scatter all three from
+        # the blocks on the first read of any of them.
+        if name not in ("t1", "t2", "t3") or "parts" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        for key in ("t1", "t2", "t3"):
+            m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            for part, where in self.parts:
+                m[where[:, :, None], where[:, None, :]] = getattr(part, key)
+            object.__setattr__(self, key, m)
+        return self.__dict__[name]
+
+    @cached_property
     def dim(self) -> int:
         return self.t1.shape[0]
 
@@ -125,7 +185,8 @@ class Triple:
         of block-diagonal matrices has exact zeros off the blocks), so
         any norm of one is the largest over the parts, and a direct sum
         of many copies of a few blocks is worked on copy by copy only
-        once.  A one-block triple is its own single part.
+        once.  A one-block triple is its own single part.  On a
+        :meth:`direct_sum` they are given, not found.
         """
         mats = (self.t1, self.t2, self.t3)
         blocks = diagonal_blocks(mats)

@@ -111,34 +111,47 @@ def build_witness(depth: int, *, tol: float = 1e-9) -> Witness:
     """Assemble the witness triple at the given depth.
 
     The space is four copies of C^(2N); the first two copies form the
-    first half of the split, the last two the second half.  The
-    returned boundary is the coordinates of the final cell of the
-    second copy, which is exactly where the truncated shift fails to be
-    surjective.
+    first half of the split, the last two the second half.  T3 maps
+    the first copy onto the fourth, and the second copy, shifted by one
+    2-dimensional cell, into the third; T1 is ``witness_symbol()`` on
+    the first cell of the third copy; T2 is zero.  The returned
+    boundary is the coordinates of the final cell of the second copy,
+    which is exactly where the truncated shift fails to be surjective.
+
+    The triple is built as a :meth:`Triple.direct_sum` of its three
+    distinct blocks, in order of first coordinate: 4N - 2 copies of
+    (0, 0, J), J the 2x2 lower shift, pairing coordinate i of the
+    first copy with i of the fourth and of the second copy with i + 2
+    of the third; the boundary's two 1x1 zero blocks; and one
+    (f1, 0, 0).  These are the blocks, occurrences and bits that
+    :func:`~tetrablock.poly3.distinct_blocks` finds on the dense
+    matrices, so no dim x dim matrix is formed unless one is read.
     """
     if depth < 3:
         # Below three blocks the shift degenerates and the kernel/range
         # split no longer separates from the truncation boundary.
         raise ValueError(f"depth must be at least 3, got {depth}")
-    n = depth
-    cell = 2 * n
-    dim = 4 * cell
-    f1 = witness_symbol()
-
-    t1 = np.zeros((dim, dim), dtype=np.complex128)
-    t1[2 * cell : 2 * cell + 2, 2 * cell : 2 * cell + 2] = f1
-
-    t2 = np.zeros((dim, dim), dtype=np.complex128)
-
-    v = np.kron(np.eye(n, k=-1), np.eye(2))
-    t3 = np.zeros((dim, dim), dtype=np.complex128)
-    t3[2 * cell : 3 * cell, cell : 2 * cell] = v
-    t3[3 * cell : 4 * cell, 0:cell] = np.eye(cell)
-
+    cell = 2 * depth
+    zero1, zero2 = np.zeros((1, 1)), np.zeros((2, 2))
+    jordan = np.array([[0.0, 0.0], [1.0, 0.0]])
+    # A shift block pairs coordinate i of the first copy with i + 3 cell
+    # in the fourth, and i of the second copy, but for its final cell,
+    # with i + cell + 2 in the third.
+    first = np.arange(2 * cell - 2)
+    second = first + np.where(first < cell, 3 * cell, cell + 2)
+    boundary = np.arange(2 * cell - 2, 2 * cell)
+    parts = [
+        (Triple(zero2, zero2, jordan, tol=tol), np.stack([first, second], axis=1)),
+        (Triple(zero1, zero1, zero1, tol=tol), boundary[:, None]),
+        (
+            Triple(witness_symbol(), zero2, zero2, tol=tol),
+            np.arange(2 * cell, 2 * cell + 2)[None],
+        ),
+    ]
     return Witness(
-        triple=Triple(t1=t1, t2=t2, t3=t3, tol=tol),
+        triple=Triple.direct_sum(parts, tol=tol),
         split=2 * cell,
-        boundary=np.arange(2 * cell - 2, 2 * cell),
+        boundary=boundary,
         depth=depth,
     )
 
@@ -296,12 +309,14 @@ def run_pipeline(
     verdict "Inconclusive" and records the failing stage; the partial
     report is still returned.  Any other exception propagates.
 
-    The witness is a direct sum of copies of three distinct blocks.
-    Every operator stage works on the distinct blocks
-    (:attr:`Triple.parts`) and takes each norm and residual as the
-    largest over them, and the fundamental pair's rank as the sum over
-    every copy, so its cost does not grow with depth.  So does the
-    hypotheses check, whose projectors are coordinate masks.
+    The witness is stated as a direct sum of copies of three distinct
+    blocks (:func:`build_witness`).  Every operator stage works on the
+    distinct blocks (:attr:`Triple.parts`) and takes each norm and
+    residual as the largest over them, and the fundamental pair's rank
+    as the sum over every copy, so its cost does not grow with depth.
+    So does the hypotheses check, whose projectors are coordinate
+    masks.  No stage reads the dense T1, T2, T3, so no dim x dim matrix
+    is formed: only the O(depth) occurrence arrays grow with depth.
     """
     seed = config.seed if seed is None else seed
     w = build_witness(depth, tol=config.tol_algebraic)

@@ -48,6 +48,48 @@ def power_table_eval_operator(p, basis):
     return acc
 
 
+def dense_witness(depth, tol=1e-9):
+    # Reference witness: its three dim x dim matrices written out whole,
+    # so that its parts are found by Triple.parts, not given.
+    from tetrablock import Triple, witness_symbol
+
+    cell = 2 * depth
+    dim = 4 * cell
+    t1 = np.zeros((dim, dim), dtype=np.complex128)
+    t1[2 * cell : 2 * cell + 2, 2 * cell : 2 * cell + 2] = witness_symbol()
+    t2 = np.zeros((dim, dim), dtype=np.complex128)
+    t3 = np.zeros((dim, dim), dtype=np.complex128)
+    t3[2 * cell : 3 * cell, cell : 2 * cell] = np.kron(
+        np.eye(depth, k=-1), np.eye(2)
+    )
+    t3[3 * cell :, :cell] = np.eye(cell)
+    return Triple(t1=t1, t2=t2, t3=t3, tol=tol)
+
+
+def dense_built(t):
+    # The same triple built from its dense matrices, so that its parts
+    # are found by diagonal_blocks + distinct_blocks.
+    from tetrablock import Triple
+
+    return Triple(t1=t.t1, t2=t.t2, t3=t.t3, tol=t.tol)
+
+
+def use_dense_witness(monkeypatch, build=lambda w: dense_built(w.triple)):
+    # Make run_pipeline run on the witness's triple as ``build(w)``
+    # gives it, in place of the direct sum build_witness states.
+    import dataclasses
+
+    from tetrablock import counterexample
+
+    real = counterexample.build_witness
+
+    def built(depth, *, tol=1e-9):
+        w = real(depth, tol=tol)
+        return dataclasses.replace(w, triple=build(w))
+
+    monkeypatch.setattr(counterexample, "build_witness", built)
+
+
 def frontier_components(adj):
     # Reference partitioner: per-component frontier scan over a dense
     # symmetric boolean adjacency matrix, O(n) numpy work per component.

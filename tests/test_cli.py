@@ -110,6 +110,35 @@ def test_non_finite_document_exits_two(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == "" and not out.exists()
 
 
+def test_memory_error_exits_two(capsys, monkeypatch):
+    # An input too large to run is an input error: before, the
+    # MemoryError escaped main as a traceback with exit code 1, the
+    # code of a negative verdict.
+    from tetrablock import counterexample
+
+    def too_big(depth, **_):
+        raise MemoryError(f"cannot allocate the depth-{depth} witness")
+
+    monkeypatch.setattr(counterexample, "build_witness", too_big)
+    assert main(["counterexample", "--blocks", "100000", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: MemoryError: cannot allocate the depth-100000 witness\n"
+    )
+
+
+def test_counterexample_runs_at_depth_one_hundred_thousand(capsys):
+    # The witness is a direct sum of three distinct blocks, so dim
+    # 800,000 is worked on without a dim x dim matrix (9.31 TiB each).
+    code, doc = run_json(
+        capsys, ["counterexample", "--blocks", "100000", "--trials", "2"]
+    )
+    assert code == 1
+    assert (doc["verdict"], doc["dim"]) == ("Obstructed", 800_000)
+    assert doc["hypotheses"]["passed"]
+
+
 @pytest.mark.filterwarnings(
     "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
 )

@@ -36,7 +36,12 @@ from tetrablock import (
     witness_symbol,
 )
 
-from conftest import power_table_eval_operator, random_complex
+from conftest import (
+    dense_built,
+    power_table_eval_operator,
+    random_complex,
+    use_dense_witness,
+)
 
 SYMBOLS = random_symbol_pair(2, seed=55)
 
@@ -44,6 +49,48 @@ SYMBOLS = random_symbol_pair(2, seed=55)
 def test_triple_shape_validation():
     with pytest.raises(DimensionMismatchError):
         Triple(t1=np.eye(2), t2=np.eye(3), t3=np.eye(2))
+
+
+def test_direct_sum_is_given_its_parts_and_scatters_on_read(rng):
+    # Two copies of a 2x2 block and one 1x1 block, interleaved: the
+    # parts are the given ones, and the dense matrices appear only when
+    # read, equal to the block-diagonal matrices written out.
+    pair = Triple(*(random_complex(rng, (3, 2, 2))), tol=1e-7)
+    single = Triple([[0.5]], [[0.25j]], [[1.0]], tol=1e-7)
+    where = np.array([[0, 3], [1, 4]]), np.array([[2]])
+    given = [(pair, where[0]), (single, where[1])]
+    t = Triple.direct_sum(given, tol=1e-7)
+    assert t.dim == 5 and t.tol == 1e-7 and len(t.parts) == 2
+    assert all(p is q and w is v for (p, w), (q, v) in zip(t.parts, given))
+    assert not {"t1", "t2", "t3", "basis"} & set(vars(t))
+    for name in ("t1", "t2", "t3"):
+        want = np.zeros((5, 5), dtype=np.complex128)
+        for part, occurrences in t.parts:
+            for idx in occurrences:
+                want[np.ix_(idx, idx)] = getattr(part, name)
+        assert np.array_equal(getattr(t, name), want)
+    assert t.basis.mats == (t.t1, t.t2, t.t3)
+    u = triple_from_json(triple_to_json(t))
+    assert [w.tolist() for _, w in u.parts] == [[[0, 3], [1, 4]], [[2]]]
+
+
+@pytest.mark.parametrize(
+    "occurrences, error",
+    [
+        ([], ValueError),  # no block at all
+        ([np.array([[0, 1]])], DimensionMismatchError),  # a 2-row for a 1x1 block
+        ([np.array([0, 1])], DimensionMismatchError),  # not (count, size)
+        ([np.array([[0.0], [1.0]])], ValueError),  # not integers
+        ([np.array([[0], [2]])], ValueError),  # a gap: 1 is missing
+        ([np.array([[0], [0]])], ValueError),  # an overlap
+        ([np.array([[-1], [0]])], ValueError),  # out of range
+        ([np.zeros((0, 1), dtype=int)], ValueError),  # dimension 0
+    ],
+)
+def test_direct_sum_checks_blocks_and_tiling(occurrences, error):
+    block = Triple([[1.0]], [[0.0]], [[0.0]])
+    with pytest.raises(error):
+        Triple.direct_sum([(block, where) for where in occurrences])
 
 
 def test_triple_json_round_trip(rng):
@@ -472,15 +519,24 @@ def test_pipeline_document_unchanged_by_shared_basis(monkeypatch, seed):
 @pytest.mark.parametrize("depth", [4, 16])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_pipeline_document_unchanged_by_block_form(monkeypatch, depth, seed):
-    # One block forces every stage onto its dense path.  The dense stages'
-    # numbers are exact on the witness, so they agree byte for byte; the
-    # falsifier's ratio comes from one SVD of the whole of p(T) instead
-    # of one per block, and agrees to rounding.
+    # The witness states its parts, so it never looks for blocks.  Its
+    # triple built from the dense matrices, with one block, forces every
+    # stage onto its dense path.  The dense stages' numbers are exact on
+    # the witness, so they agree byte for byte; the falsifier's ratio
+    # comes from one SVD of the whole of p(T) instead of one per block,
+    # and agrees to rounding.
+    calls = []
+
+    def one_block(mats):
+        calls.append(1)
+        return [np.arange(len(mats[0]))]
+
+    monkeypatch.setattr(contractions, "diagonal_blocks", one_block)
     block = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
-    monkeypatch.setattr(
-        contractions, "diagonal_blocks", lambda mats: [np.arange(len(mats[0]))]
-    )
+    assert calls == []
+    use_dense_witness(monkeypatch)
     dense = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=seed))
+    assert calls == [1]
     ratio_block = block["falsify"].pop("worst_ratio")
     ratio_dense = dense["falsify"].pop("worst_ratio")
     assert json.dumps(block, sort_keys=True) == json.dumps(dense, sort_keys=True)
@@ -617,13 +673,17 @@ def test_falsifier_reports_the_largest_block_commutation_defect(rng):
 def test_triple_keeps_its_block_form_and_monomials(monkeypatch):
     # Triple.parts and each part's basis are computed once: a second
     # falsifier call on the same triple finds every monomial it needs
-    # already multiplied out.
+    # already multiplied out.  The witness itself is given its parts
+    # and never looks for blocks; its dense-built copy finds them once.
     calls = []
     blocks = contractions.diagonal_blocks
     monkeypatch.setattr(
         contractions, "diagonal_blocks", lambda mats: calls.append(1) or blocks(mats)
     )
-    t = build_witness(4).triple
+    w = build_witness(4)
+    falsify_spectral_set(w.triple, trials=6, degree=3, seed=2)
+    assert calls == []
+    t = dense_built(w.triple)
     parts = t.parts
     assert t.parts is parts and t.basis is t.basis and len(calls) == 1
     first = falsify_spectral_set(t, trials=6, degree=3, seed=2)

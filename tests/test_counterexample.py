@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -24,6 +25,8 @@ from tetrablock import (
 )
 from tetrablock import counterexample as ce
 
+from conftest import dense_witness, use_dense_witness
+
 
 def test_witness_symbol_exact_constants():
     f1 = witness_symbol()
@@ -39,6 +42,57 @@ def test_build_witness_shapes():
     assert w.split == 20
     assert w.boundary.tolist() == [18, 19]
     assert w.depth == 5
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 16, 32, 100, 256])
+def test_witness_parts_equal_the_dense_oracle(depth):
+    # The stated parts are what Triple.parts finds on the dense matrices
+    # written out whole: the same blocks bit for bit, in the same order,
+    # with the same occurrence arrays; and they scatter back to those
+    # matrices.
+    t = build_witness(depth).triple
+    oracle = dense_witness(depth)
+    assert "t1" not in vars(t) and t.dim == oracle.dim
+    assert len(t.parts) == len(oracle.parts) == 3
+    for (part, where), (want, want_where) in zip(t.parts, oracle.parts):
+        assert where.dtype == want_where.dtype
+        assert np.array_equal(where, want_where)
+        for name in ("t1", "t2", "t3"):
+            got, ref = getattr(part, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    for name in ("t1", "t2", "t3"):
+        assert np.array_equal(getattr(t, name), getattr(oracle, name))
+
+
+@pytest.mark.parametrize("depth", [4, 32, 256])
+def test_pipeline_document_equals_the_dense_oracle(monkeypatch, depth):
+    doc = json.dumps(pipeline_report_to_json(run_pipeline(depth, trials=5, seed=7)))
+    use_dense_witness(monkeypatch, lambda w: dense_witness(w.depth, w.triple.tol))
+    oracle = pipeline_report_to_json(run_pipeline(depth, trials=5, seed=7))
+    assert doc == json.dumps(oracle)
+
+
+def test_pipeline_at_depth_one_hundred_thousand():
+    # dim 800,000: one dense matrix would take 9.31 TiB.
+    rep = run_pipeline(100_000, trials=5)
+    assert (rep.verdict, rep.dim, rep.failing_stage) == ("Obstructed", 800_000, None)
+    assert rep.hypotheses.passed
+    assert rep.obstruction.c2 == 0.0625
+
+
+def test_pipeline_allocates_nothing_dim_sized():
+    # At depth 1024 (dim 8192) one dense matrix alone would take 1 GiB;
+    # the pipeline works on the three distinct blocks only.  A first
+    # run does the lazy imports and set-up, which are not per depth.
+    run_pipeline(4, trials=2)
+    tracemalloc.start()
+    try:
+        rep = run_pipeline(1024, trials=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "Obstructed"
+    assert peak < 8 * 2**20
 
 
 def test_build_witness_rejects_shallow_depth():
