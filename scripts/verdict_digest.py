@@ -22,7 +22,9 @@ screens leave several candidates: the depth-8 witness with criterion
 with 100 trials; ``obstruction`` on the depth-8 witness at its half
 split, whose strict-mode hypotheses see the truncation boundary;
 ``cf`` on two pairs and the zero pair at degrees 0, 2 and 8; and
-``sup`` on the Varopoulos polynomial.  Inputs are written under fixed
+``sup`` on the Varopoulos polynomial at the default 4,096 samples and
+at 1, 1025 and 40960, counts that end the draw on a partial sample
+chunk.  Inputs are written under fixed
 relative names, so the output depends on the package alone.  Run it
 against two checkouts and diff the outputs to check that a change
 keeps every document byte for byte:
@@ -143,7 +145,9 @@ def commands() -> list:
         for degree in ("0", "2", "8"):
             cf = ["cf", "--b0", b0, "--b1", b1, "--degree", degree]
             cmds.append((cf, None))
-    cmds.append((["sup", "--poly", "varopoulos-poly.json", "--seed", "5"], None))
+    sup = ["sup", "--poly", "varopoulos-poly.json", "--seed", "5"]
+    cmds.append((sup, None))
+    cmds.extend((sup + ["--samples", n], None) for n in ("1", "1025", "40960"))
     return cmds
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotAContractionError,
     NotIsometricEmbeddingError,
 )
-from .geometry import sample_distinguished_boundary, sup_on_closure
+from .geometry import _sample_scores, sup_on_closure
 from .linalg import (
     as_matrix,
     complex_to_json,
@@ -46,7 +46,6 @@ from .poly3 import (
     diagonal_blocks,
     distinct_blocks,
     eval_operator,
-    eval_scalar_many,
     poly_to_json,
     random_poly,
 )
@@ -77,7 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Triple:
     """A commuting triple of square matrices with a working tolerance.
 
@@ -95,12 +94,19 @@ class Triple:
     so its basis) are scattered from the blocks only when something
     reads them: a direct sum of many small blocks is worked on without
     ever forming a dim x dim matrix.
+
+    The repr reads no matrix, only the dimension, the tolerance and, for
+    a direct sum, each block's size and number of copies; two triples
+    are equal only when they are the same object.
     """
 
     t1: np.ndarray
     t2: np.ndarray
     t3: np.ndarray
     tol: float = 1e-9
+
+    # Set on a direct sum, whose parts are given and matrices scattered.
+    _given_parts = False
 
     def __post_init__(self):
         object.__setattr__(self, "t1", as_matrix(self.t1, square=True, name="t1"))
@@ -148,13 +154,13 @@ class Triple:
         self = object.__new__(Triple)
         object.__setattr__(self, "tol", tol)
         # Prefilled cached properties; t1, t2, t3 wait for __getattr__.
-        self.__dict__.update(dim=dim, parts=parts)
+        self.__dict__.update(dim=dim, parts=parts, _given_parts=True)
         return self
 
     def __getattr__(self, name):
         # Only a direct sum lacks its matrices: scatter all three from
         # the blocks on the first read of any of them.
-        if name not in ("t1", "t2", "t3") or "parts" not in self.__dict__:
+        if name not in ("t1", "t2", "t3") or not self._given_parts:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
@@ -164,6 +170,15 @@ class Triple:
                 m[where[:, :, None], where[:, None, :]] = getattr(part, key)
             object.__setattr__(self, key, m)
         return self.__dict__[name]
+
+    def __repr__(self) -> str:
+        text = f"{type(self).__name__}(dim={self.dim}, tol={self.tol!r}"
+        if self._given_parts:
+            blocks = ", ".join(
+                f"{part.dim}x{part.dim}*{len(where)}" for part, where in self.parts
+            )
+            text += f", blocks=[{blocks}]"
+        return text + ")"
 
     @cached_property
     def dim(self) -> int:
@@ -429,6 +444,22 @@ class HypothesisReport:
     passed: bool
 
 
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """Where each distinct row of a 2-D boolean array first occurs, in order.
+
+    The rows are packed to bytes and put in order by a stable
+    ``np.lexsort``, so each run of equal rows starts at its first
+    occurrence.  (np.unique would import numpy.ma, a megabyte, into
+    every pipeline run.)
+    """
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    ordered = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[starts])
+
+
 def _hypothesis_defects(t3, first, boundary, *, tol, rank_tol) -> tuple:
     # The four defects of T3, or of one block of it, given the 0/1
     # masks of its first-half and boundary coordinates.  Strict mode is
@@ -495,16 +526,14 @@ def check_obstruction_hypotheses(
         raise NotIsometricEmbeddingError(
             "a boundary coordinate repeats, so its columns are not orthonormal"
         )
-    # One piece per distinct pair of masks on each part.  (np.unique
-    # would import numpy.ma, a megabyte, into every pipeline run.)
-    defects = [
-        _hypothesis_defects(part.t3, first, inside, tol=tol, rank_tol=rank_tol)
-        for part, where in t.parts
-        for first, inside in {
-            m.tobytes(): m
-            for m in np.stack([where < split, np.isin(where, coords)], axis=1)
-        }.values()
-    ]
+    # One piece per distinct pair of masks on each part.
+    defects = []
+    for part, where in t.parts:
+        masks = np.stack([where < split, np.isin(where, coords)], axis=1)
+        for first, inside in masks[_first_distinct(masks.reshape(len(masks), -1))]:
+            defects.append(
+                _hypothesis_defects(part.t3, first, inside, tol=tol, rank_tol=rank_tol)
+            )
     defects = [max(column) for column in zip(*defects)]
     defect_kernel, defect_range, shift_kills_range, shift_maps_kernel = defects
     return HypothesisReport(
@@ -668,12 +697,12 @@ def _sample_max(p: Poly3, seed, n: int) -> float:
     """Largest |p| over the first ``n`` boundary samples of ``seed``'s draw.
 
     These are the first n points of the draw that
-    ``sup_on_closure(p, seed=seed)`` samples, and each |p| is bit for
-    bit what that estimate sees there, so the result is at most the
-    estimate for any sample count of at least n.
+    ``sup_on_closure(p, seed=seed)`` samples, scored by the same
+    chunked pass, so each |p| is bit for bit what that estimate sees
+    there and the result is at most the estimate for any sample count
+    of at least n.
     """
-    x1, x2, x3 = sample_distinguished_boundary(n, seed=seed)
-    return float(np.abs(eval_scalar_many(p, x1, x2, x3)).max())
+    return float(_sample_scores(p, n, seed)[1].max())
 
 
 @dataclass(frozen=True)

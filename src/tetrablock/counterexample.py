@@ -43,6 +43,7 @@ from .contractions import (
     report_to_json,
 )
 from .errors import TetrablockError
+from .geometry import _chunk_sizes
 from .linalg import op_norm, sqrt_psd
 from .poly3 import cf_empirical_inf, cf_matrix_norm
 
@@ -190,18 +191,25 @@ def case_inequality_check(
     the norm of [[a0, 0], [a0 + a3, a0]] when a0 > a1.  Norms are
     computed in closed form by :func:`_lower_norm`.  The worst margin
     (right minus left) is reported along with the count below -tol.
+
+    The samples are one ``random((n_samples, 3))`` draw, taken and
+    compared in the sample chunks of
+    :func:`~tetrablock.geometry.sup_on_closure`, with the worst margin
+    and the count folded across them: the check keeps one chunk's
+    temporaries whatever ``n_samples`` is.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    a = 2.0 * rng.random((n_samples, 3))
-    a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
-
-    lhs_norm = _lower_norm(a0, a3, a0 + a1 / 4.0)
-    rhs_norm = _lower_norm(a0, np.where(a0 <= a1, a1 + a3, a0 + a3), a0)
-    margins = rhs_norm - lhs_norm
-    worst = float(margins.min())
-    violations = int((margins < -tol).sum())
+    worst, violations = np.inf, 0
+    for size in _chunk_sizes(n_samples):
+        a = 2.0 * rng.random((size, 3))
+        a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
+        lhs_norm = _lower_norm(a0, a3, a0 + a1 / 4.0)
+        rhs_norm = _lower_norm(a0, np.where(a0 <= a1, a1 + a3, a0 + a3), a0)
+        margins = rhs_norm - lhs_norm
+        worst = min(worst, float(margins.min()))
+        violations += int((margins < -tol).sum())
     return CaseInequalityReport(
         n_samples=n_samples,
         violations=violations,

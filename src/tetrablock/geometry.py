@@ -211,6 +211,48 @@ def _boundary_points(params: np.ndarray):
     return np.conj(x2) * x3, x2, x3
 
 
+# Rows of a sample draw drawn, mapped and scored at a time.  A
+# multiple of every SIMD width, so each point takes the same vector
+# lane as in one pass over the whole draw and gets the same bits.
+_CHUNK = 1024
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    """Row counts of an n-row draw taken ``_CHUNK`` rows at a time.
+
+    A last chunk of one row is joined to the one before it: numpy runs
+    an in-place product of one-element arrays down its scalar reduction
+    loop, which can round differently from the vector loop that the
+    same row takes in one pass over the whole draw.
+    """
+    full, rest = divmod(n, _CHUNK)
+    if rest == 1 and full:
+        return [_CHUNK] * (full - 1) + [_CHUNK + 1]
+    return [_CHUNK] * full + [rest] * (rest > 0)
+
+
+def _sample_scores(p: Poly3, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-cube parameters of ``seed``'s n-point draw and |p| at each.
+
+    The draw is the ``random((n, 3))`` of
+    :func:`sample_distinguished_boundary`, taken ``_CHUNK`` rows at a
+    time (the generator fills its output in order, so the rows are the
+    same), and each chunk is mapped to the boundary and scored before
+    the next is drawn: a pass keeps 32 bytes per point, the (n, 3)
+    parameters and the n values, plus one chunk's temporaries.
+    """
+    rng = np.random.default_rng(seed)
+    params = np.empty((n, 3))
+    vals = np.empty(n)
+    start = 0
+    for size in _chunk_sizes(n):
+        rows = slice(start, start + size)
+        rng.random(out=params[rows])
+        vals[rows] = np.abs(eval_scalar_many(p, *_boundary_points(params[rows])))
+        start += size
+    return params, vals
+
+
 def sup_on_closure(p: Poly3, *, n_samples: int = 4096, seed=None) -> float:
     """Estimate sup |p| over the closed domain.
 
@@ -224,11 +266,14 @@ def sup_on_closure(p: Poly3, *, n_samples: int = 4096, seed=None) -> float:
     below the largest |p| over any prefix of the draw, which is how a
     caller bounds the estimate from below without running it.
     ``n_samples`` must be positive (no samples would give no estimate).
+
+    The draw is scored ``_CHUNK`` rows at a time (:func:`_sample_scores`),
+    so the pass keeps about 40 bytes per sample (parameters, values and
+    their sort order) plus one chunk's temporaries, not every sample's.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    u = np.random.default_rng(seed).random((n_samples, 3))
-    vals = np.abs(eval_scalar_many(p, *_boundary_points(u)))
+    u, vals = _sample_scores(p, n_samples, seed)
     k = min(_TOP_K, n_samples)
     refined = _compass_refine(p, u[np.argsort(vals)[n_samples - k :]], _REFINE_ITERS)
     return float(np.maximum(vals.max(), refined.max()))

@@ -135,12 +135,12 @@ def random_symbol_pair(
     return a1, a2
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False, repr=False)
 class ModelTriple(Triple):
     """A model triple plus its construction metadata.
 
     ``symbol`` is the admissibility report of ``(a1, a2)`` that the
-    build checked.
+    build checked.  Repr and equality are :class:`Triple`'s.
     """
 
     flavor: str

@@ -215,6 +215,19 @@ def per_trial_sup_on_closure(p, *, n_samples=4096, seed=None, refine_iters=60, t
     return max(raw, float(fcur.max()))
 
 
+def whole_case_inequality_check(n_samples, *, seed=None, tol=1e-12):
+    # Reference case-inequality sampler: the whole draw at once, one
+    # array of margins; returns the worst margin and the violations.
+    from tetrablock.counterexample import _lower_norm
+
+    a = 2.0 * np.random.default_rng(seed).random((n_samples, 3))
+    a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
+    lhs_norm = _lower_norm(a0, a3, a0 + a1 / 4.0)
+    rhs_norm = _lower_norm(a0, np.where(a0 <= a1, a1 + a3, a0 + a3), a0)
+    margins = rhs_norm - lhs_norm
+    return float(margins.min()), int((margins < -tol).sum())
+
+
 def bracket_numerical_radius(t, *, grid=720, refine=40):
     # Reference numerical radius: a scan over all grid angles, then
     # rounds of 9-point bracket shrinking around the best angle.

@@ -93,6 +93,27 @@ def test_direct_sum_checks_blocks_and_tiling(occurrences, error):
         Triple.direct_sum([(block, where) for where in occurrences])
 
 
+def test_triple_repr_and_equality_read_no_matrix():
+    # At depth 10^5 one dense matrix would take 9.31 TiB: the repr reads
+    # the dimension, the tolerance and the blocks' sizes and copies, and
+    # equality is identity.
+    t = build_witness(100_000).triple
+    assert repr(t) == (
+        "Triple(dim=800000, tol=1e-09, blocks=[2x2*399998, 1x1*2, 2x2*1])"
+    )
+    assert t == t and t != build_witness(100_000).triple
+    assert "t1" not in t.__dict__
+    # Two distinct dense triples compare without reading an array.
+    dense = Triple(np.eye(2), np.eye(2), np.eye(2), tol=1e-7)
+    assert dense != Triple(np.eye(2), np.eye(2), np.eye(2), tol=1e-7)
+    assert repr(dense) == "Triple(dim=2, tol=1e-07)"
+    dense.parts
+    assert repr(dense) == "Triple(dim=2, tol=1e-07)"
+    model = build_hardy_model(*random_symbol_pair(2, seed=3), 3)
+    assert repr(model) == "ModelTriple(dim=6, tol=1e-09)"
+    assert model == model and model != model.as_triple()
+
+
 def test_triple_json_round_trip(rng):
     mats = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     t = Triple(t1=mats[0], t2=mats[1], t3=mats[2], tol=1e-7)
@@ -282,6 +303,65 @@ def test_hypotheses_boundary_across_blocks_equals_dense(rows):
     want = dense_hypotheses(w.triple, w.split, rows)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
     assert rep.defect_kernel == pytest.approx(1.0, abs=1e-12)
+
+
+def dict_first_distinct(rows):
+    # The deduplication _first_distinct replaces: a dict over each row's
+    # bytes, in first-occurrence order.
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    return list(first.values())
+
+
+def hypothesis_mask_rows(t, split, boundary):
+    # Each part's (first-half, boundary) mask rows, as the check forms them.
+    return [
+        np.stack([where < split, np.isin(where, boundary)], axis=1).reshape(
+            len(where), -1
+        )
+        for _, where in t.parts
+    ]
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 8, 16, 33, 64])
+def test_first_distinct_masks_equal_the_dict_on_the_witness(depth):
+    w = build_witness(depth)
+    for boundary in (w.boundary, [], [0, 2 * depth + 1, w.triple.dim - 1]):
+        for rows in hypothesis_mask_rows(w.triple, w.split, boundary):
+            got = contractions._first_distinct(rows)
+            assert got.tolist() == dict_first_distinct(rows)
+
+
+def test_first_distinct_masks_equal_the_dict_on_dense_triples(rng):
+    # A witness read back from JSON finds its parts on dense matrices;
+    # a multi-block dense triple has two distinct blocks, one of them
+    # twice; a one-block dense triple has a single row of 2 * dim bits.
+    w = build_witness(8)
+    witness = triple_from_json(json.loads(json.dumps(triple_to_json(w.triple))))
+    a = build_hardy_model(*random_symbol_pair(2, seed=3), 3).as_triple()
+    b = build_hardy_model(*random_symbol_pair(2, seed=4), 3).as_triple()
+    blocks = direct_sum(*[(m.t1, m.t2, m.t3) for m in (a, b, a)])
+    single = Triple(*random_complex(rng, (3, 10, 10)))
+    cases = [
+        (witness, w.split, w.boundary),
+        (blocks, 9, [0, 7, 17]),
+        (single, 5, [1, 8]),
+    ]
+    for t, split, boundary in cases:
+        for rows in hypothesis_mask_rows(t, split, boundary):
+            got = contractions._first_distinct(rows)
+            assert got.tolist() == dict_first_distinct(rows)
+    assert hypothesis_mask_rows(single, 5, [1, 8])[0].shape == (1, 20)
+
+
+@pytest.mark.parametrize("width", [1, 4, 7, 8, 9, 16, 17, 70])
+def test_first_distinct_rows_of_any_width(rng, width):
+    # Rows drawn from a few prototypes, so most repeat.
+    prototypes = rng.random((6, width)) < 0.5
+    rows = prototypes[rng.integers(0, 6, 500)]
+    got = contractions._first_distinct(rows)
+    assert got.tolist() == dict_first_distinct(rows)
 
 
 def test_hypotheses_allocate_nothing_dim_sized():

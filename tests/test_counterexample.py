@@ -24,8 +24,9 @@ from tetrablock import (
     witness_symbol,
 )
 from tetrablock import counterexample as ce
+from tetrablock import geometry
 
-from conftest import dense_witness, use_dense_witness
+from conftest import dense_witness, use_dense_witness, whole_case_inequality_check
 
 
 def test_witness_symbol_exact_constants():
@@ -108,6 +109,32 @@ def test_case_inequality_check():
     assert rep.n_samples == 5000
     assert rep.worst_margin > 0.0
     assert rep == case_inequality_check(5000, seed=77)
+
+
+@pytest.mark.parametrize("tol", [1e-12, -0.5])
+def test_case_inequality_chunks_equal_the_whole_draw(tol):
+    # Folded across the sample chunks, the worst margin and the count
+    # are the whole draw's; tol = -0.5 counts many margins, so the
+    # count is summed across chunks too.
+    chunk = geometry._CHUNK
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 40960):
+        rep = case_inequality_check(n, seed=n, tol=tol)
+        worst, violations = whole_case_inequality_check(n, seed=n, tol=tol)
+        assert (rep.worst_margin, rep.violations) == (worst, violations)
+        assert rep.passed == (violations == 0)
+    assert case_inequality_check(40960, seed=1, tol=-0.5).violations > 0
+
+
+def test_case_inequality_keeps_one_chunk():
+    case_inequality_check(geometry._CHUNK, seed=0)
+    tracemalloc.start()
+    try:
+        rep = case_inequality_check(10**5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2**20
 
 
 def test_lower_norm_matches_svd():

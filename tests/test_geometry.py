@@ -1,5 +1,7 @@
 """Domain membership, boundary structure, and sup estimation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,20 @@ from tetrablock import (
     sample_distinguished_boundary,
     sup_on_closure,
 )
-from tetrablock import geometry
+from tetrablock import contractions, geometry
 from tetrablock.contractions import varopoulos_polynomial
+from tetrablock.poly3 import eval_scalar_many
 
-from conftest import compass_defining_abs_min, per_trial_sup_on_closure
+from conftest import (
+    compass_defining_abs_min,
+    per_trial_sup_on_closure,
+    single_eval_scalar_many,
+)
+
+CHUNK = geometry._CHUNK
+# Sample counts off the chunk grid: one row, a chunk's neighbours, a
+# tail of five rows, and the falsifier's ten-times resample.
+OFF_GRID = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 40960]
 
 
 def structured_point(rng, beta_sum, x3_mod):
@@ -230,15 +242,72 @@ def assert_matches_per_trial(polys, seeds, n_samples):
 
 @pytest.mark.parametrize(
     "degree, n_samples",
-    [(1, 256), (2, 256), (3, 256), (3, 4096)],
-    ids=["1", "2", "3", "3-4096"],
+    [(1, 256), (2, 256), (3, 256), (3, 4096)] + [(3, n) for n in OFF_GRID],
+    ids=["1", "2", "3", "3-4096"] + [f"3-{n}" for n in OFF_GRID],
 )
 def test_batched_sup_matches_per_trial(degree, n_samples):
-    # The last case samples as many points as a falsifier certificate.
+    # 4096 samples are as many as a falsifier certificate draws; the
+    # counts off the chunk grid end their draw on a partial chunk.
     count = 6 if n_samples < 4096 else 3
     polys = [random_poly(degree, seed=100 * degree + i) for i in range(count)]
     seeds = [np.random.SeedSequence(i) for i in range(count)]
     assert_matches_per_trial(polys, seeds, n_samples=n_samples)
+
+
+def test_chunk_sizes_cover_the_draw_without_a_one_row_tail():
+    assert CHUNK % 64 == 0
+    for n in OFF_GRID + [2, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 2]:
+        sizes = geometry._chunk_sizes(n)
+        assert sum(sizes) == n and max(sizes) <= CHUNK + 1
+        assert all(size == CHUNK for size in sizes[:-1])
+        assert sizes[-1] > 1 or n == 1
+    assert geometry._chunk_sizes(CHUNK + 1) == [CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", OFF_GRID)
+def test_sample_scores_are_the_whole_draw_bit_for_bit(n):
+    # Drawn and scored a chunk at a time, the parameters and |p| values
+    # are those of one pass over the whole draw, to the last bit.
+    for degree in (2, 3, 5):
+        p = random_poly(degree, seed=degree)
+        seed = np.random.SeedSequence(n + degree)
+        u = np.random.default_rng(seed).random((n, 3))
+        want = np.abs(eval_scalar_many(p, *geometry._boundary_points(u)))
+        params, vals = geometry._sample_scores(p, n, seed)
+        assert params.tobytes() == u.tobytes()
+        assert vals.tobytes() == want.tobytes()
+
+
+def test_sample_max_is_the_max_over_each_prefix_of_the_draw():
+    # The falsifier's screen and whole-draw bound read prefixes of the
+    # draw its certificate samples: each is the prefix's largest |p|.
+    # A one-row prefix is left out: numpy rounds an in-place product of
+    # one-element arrays differently, and the falsifier only takes one
+    # row of a one-row draw.
+    p = random_poly(3, seed=11)
+    seed = np.random.SeedSequence(12)
+    n = max(OFF_GRID)
+    vals = np.abs(
+        single_eval_scalar_many(p, *sample_distinguished_boundary(n, seed=seed))
+    )
+    for m in [2, 256] + OFF_GRID[1:]:
+        assert contractions._sample_max(p, seed, m) == vals[:m].max()
+
+
+def test_sup_keeps_bytes_per_sample_not_temporaries():
+    # The pass keeps the draw's parameters, values and their sort order
+    # (40 bytes a sample) and one chunk's temporaries; a whole-draw pass
+    # held about 280 bytes a sample.
+    p = random_poly(3, seed=1)
+    sup_on_closure(p, n_samples=CHUNK, seed=0)
+    n = 65536
+    tracemalloc.start()
+    try:
+        sup_on_closure(p, n_samples=n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 + 48 * n
 
 
 def test_batched_sup_without_refinement(monkeypatch):
