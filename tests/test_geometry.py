@@ -255,6 +255,7 @@ def test_batched_sup_matches_per_trial(degree, n_samples):
 
 
 def test_chunk_sizes_cover_the_draw_without_a_one_row_tail():
+    # A multiple of every SIMD width keeps each row in its vector lane.
     assert CHUNK % 64 == 0
     for n in OFF_GRID + [2, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 2]:
         sizes = geometry._chunk_sizes(n)
