@@ -43,7 +43,6 @@ from .contractions import (
     report_to_json,
 )
 from .errors import TetrablockError
-from .geometry import _chunk_sizes
 from .linalg import op_norm, sqrt_psd
 from .poly3 import cf_empirical_inf, cf_matrix_norm
 
@@ -159,64 +158,56 @@ def build_witness(depth: int, *, tol: float = 1e-9) -> Witness:
 
 @dataclass(frozen=True)
 class CaseInequalityReport:
-    """Sampled verification of the two 2x2 norm comparisons."""
+    """Exact check of the identities behind the two 2x2 norm comparisons.
 
-    n_samples: int
-    violations: int
-    worst_margin: float
-    tol: float
+    ``points`` is the number of grid points each identity was checked at.
+    """
+
     passed: bool
+    points: int
 
 
-def _lower_norm(d0, c, d1):
-    """The norm of [[d0, 0], [c, d1]] for d0, d1 >= 0, elementwise.
+def case_inequality_check() -> CaseInequalityReport:
+    """Prove the two-case comparison of 2x2 lower-triangular norms.
 
-    Its singular values s1 >= s2 have s1^2 + s2^2 = d0^2 + c^2 + d1^2
-    and s1 s2 = d0 d1, so they sum to hypot(d0 + d1, c) and differ by
-    hypot(d0 - d1, c); s1 is the half-sum of the two.
+    Claim: for a0, a1, a3 >= 0 the norm of L = [[a0, 0], [a3, a0 + a1/4]]
+    is at most that of R = [[a0, 0], [a1 + a3, a0]] when a0 <= a1, and
+    of R = [[a0, 0], [a0 + a3, a0]] when a0 > a1.
+
+    Proof.  For d0, d1, c >= 0 let S = d0^2 + c^2 + d1^2 and D = d0 d1.
+    The squared singular values of [[d0, 0], [c, d1]] sum to S and
+    multiply to D^2, so its squared norm is (S + sqrt(S^2 - 4 D^2)) / 2,
+    which rises with S and falls with D on S >= 2D >= 0.  R has the
+    larger S and the smaller D:
+
+        16 (S_R - S_L) = a1 (15 a1 + 32 a3 - 8 a0) >= 7 a1^2    (a0 <= a1),
+        16 (S_R - S_L) = 16 a0^2 + 32 a0 a3 - 8 a0 a1 - a1^2
+                       >= 7 a0^2                                (a0 > a1),
+        4 (D_L - D_R) = a0 a1 >= 0.
+
+    The three identities are checked exactly, in integers with every
+    entry scaled by 4, at the 27 points of {0, 1, 2}^3.  Both sides of
+    each are polynomials of degree at most 2 in each variable, and such
+    a polynomial is fixed by its values on that grid, so agreement there
+    proves each identity everywhere.
     """
-    return (np.hypot(d0 + d1, c) + np.hypot(d0 - d1, c)) / 2.0
 
+    def s_and_d(d0, c, d1):
+        return d0 * d0 + c * c + d1 * d1, d0 * d1
 
-def case_inequality_check(
-    n_samples: int = 10_000,
-    *,
-    seed=None,
-    tol: float = 1e-12,
-) -> CaseInequalityReport:
-    """Sample nonnegative (a0, a1, a3) and compare matrix norms.
-
-    Checked claim: the norm of [[a0, 0], [a3, a0 + a1/4]] never
-    exceeds the norm of [[a0, 0], [a1 + a3, a0]] when a0 <= a1, nor
-    the norm of [[a0, 0], [a0 + a3, a0]] when a0 > a1.  Norms are
-    computed in closed form by :func:`_lower_norm`.  The worst margin
-    (right minus left) is reported along with the count below -tol.
-
-    The samples are one ``random((n_samples, 3))`` draw, taken and
-    compared in the sample chunks of
-    :func:`~tetrablock.geometry.sup_on_closure`, with the worst margin
-    and the count folded across them: the check keeps one chunk's
-    temporaries whatever ``n_samples`` is.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    worst, violations = np.inf, 0
-    for size in _chunk_sizes(n_samples):
-        a = 2.0 * rng.random((size, 3))
-        a0, a1, a3 = a[:, 0], a[:, 1], a[:, 2]
-        lhs_norm = _lower_norm(a0, a3, a0 + a1 / 4.0)
-        rhs_norm = _lower_norm(a0, np.where(a0 <= a1, a1 + a3, a0 + a3), a0)
-        margins = rhs_norm - lhs_norm
-        worst = min(worst, float(margins.min()))
-        violations += int((margins < -tol).sum())
-    return CaseInequalityReport(
-        n_samples=n_samples,
-        violations=violations,
-        worst_margin=worst,
-        tol=tol,
-        passed=violations == 0,
-    )
+    grid = [(a0, a1, a3) for a0 in range(3) for a1 in range(3) for a3 in range(3)]
+    passed = True
+    for a0, a1, a3 in grid:
+        # 16 S and 16 D of L and of both right-hand sides.
+        s_l, d_l = s_and_d(4 * a0, 4 * a3, 4 * a0 + a1)
+        s_low, d_r = s_and_d(4 * a0, 4 * (a1 + a3), 4 * a0)
+        s_high, _ = s_and_d(4 * a0, 4 * (a0 + a3), 4 * a0)
+        passed &= (
+            s_low - s_l == a1 * (15 * a1 + 32 * a3 - 8 * a0)
+            and s_high - s_l == 16 * a0 * a0 + 32 * a0 * a3 - 8 * a0 * a1 - a1 * a1
+            and d_l - d_r == 4 * a0 * a1
+        )
+    return CaseInequalityReport(passed=passed, points=len(grid))
 
 
 @dataclass(frozen=True)
@@ -310,7 +301,7 @@ def run_pipeline(
     Stages, in order: product annihilation, defect-projection check,
     fundamental-pair extraction, obstruction invariants, subspace
     hypotheses in interior mode, a randomized sup-norm falsification
-    sweep, the sampled case inequalities, and a minimal-completion
+    sweep, the exact case-inequality check, and a minimal-completion
     convergence study.  The verdict is "Obstructed" when either
     commutator invariant clears the tolerance.  A stage raising a
     :class:`TetrablockError` or ``np.linalg.LinAlgError`` marks the
@@ -392,9 +383,7 @@ def run_pipeline(
         )
 
     def stage_cases():
-        results["case_check"] = case_inequality_check(
-            10_000, seed=np.random.SeedSequence([seed, 5]).generate_state(1)[0]
-        )
+        results["case_check"] = case_inequality_check()
 
     def stage_cf():
         results["cf_study"] = cf_convergence_study(

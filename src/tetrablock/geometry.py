@@ -217,20 +217,6 @@ def _boundary_points(params: np.ndarray):
 _CHUNK = 1024
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    """Row counts of an n-row draw taken ``_CHUNK`` rows at a time.
-
-    A last chunk of one row is joined to the one before it: numpy runs
-    an in-place product of one-element arrays down its scalar reduction
-    loop, which can round differently from the vector loop that the
-    same row takes in one pass over the whole draw.
-    """
-    full, rest = divmod(n, _CHUNK)
-    if rest == 1 and full:
-        return [_CHUNK] * (full - 1) + [_CHUNK + 1]
-    return [_CHUNK] * full + [rest] * (rest > 0)
-
-
 def _sample_scores(p: Poly3, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Unit-cube parameters of ``seed``'s n-point draw and |p| at each.
 
@@ -244,12 +230,10 @@ def _sample_scores(p: Poly3, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     params = np.empty((n, 3))
     vals = np.empty(n)
-    start = 0
-    for size in _chunk_sizes(n):
-        rows = slice(start, start + size)
+    for start in range(0, n, _CHUNK):
+        rows = slice(start, start + _CHUNK)
         rng.random(out=params[rows])
         vals[rows] = np.abs(eval_scalar_many(p, *_boundary_points(params[rows])))
-        start += size
     return params, vals
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import complex_from_json, complex_to_json, op_norm
+from .linalg import _power_of_two_below, complex_from_json, complex_to_json, op_norm
 
 __all__ = [
     "Poly3",
@@ -132,8 +132,11 @@ def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
 
     Each variable gets a cumulative power table over the points, and
     the terms are multiplied as ((c * x1^m1) * x2^m2) * x3^m3, each
-    factor a view of a table row and every product written into one
-    reused buffer, then summed in ``p.coeffs`` order.
+    factor a view of a table row and each product written into the
+    other of two reused buffers, then summed in ``p.coeffs`` order.  No
+    product is taken in place: numpy rounds an in-place product of
+    one-element arrays differently from its vector loop, and out of
+    place a point gets the same bits alone as in a longer array.
     """
     xs = np.broadcast_arrays(
         np.asarray(x1, dtype=np.complex128),
@@ -152,11 +155,11 @@ def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
             np.multiply(tab[k - 1], x, out=tab[k, ...])
         tables.append(tab)
     t1, t2, t3 = tables
-    term = np.empty_like(out)
+    term, head = np.empty_like(out), np.empty_like(out)
     for (m1, m2, m3), c in zip(p.exp_array.tolist(), p.coef_array):
         np.multiply(c, t1[m1], out=term)
-        term *= t2[m2]
-        term *= t3[m3]
+        np.multiply(term, t2[m2], out=head)
+        np.multiply(head, t3[m3], out=term)
         out += term
     return out
 
@@ -456,6 +459,11 @@ def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> t
     and is nonincreasing in the degree.  Each is an upper bound on the
     sup of an actual polynomial, hence at or above
     :func:`cf_matrix_norm` up to rounding.  Degrees must be below ``grid``.
+
+    The fits run on the pair divided by the power of two at or below
+    its larger modulus, and the values are multiplied back: both steps
+    are exact and every fit and score is homogeneous, so 2^k times the
+    pair gives 2^k times the values, bit for bit, and nothing overflows.
     """
     degrees = [int(d) for d in degrees]
     if any(d < 0 for d in degrees):
@@ -464,6 +472,9 @@ def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> t
         raise ValueError("grid must be at least 16")
     if max(degrees, default=0) >= grid:
         raise ValueError(f"degrees must be below grid ({grid})")
+    big = max(abs(b0), abs(b1))
+    scale = _power_of_two_below(big) if big else 1.0
+    b0, b1 = b0 / scale, b1 / scale
     best = float(abs(b0) + abs(b1))
     # running[d] is the running minimum after fitting degrees 2..d.
     running = [best, best]
@@ -474,4 +485,4 @@ def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> t
         for r, row in enumerate(_lawson_fits(b0, b1, top, grid)):
             best = min(best, _circle_sup_bound(row, r + 2))
             running.append(best)
-    return tuple(running[min(d, top)] for d in degrees)
+    return tuple(scale * running[min(d, top)] for d in degrees)

@@ -254,21 +254,26 @@ def test_batched_sup_matches_per_trial(degree, n_samples):
     assert_matches_per_trial(polys, seeds, n_samples=n_samples)
 
 
-def test_chunk_sizes_cover_the_draw_without_a_one_row_tail():
-    # A multiple of every SIMD width keeps each row in its vector lane.
-    assert CHUNK % 64 == 0
-    for n in OFF_GRID + [2, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 2]:
-        sizes = geometry._chunk_sizes(n)
-        assert sum(sizes) == n and max(sizes) <= CHUNK + 1
-        assert all(size == CHUNK for size in sizes[:-1])
-        assert sizes[-1] > 1 or n == 1
-    assert geometry._chunk_sizes(CHUNK + 1) == [CHUNK + 1]
+def test_a_point_alone_gets_the_bits_of_its_row_in_a_longer_pass():
+    # A one-point draw, or a one-row last chunk, is scored as in one
+    # pass over a longer array: numpy rounds an in-place product of
+    # one-element arrays differently, so no product is taken in place.
+    for degree in (2, 3, 5):
+        p = random_poly(degree, seed=degree)
+        points = sample_distinguished_boundary(CHUNK, seed=degree)
+        want = eval_scalar_many(p, *points)
+        for i in range(0, CHUNK, 7):
+            alone = eval_scalar_many(p, *(x[i : i + 1] for x in points))
+            assert alone.tobytes() == want[i : i + 1].tobytes()
+            assert complex(eval_scalar_many(p, *(x[i] for x in points))) == want[i]
 
 
 @pytest.mark.parametrize("n", OFF_GRID)
 def test_sample_scores_are_the_whole_draw_bit_for_bit(n):
     # Drawn and scored a chunk at a time, the parameters and |p| values
-    # are those of one pass over the whole draw, to the last bit.
+    # are those of one pass over the whole draw, to the last bit.  A
+    # multiple of every SIMD width keeps each row in its vector lane.
+    assert CHUNK % 64 == 0
     for degree in (2, 3, 5):
         p = random_poly(degree, seed=degree)
         seed = np.random.SeedSequence(n + degree)
@@ -282,16 +287,13 @@ def test_sample_scores_are_the_whole_draw_bit_for_bit(n):
 def test_sample_max_is_the_max_over_each_prefix_of_the_draw():
     # The falsifier's screen and whole-draw bound read prefixes of the
     # draw its certificate samples: each is the prefix's largest |p|.
-    # A one-row prefix is left out: numpy rounds an in-place product of
-    # one-element arrays differently, and the falsifier only takes one
-    # row of a one-row draw.
     p = random_poly(3, seed=11)
     seed = np.random.SeedSequence(12)
     n = max(OFF_GRID)
     vals = np.abs(
         single_eval_scalar_many(p, *sample_distinguished_boundary(n, seed=seed))
     )
-    for m in [2, 256] + OFF_GRID[1:]:
+    for m in [2, 256] + OFF_GRID:
         assert contractions._sample_max(p, seed, m) == vals[:m].max()
 
 

@@ -592,6 +592,22 @@ def test_cf_empirical_floor_and_monotone():
     assert cf_empirical_inf(0.45, 0.7, [4], grid=512)[0] <= 1.05 * mu
 
 
+@pytest.mark.filterwarnings("error")
+def test_cf_empirical_scales_exactly_with_the_pair():
+    # Scaling the pair by 2^k scales every value by 2^k, bit for bit,
+    # from near underflow to near overflow, with no warning.
+    degrees = (0, 2, 8)
+    for b0, b1 in [(0.45, 0.7), (0.3 - 0.2j, 0.5j), (1.0, 1.0j)]:
+        unit = cf_empirical_inf(b0, b1, degrees)
+        for k in (-1000, -600, 600, 1020):
+            s = 2.0**k
+            want = tuple(s * v for v in unit)
+            assert cf_empirical_inf(s * b0, s * b1, degrees) == want
+    # Unscaled, these fits overflow and the value stays |b0| + |b1|.
+    value = cf_empirical_inf(8e307, 8e307, [8])[0]
+    assert value <= 1.01 * cf_matrix_norm(8e307, 8e307)
+
+
 def test_circle_sup_matches_dense_grid(rng):
     # Rows of degrees 1..16, each at three scales, against |p| at 10**6
     # equispaced points, which lie within 2e-9 relative of the sup at
