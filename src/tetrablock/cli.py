@@ -22,6 +22,7 @@ the deterministic ones reject it as a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,7 +314,9 @@ def _add_common(sub: argparse.ArgumentParser, run, *, seeded: bool = False) -> N
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="tetra",
         description="Constructions around dilation failure on the tetrablock.",

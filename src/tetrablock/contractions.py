@@ -31,7 +31,7 @@ from .errors import (
     NotAContractionError,
     NotIsometricEmbeddingError,
 )
-from .geometry import _sample_scores, sup_on_closure
+from .geometry import _prefix_maxima, _sample_scores, sup_on_closure
 from .linalg import (
     as_matrix,
     complex_to_json,
@@ -610,7 +610,7 @@ def violation_certificate(
     The norm is the largest over the triple's distinct blocks
     (:func:`_poly_norms`).  ``sup_first`` is :func:`sup_on_closure` at
     ``config.sup_samples`` samples drawn from the first of the two
-    :func:`_sup_seeds` children of ``seed``; it is at least the largest
+    :func:`_child_seed` children of ``seed``; it is at least the largest
     |p| over any prefix of that draw, which is what lets
     :func:`falsify_spectral_set` skip certificates that cannot matter.
     A violation is only reported after the sup estimate has been
@@ -624,13 +624,14 @@ def violation_certificate(
     sampled sup + margin <= true sup + margin.
     """
     lhs = _poly_norms(t, [p])[0]
-    first, second = _sup_seeds(seed)
-    sup_first = sup_on_closure(p, n_samples=config.sup_samples, seed=first)
+    sup_first = sup_on_closure(
+        p, n_samples=config.sup_samples, seed=_child_seed(seed, 0)
+    )
     sup_refined = sup_first
     violates = lhs > sup_first + config.falsify_margin
     if violates:
         sup_refined = sup_on_closure(
-            p, n_samples=10 * config.sup_samples, seed=second
+            p, n_samples=10 * config.sup_samples, seed=_child_seed(seed, 1)
         )
         sup_refined = max(sup_first, sup_refined)
         violates = lhs > sup_refined + config.falsify_margin
@@ -671,22 +672,20 @@ def _poly_norms(t: Triple, polys) -> np.ndarray:
     return norms
 
 
-def _sup_seeds(seed) -> list:
-    """A certificate's two sup seeds: the first pass and the resample.
+def _child_seed(seed, *path: int) -> np.random.SeedSequence:
+    """The descendant of ``seed`` (an int or a ``SeedSequence``) that
+    spawning along ``path`` would give: ``_child_seed(s, k, 1)`` is
+    ``SeedSequence(s).spawn(k + 1)[k].spawn(2)[1]``.
 
-    They are the first two children of ``seed`` (an int or a
-    ``SeedSequence``), derived without spawning from it, so the same
-    seed always gives the same pair.
+    It is derived without spawning from ``seed``, so the same seed
+    always gives the same child.  A certificate's sup seeds are the
+    children 0 (the first pass) and 1 (the resample) of its seed.
     """
-    base = seed
-    if not isinstance(base, np.random.SeedSequence):
-        base = np.random.SeedSequence(seed)
-    return [
-        np.random.SeedSequence(
-            base.entropy, spawn_key=base.spawn_key + (i,), pool_size=base.pool_size
-        )
-        for i in range(2)
-    ]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + path, pool_size=seed.pool_size
+    )
 
 
 # Sample points per trial in the falsifier's first bound.
@@ -771,24 +770,25 @@ def falsify_spectral_set(
     seed = config.seed if seed is None else seed
     comm = max(commutation_defect(part) for part, _ in t.parts)
 
+    # Trial k's sup seed is seed + k for given polynomials; for random
+    # ones, its polynomial and sup seeds are the children 0 and 1 of
+    # child k of the seed.  Each trial's draw is its sup seed's child 0.
     if polys is not None:
         polys = list(polys)
-        sup_seeds = [seed + i for i in range(len(polys))]
+        sup_path = [(seed + k,) for k in range(len(polys))]
     else:
-        polys, sup_seeds = [], []
-        for child in np.random.SeedSequence(seed).spawn(trials):
-            grand = child.spawn(2)
-            polys.append(random_poly(degree, seed=grand[0]))
-            sup_seeds.append(grand[1])
+        root = np.random.SeedSequence(seed)
+        polys = [random_poly(degree, seed=_child_seed(root, k, 0)) for k in range(trials)]
+        sup_path = [(root, k, 1) for k in range(trials)]
 
     lhs = _poly_norms(t, polys)
-    draws = [_sup_seeds(s)[0] for s in sup_seeds]
+    draws = [_child_seed(*path, 0) for path in sup_path]
     n = config.sup_samples
     # below[k] bounds trial k's certified sup from below: first the
     # largest |p| over a prefix of its draw, then over the whole draw,
     # then, once certified, the certificate's own sup.
     prefix = min(_SCREEN_SAMPLES, n)
-    below = np.array([_sample_max(p, s, prefix) for p, s in zip(polys, draws)])
+    below = _prefix_maxima(polys, draws, prefix)
     whole = np.full(len(polys), prefix == n)
     certs = {}
 
@@ -798,7 +798,7 @@ def falsify_spectral_set(
             whole[k] = True
         else:
             certs[k] = violation_certificate(
-                t, polys[k], config=config, seed=sup_seeds[k]
+                t, polys[k], config=config, seed=_child_seed(*sup_path[k])
             )
             below[k] = certs[k].sup_refined
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import complex_from_json, complex_to_json
-from .poly3 import Poly3, eval_scalar_many
+from .poly3 import Poly3, _eval_stack, _eval_terms_at_once, eval_scalar_many
 
 __all__ = [
     "MembershipReport",
@@ -237,6 +237,35 @@ def _sample_scores(p: Poly3, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return params, vals
 
 
+def _prefix_maxima(polys, seeds, n: int) -> np.ndarray:
+    """Largest |p| over the first n points of each seed's draw, per polynomial.
+
+    Polynomial k is scored on the first n rows of the draw
+    ``_sample_scores(polys[k], ..., seeds[k])`` takes, n at most
+    ``_CHUNK``.  The polynomials that share exponent rows are scored as
+    stacks of about ``_CHUNK`` points (:func:`poly3._eval_stack`), each
+    with its own row of points and coefficients, so every value is the
+    bits a pass over that polynomial's own draw gives, and a stack's
+    temporaries are one chunk's.
+    """
+    per_stack = max(1, _CHUNK // n)
+    layouts: dict[bytes, list[int]] = {}
+    for k, p in enumerate(polys):
+        layouts.setdefault(p.exp_array.tobytes(), []).append(k)
+    maxima = np.empty(len(polys))
+    for members in layouts.values():
+        exps = polys[members[0]].exp_array
+        for lo in range(0, len(members), per_stack):
+            stack = members[lo : lo + per_stack]
+            params = np.empty((len(stack), n, 3))
+            for row, k in zip(params, stack):
+                np.random.default_rng(seeds[k]).random(out=row)
+            coefs = np.stack([polys[k].coef_array for k in stack], axis=1)
+            vals = _eval_stack(exps, coefs[:, :, None], *_boundary_points(params))
+            maxima[stack] = np.abs(vals).max(axis=1)
+    return maxima
+
+
 def sup_on_closure(p: Poly3, *, n_samples: int = 4096, seed=None) -> float:
     """Estimate sup |p| over the closed domain.
 
@@ -259,35 +288,40 @@ def sup_on_closure(p: Poly3, *, n_samples: int = 4096, seed=None) -> float:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     u, vals = _sample_scores(p, n_samples, seed)
     k = min(_TOP_K, n_samples)
-    refined = _compass_refine(p, u[np.argsort(vals)[n_samples - k :]], _REFINE_ITERS)
+    top = np.argsort(vals)[n_samples - k :]
+    refined = _compass_refine(p, u[top], vals[top], _REFINE_ITERS)
     return float(np.maximum(vals.max(), refined.max()))
 
 
-def _compass_refine(p: Poly3, current: np.ndarray, iters: int) -> np.ndarray:
+def _compass_refine(
+    p: Poly3, current: np.ndarray, fcur: np.ndarray, iters: int
+) -> np.ndarray:
     """Compass ascent of |p| from each row of ``current``; final values.
 
-    ``current`` has shape (starts, 3) and is updated in place.  Each
-    start probes +-step along each parameter axis, moves to its best
-    probe when that improves, and halves its step when not.  The search
-    stops once every step is below 1e-9.
+    ``current`` has shape (starts, 3) and ``fcur`` holds |p| there; both
+    are updated in place.  Each start probes +-step along each parameter
+    axis, moves to its best probe when that improves, and halves its
+    step when not.  The search stops once every step is below 1e-9.
+    The six probes of every start, at least six points, are evaluated
+    with all terms at once (:func:`poly3._eval_terms_at_once`), the
+    bits :func:`eval_scalar_many` gives them.
     """
     k = len(current)
-    fcur = np.abs(eval_scalar_many(p, *_boundary_points(current)))
+    starts = np.arange(k)
     steps = np.full(k, 0.1)
     for _ in range(iters):
-        if np.all(steps < 1e-9):
+        if steps.max() < 1e-9:
             break
         probes = current[:, None, :] + steps[:, None, None] * _COMPASS
-        probes[..., 0] %= 1.0
-        probes[..., 1] %= 1.0
-        probes[..., 2] = np.clip(probes[..., 2], 0.0, 1.0)
+        np.remainder(probes[..., :2], 1.0, out=probes[..., :2])
+        np.clip(probes[..., 2], 0.0, 1.0, out=probes[..., 2])
         fp = np.abs(
-            eval_scalar_many(p, *_boundary_points(probes.reshape(-1, 3)))
+            _eval_terms_at_once(p, *_boundary_points(probes.reshape(-1, 3)))
         ).reshape(k, 6)
         bidx = np.argmax(fp, axis=1)
-        bval = fp[np.arange(k), bidx]
+        bval = fp[starts, bidx]
         gain = bval > fcur
-        current[gain] = probes[np.arange(k), bidx][gain]
-        fcur[gain] = bval[gain]
-        steps[~gain] *= 0.5
+        np.copyto(current, probes[starts, bidx], where=gain[:, None])
+        np.copyto(fcur, bval, where=gain)
+        np.multiply(steps, 0.5, out=steps, where=~gain)
     return fcur

@@ -17,6 +17,7 @@ need the defect should measure it once, not per evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,6 +64,18 @@ class Poly3:
             c = complex(c)
             if c != 0:
                 clean[exp] = c
+        self._pack(clean)
+
+    @classmethod
+    def _of_terms(cls, exps, coefs) -> Poly3:
+        """The polynomial of distinct exponent triples of Python ints and
+        their complex coefficients, taken as given: the exponents are
+        not checked again.  Zero coefficients are dropped."""
+        p = cls.__new__(cls)
+        p._pack({exp: c for exp, c in zip(exps, coefs) if c != 0})
+        return p
+
+    def _pack(self, clean: dict) -> None:
         self.coeffs = clean
         self.exp_array = np.array(list(clean), dtype=np.intp).reshape(-1, 3)
         self.coef_array = np.array(list(clean.values()), dtype=np.complex128)
@@ -130,38 +143,85 @@ def poly_from_json(obj) -> Poly3:
 def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
     """Evaluate at arrays of points (broadcast together).
 
-    Each variable gets a cumulative power table over the points, and
-    the terms are multiplied as ((c * x1^m1) * x2^m2) * x3^m3, each
-    factor a view of a table row and each product written into the
-    other of two reused buffers, then summed in ``p.coeffs`` order.  No
+    The coordinates get one cumulative power table over the points
+    (:func:`_power_table`), and the terms are multiplied as
+    ((c * x1^m1) * x2^m2) * x3^m3, each factor a view of a table row
+    and each product written into the other of two reused buffers, then
+    summed in ``p.coeffs`` order.  No
     product is taken in place: numpy rounds an in-place product of
     one-element arrays differently from its vector loop, and out of
     place a point gets the same bits alone as in a longer array.
     """
-    xs = np.broadcast_arrays(
-        np.asarray(x1, dtype=np.complex128),
-        np.asarray(x2, dtype=np.complex128),
-        np.asarray(x3, dtype=np.complex128),
+    return _eval_stack(p.exp_array, p.coef_array, x1, x2, x3)
+
+
+def _eval_stack(exps: np.ndarray, coefs: np.ndarray, x1, x2, x3) -> np.ndarray:
+    """:func:`eval_scalar_many` for polynomials that share the exponent
+    rows ``exps``: ``coefs[i]`` is term i's coefficient, a scalar per
+    polynomial that broadcasts against the points, for example (t, g, 1)
+    for g polynomials each at its own row of (g, n) points.  Every
+    polynomial's values are the bits :func:`eval_scalar_many` gives it
+    at the same points (numpy's elementwise loops round each point the
+    same in any position of an array).
+    """
+    points = np.stack(
+        np.broadcast_arrays(
+            np.asarray(x1, dtype=np.complex128),
+            np.asarray(x2, dtype=np.complex128),
+            np.asarray(x3, dtype=np.complex128),
+        )
     )
-    out = np.zeros(xs[0].shape, dtype=np.complex128)
-    if not p.coeffs:
+    shape = np.broadcast_shapes(points.shape[1:], np.shape(coefs)[1:])
+    out = np.zeros(shape, dtype=np.complex128)
+    if not len(exps):
         return out
-    tables = []
-    for x, d in zip(xs, p.exp_array.max(axis=0)):
-        tab = np.empty((d + 1,) + x.shape, dtype=np.complex128)
-        tab[0] = 1.0
-        for k in range(1, d + 1):
-            # tab[k, ...] is an array view even for 0-d points.
-            np.multiply(tab[k - 1], x, out=tab[k, ...])
-        tables.append(tab)
-    t1, t2, t3 = tables
+    powers = _power_table(points, exps.max())
     term, head = np.empty_like(out), np.empty_like(out)
-    for (m1, m2, m3), c in zip(p.exp_array.tolist(), p.coef_array):
-        np.multiply(c, t1[m1], out=term)
-        np.multiply(term, t2[m2], out=head)
-        np.multiply(head, t3[m3], out=term)
+    for (m1, m2, m3), c in zip(exps.tolist(), coefs):
+        np.multiply(c, powers[m1, 0], out=term)
+        np.multiply(term, powers[m2, 1], out=head)
+        np.multiply(head, powers[m3, 2], out=term)
         out += term
     return out
+
+
+def _power_table(points: np.ndarray, degree: int) -> np.ndarray:
+    """Cumulative powers x^0..x^degree of every coordinate, one row each.
+
+    Row k is the previous row times ``points`` (stacked coordinates), so
+    entry [k, i] is coordinate i to the power k at each point, the same
+    bits as multiplying that coordinate out alone.
+    """
+    table = np.empty((degree + 1,) + points.shape, dtype=np.complex128)
+    table[0] = 1.0
+    for k in range(1, degree + 1):
+        np.multiply(table[k - 1], points, out=table[k])
+    return table
+
+
+# Coordinate index of each column of an exponent row.
+_COORDS = np.arange(3)
+
+
+def _eval_terms_at_once(p: Poly3, x1, x2, x3) -> np.ndarray:
+    """p at a short 1-d array of at least two points, all terms at once.
+
+    The products are those of :func:`eval_scalar_many`, taken for every
+    term in one (terms, points) array, and ``np.add.reduce`` over the
+    terms adds them in order when there is more than one point, so |p|
+    at each point is the bits :func:`eval_scalar_many` gives.  (At one
+    point it would sum pairwise.)  A dozen numpy calls replace three
+    per term, which is what a search evaluating a few dozen points per
+    step spends its time on.
+    """
+    points = np.stack((x1, x2, x3)).astype(np.complex128, copy=False)
+    if not p.coeffs:
+        return np.zeros(points.shape[1:], dtype=np.complex128)
+    factors = _power_table(points, p.exp_array.max())[p.exp_array, _COORDS]
+    terms = p.coef_array[:, None] * factors[:, 0]
+    np.multiply(terms, factors[:, 1], out=terms)
+    np.multiply(terms, factors[:, 2], out=terms)
+    return np.add.reduce(terms, axis=0)
 
 
 class MonomialBasis:
@@ -319,16 +379,22 @@ def random_poly(degree: int, *, seed=None) -> Poly3:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     rng = np.random.default_rng(seed)
-    exps = [
+    exps = _exponents_up_to(degree)
+    coefs = np.empty(len(exps), dtype=np.complex128)
+    coefs.real = rng.standard_normal(len(exps))
+    coefs.imag = rng.standard_normal(len(exps))
+    return Poly3._of_terms(exps, coefs.tolist())
+
+
+@functools.cache
+def _exponents_up_to(degree: int) -> tuple:
+    """Every exponent triple of total degree <= degree, in lexicographic order."""
+    return tuple(
         (m1, m2, m3)
         for m1 in range(degree + 1)
         for m2 in range(degree + 1 - m1)
         for m3 in range(degree + 1 - m1 - m2)
-    ]
-    exps.sort()
-    re = rng.standard_normal(len(exps))
-    im = rng.standard_normal(len(exps))
-    return Poly3({exp: complex(a, b) for exp, (a, b) in zip(exps, zip(re, im))})
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,69 +441,133 @@ def _circle_sup_bound(row: np.ndarray, d: int) -> float:
     return (peak + rounding) * _SCORE_FACTOR
 
 
-def _normal_equations_index(n: int, grid: int) -> np.ndarray:
+def _normal_equations_index(n: int, rows: int, grid: int, rhs: int) -> np.ndarray:
     """Where each entry of the batched augmented normal equations lives.
 
-    Row r of the batch fits the coefficients of z^2..z^(r+2), one
-    unknown per index l < n.  On the grid roots of unity the weighted
-    normal equations are Toeplitz: entry (l, k) is the weights' Fourier
-    moment F[(l - k) mod grid], and the right-hand side is entry l of
-    -(b0 F[l + 2] + b1 F[l + 1]).  The returned (n, n, n + 1) array
-    indexes the flattened per-step table [F | rhs | 1 | 0], one row per
-    degree; the unknowns a row does not use get identity rows and a
-    zero right-hand side.
+    Row r < n of the batch fits the coefficients of z^2..z^(r+2), one
+    unknown per index l < n; rows from n on repeat row n - 1.  On the
+    grid roots of unity the weighted normal equations are Toeplitz:
+    entry (l, k) is the weights' Fourier moment F[l - k], and the
+    right-hand side is entry l of -(b0 F[l + 2] + b1 F[l + 1]).  The
+    returned (rows, n, n + 1) array indexes the flattened per-step
+    table of :func:`_lawson_fits`, one row per fit: moments in the
+    columns :func:`_moment_columns` gives, then the right-hand sides
+    from column ``rhs``, then a 1 and a 0.  The unknowns a row does not
+    use get identity rows and a zero right-hand side.
     """
-    width = grid + n + 2
-    row = np.arange(n)[:, None, None]
+    row = np.minimum(np.arange(rows), n - 1)[:, None, None]
     l = np.arange(n)[None, :, None]
     k = np.arange(n + 1)[None, None, :]
-    entry = np.where(k < n, (l - k) % grid, grid + l)
-    pad = np.where(l == k, grid + n, grid + n + 1)
+    entry = np.where(k < n, _moment_columns(l - k, grid), rhs + l)
+    pad = np.where(l == k, rhs + n, rhs + n + 1)
     used = (l <= row) & ((k <= row) | (k == n))
-    return row * width + np.where(used, entry, pad)
+    return np.arange(rows)[:, None, None] * (rhs + n + 2) + np.where(used, entry, pad)
 
 
-def _gauss_jordan(aug: np.ndarray) -> np.ndarray:
-    """Solve a batch of augmented systems [A | b] in place; the solutions.
+def _moment_columns(j, grid: int) -> np.ndarray:
+    """Columns of the moments F[j] in the table [R | conj R | ...].
 
-    Gauss-Jordan elimination without pivoting, which the Hermitian
-    positive-definite normal equations allow.  It takes only
-    elementwise numpy steps, so an identity-padded system gives its
-    leading block's solution bit for bit; LAPACK's LU does not.
+    R = F[0..grid // 2] is the ``rfft`` of real weights, so F[j] is
+    R[j mod grid] when that is at most grid // 2, and otherwise the
+    conjugate of R[-j mod grid].  For -top < j <= top and a fit of
+    degree top, that index is below top, so the table mirrors only
+    R[:top].
     """
-    n = aug.shape[1]
-    for k in range(n):
-        pivot = aug[:, k, k:] / aug[:, k, k, None]
-        aug[:, :, k:] -= aug[:, :, k, None] * pivot[:, None, :]
-        aug[:, k, k:] = pivot
-    return aug[:, :, n]
+    m = np.asarray(j) % grid
+    half = grid // 2 + 1
+    return np.where(m < half, m, half + grid - m)
 
 
 def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
     """Lawson fits of degrees 2..top in lockstep; one coefficient row each.
 
     Row r holds b0, b1 and the fitted coefficients of z^2..z^(r+2),
-    zero-padded to length top + 1.  Each step takes every row's weight
-    moments with one FFT, solves all rows' normal equations in one
-    batched elimination, and reweights by the residual magnitudes on
-    the grid from one inverse FFT.
+    zero-padded to length top + 1.  One step:
+
+    - takes every row's weight moments F[0..grid // 2] with one
+      ``rfft`` (the weights are real, so F[-j] = conj F[j]) into a table
+      that also holds their conjugates and the right-hand sides;
+    - gathers the augmented Toeplitz normal equations of all rows from
+      it and solves them by Gauss-Jordan elimination without pivoting,
+      which the Hermitian positive-definite systems allow, in buffers
+      and views made once per call.  It takes only elementwise numpy
+      steps, so an identity-padded system gives its leading block's
+      solution bit for bit; LAPACK's LU does not;
+    - reads the residuals on the grid from one real matrix product of
+      the coefficients, (re, im) interleaved, with a cos/sin table, so a
+      lower degree's zero coefficients pad the sum at its end, and
+      reweights by their magnitudes.
+
+    So a degree's fit is the same bits at any ``top``.  At least two
+    rows are solved (a degree-2 call repeats its row), which keeps the
+    product a matrix-matrix one.
     """
     n = top - 1
-    index = _normal_equations_index(n, grid)
-    unit = np.zeros((n, 2))
-    unit[:, 0] = 1.0
-    coefs = np.zeros((n, grid), dtype=np.complex128)
+    rows = max(n, 2)
+    half = grid // 2 + 1
+    # The table: R = F[0..grid // 2], conj R[:top], rhs, 1, 0.
+    rhs_at = half + min(top, half)
+    index = _normal_equations_index(n, rows, grid, rhs_at)
+    table = np.zeros((rows, rhs_at + n + 2), dtype=np.complex128)
+    table[:, rhs_at + n] = 1.0
+    spectrum, rhs = table[:, :half], table[:, rhs_at : rhs_at + n]
+    mirrored, mirror = table[:, : rhs_at - half], table[:, half:rhs_at]
+    moment_cols = _moment_columns(np.arange(1, top + 1), grid)
+    moments = np.empty((rows, top), dtype=np.complex128)
+    term = np.empty_like(rhs)
+    aug = np.empty(index.shape, dtype=np.complex128)
+    # Per pivot k: row k right of the pivot, the pivot, column k, and the
+    # block right of column k.  Column k is not read again, and row k is
+    # overwritten by the scaled pivot row, as in full elimination.
+    pivots = []
+    for k in range(n):
+        scaled = np.empty((rows, 1, n - k), dtype=np.complex128)
+        pivots.append(
+            (
+                aug[:, k, k + 1 :],
+                aug[:, k, k, None],
+                scaled[:, 0],
+                aug[:, :, k, None],
+                scaled,
+                np.empty((rows, n, n - k), dtype=np.complex128),
+                aug[:, :, k + 1 :],
+            )
+        )
+    coefs = np.zeros((rows, top + 1), dtype=np.complex128)
     coefs[:, 0] = b0
     coefs[:, 1] = b1
-    w = np.full((n, grid), 1.0 / grid)
+    # z^k at the grid points as a real map from (re, im) coefficient
+    # pairs to (re, im) residual pairs.
+    phase = 2.0 * np.pi * (np.outer(np.arange(top + 1), np.arange(grid)) % grid) / grid
+    basis = np.empty((top + 1, 2, grid, 2))
+    basis[:, 0, :, 0] = basis[:, 1, :, 1] = np.cos(phase)
+    basis[:, 0, :, 1] = np.sin(phase)
+    basis[:, 1, :, 0] = -basis[:, 0, :, 1]
+    basis = basis.reshape(2 * (top + 1), 2 * grid)
+    residual = np.empty((rows, grid), dtype=np.complex128)
+    magnitude = np.empty((rows, grid))
+    flat_coefs, flat_residual = coefs.view(np.float64), residual.view(np.float64)
+    nb0, nb1 = -b0, -b1
+    w = np.full((rows, grid), 1.0 / grid)
     for _ in range(_LAWSON_STEPS):
-        moments = np.fft.fft(w)
-        rhs = -(b0 * moments[:, 2 : top + 1] + b1 * moments[:, 1:top])
-        table = np.concatenate([moments, rhs, unit], axis=1)
-        coefs[:, 2 : top + 1] = _gauss_jordan(table.ravel()[index])
-        w = w * np.abs(np.fft.ifft(coefs, norm="forward"))
+        np.fft.rfft(w, out=spectrum)
+        np.conjugate(mirrored, out=mirror)
+        table.take(moment_cols, axis=1, out=moments)
+        np.multiply(nb0, moments[:, 1:], out=rhs)
+        np.multiply(nb1, moments[:, :-1], out=term)
+        rhs += term
+        table.take(index, out=aug)
+        for right, head, pivot, col, pivot_row, prod, block in pivots:
+            np.divide(right, head, out=pivot)
+            np.multiply(col, pivot_row, out=prod)
+            np.subtract(block, prod, out=block)
+            right[...] = pivot
+        coefs[:, 2:] = aug[:, :, n]
+        np.matmul(flat_coefs, basis, out=flat_residual)
+        np.abs(residual, out=magnitude)
+        w *= magnitude
         w /= w.sum(axis=1, keepdims=True)
-    return coefs[:, : top + 1]
+    return coefs[:n]
 
 
 def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> tuple:

@@ -426,3 +426,45 @@ def lstsq_lawson_fits(b0, b1, top, *, grid=512, steps=300):
             w /= w.sum()
         fits.append(np.concatenate([[b0, b1], c]))
     return fits
+
+
+def fft_lawson_fits(b0, b1, top, grid=512, steps=300):
+    # Reference lockstep fits, the loop the half-spectrum step replaced:
+    # each step takes the weights' moments with a full FFT, solves the
+    # gathered normal equations by _gauss_jordan and reweights by the
+    # residual magnitudes from a full inverse FFT.  Returns one
+    # coefficient row per degree 2..top, zero-padded to length top + 1.
+    n = top - 1
+    width = grid + n + 2
+    row = np.arange(n)[:, None, None]
+    l = np.arange(n)[None, :, None]
+    k = np.arange(n + 1)[None, None, :]
+    entry = np.where(k < n, (l - k) % grid, grid + l)
+    pad = np.where(l == k, grid + n, grid + n + 1)
+    used = (l <= row) & ((k <= row) | (k == n))
+    index = row * width + np.where(used, entry, pad)
+    unit = np.zeros((n, 2))
+    unit[:, 0] = 1.0
+    coefs = np.zeros((n, grid), dtype=np.complex128)
+    coefs[:, 0] = b0
+    coefs[:, 1] = b1
+    w = np.full((n, grid), 1.0 / grid)
+    for _ in range(steps):
+        moments = np.fft.fft(w)
+        rhs = -(b0 * moments[:, 2 : top + 1] + b1 * moments[:, 1:top])
+        table = np.concatenate([moments, rhs, unit], axis=1)
+        coefs[:, 2 : top + 1] = _gauss_jordan(table.ravel()[index])
+        w = w * np.abs(np.fft.ifft(coefs, norm="forward"))
+        w /= w.sum(axis=1, keepdims=True)
+    return coefs[:, : top + 1]
+
+
+def _gauss_jordan(aug):
+    # Gauss-Jordan elimination without pivoting on a batch of augmented
+    # systems [A | b], in place; returns the solutions.
+    n = aug.shape[1]
+    for k in range(n):
+        pivot = aug[:, k, k:] / aug[:, k, k, None]
+        aug[:, :, k:] -= aug[:, :, k, None] * pivot[:, None, :]
+        aug[:, k, k:] = pivot
+    return aug[:, :, n]

@@ -525,6 +525,54 @@ def test_falsifier_stops_at_first_confirmed_violation():
     assert (rep.outcome, rep.trials_run, rep.worst_ratio, rep.certificate) == want
 
 
+def _screens(monkeypatch, t, **kwargs):
+    # Every call of the stacked screen during one falsifier run, with
+    # the polynomials, draws and prefix it was given and a copy of what
+    # it returned (the falsifier tightens the bounds in place).
+    seen = []
+    screen = contractions._prefix_maxima
+
+    def spy(polys, draws, n):
+        got = screen(polys, draws, n)
+        seen.append((list(polys), list(draws), n, got.copy()))
+        return got
+
+    monkeypatch.setattr(contractions, "_prefix_maxima", spy)
+    falsify_spectral_set(t, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("prefix", [1, 7, 255, 256])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_stacked_screens_are_each_trials_own_sample_max(monkeypatch, prefix, seed):
+    # The screens of trials that share an exponent layout are scored as
+    # stacks; each bound is bit for bit the trial's own _sample_max over
+    # the prefix.  A prefix below 256 comes from config.sup_samples.
+    config = ToolConfig(sup_samples=prefix if prefix < 256 else 4096)
+    varo = varopoulos_example()[1]
+    mixed = [
+        random_poly(3, seed=seed),
+        Poly3({}),
+        random_poly(2, seed=seed),
+        varo,
+        random_poly(3, seed=seed + 10),
+        Poly3({(0, 4, 0): 1.5j, (2, 0, 1): -0.5}),
+        random_poly(2, seed=seed + 10),
+        Poly3({}),
+        random_poly(3, seed=seed + 20),
+    ]
+    runs = [
+        dict(trials=30, degree=3, seed=seed, config=config),
+        dict(polys=mixed, seed=seed, config=config),
+    ]
+    for kwargs in runs:
+        [(polys, draws, n, got)] = _screens(monkeypatch, build_witness(4).triple, **kwargs)
+        assert n == prefix
+        want = np.array([contractions._sample_max(p, s, n) for p, s in zip(polys, draws)])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_falsifier_zero_polynomial_has_no_certificate():
     w = build_witness(3)
     rep = falsify_spectral_set(w.triple, polys=[Poly3({}), Poly3({})], seed=1)

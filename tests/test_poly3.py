@@ -33,6 +33,7 @@ from tetrablock.poly3 import (
 )
 
 from conftest import (
+    fft_lawson_fits,
     frontier_components,
     horner_eval_scalar,
     lstsq_lawson_fits,
@@ -656,6 +657,40 @@ def test_cf_fits_match_lstsq_oracle(b0, b1):
     np.testing.assert_allclose(
         [_circle_sup_bound(row, d) for d, row in enumerate(got, start=2)],
         [_circle_sup_bound(row, d) for d, row in enumerate(want, start=2)],
+        rtol=1e-13,
+        atol=0.0,
+    )
+
+
+def _circle_bounds(fits):
+    return [_circle_sup_bound(row, d) for d, row in enumerate(fits, start=2)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b0, b1", _cf_oracle_pairs())
+def test_cf_fits_match_the_full_fft_loop(b0, b1):
+    # The half-spectrum step (rfft moments, one real product for the
+    # residuals, Gauss-Jordan in reused buffers) against the full FFT
+    # pair and _gauss_jordan it replaced: every degree's circle sup
+    # bound within 1e-13 relative.
+    np.testing.assert_allclose(
+        _circle_bounds(_lawson_fits(b0, b1, 8, 512)),
+        _circle_bounds(fft_lawson_fits(b0, b1, 8, 512)),
+        rtol=1e-13,
+        atol=0.0,
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, top", [(16, 15), (17, 16), (32, 20)])
+@pytest.mark.parametrize("b0, b1", [(0.3 - 0.2j, 0.5j), (0.45, 0.7), (0.9, 0.1)])
+def test_cf_fits_at_and_above_half_the_grid(grid, top, b0, b1):
+    # Degrees from grid / 2 up read moments F[j] with j > grid / 2, which
+    # the half spectrum holds only as conj F[grid - j]; an odd grid has
+    # no Nyquist moment.  Against one least-squares loop per degree.
+    np.testing.assert_allclose(
+        _circle_bounds(_lawson_fits(b0, b1, top, grid)),
+        _circle_bounds(lstsq_lawson_fits(b0, b1, top, grid=grid)),
         rtol=1e-13,
         atol=0.0,
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tetrablock import counterexample, pipeline_report_to_json, run_pipeline
+from tetrablock import contractions, counterexample, pipeline_report_to_json, run_pipeline
 from tetrablock.cli import main as tetra
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -84,3 +84,14 @@ def test_verdict_digest_hashes_each_document(tmp_path, capsys):
     ]
     code, digest, command = lines[1].split(" ", 2)
     assert code == "0" and command == "tetra " + " ".join(model)
+
+
+def test_stage_times_prints_every_stage(capsys):
+    script = load_script("stage_times")
+    argv = ["--depth", "4", "--trials", "2", "--seeds", "3", "--repeats", "1"]
+    assert script.main(argv) == 0
+    out = capsys.readouterr().out
+    names = {line.split()[0] for line in out.splitlines()[2:]}
+    assert names == set(script.STAGES) | {"run_pipeline"}
+    # The wrapped bindings are put back.
+    assert counterexample.falsify_spectral_set is contractions.falsify_spectral_set
