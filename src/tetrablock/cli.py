@@ -22,7 +22,6 @@ the deterministic ones reject it as a usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -314,9 +313,7 @@ def _add_common(sub: argparse.ArgumentParser, run, *, seeded: bool = False) -> N
         )
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="tetra",
         description="Constructions around dilation failure on the tetrablock.",

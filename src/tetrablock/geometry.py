@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import complex_from_json, complex_to_json
-from .poly3 import Poly3, _eval_stack, _eval_terms_at_once, eval_scalar_many
+from .poly3 import Poly3, _eval_stack, eval_scalar_many
 
 __all__ = [
     "MembershipReport",
@@ -261,7 +261,8 @@ def _prefix_maxima(polys, seeds, n: int) -> np.ndarray:
             for row, k in zip(params, stack):
                 np.random.default_rng(seeds[k]).random(out=row)
             coefs = np.stack([polys[k].coef_array for k in stack], axis=1)
-            vals = _eval_stack(exps, coefs[:, :, None], *_boundary_points(params))
+            points = np.stack(_boundary_points(params))
+            vals = _eval_stack(exps, coefs[:, :, None], points)
             maxima[stack] = np.abs(vals).max(axis=1)
     return maxima
 
@@ -302,9 +303,9 @@ def _compass_refine(
     are updated in place.  Each start probes +-step along each parameter
     axis, moves to its best probe when that improves, and halves its
     step when not.  The search stops once every step is below 1e-9.
-    The six probes of every start, at least six points, are evaluated
-    with all terms at once (:func:`poly3._eval_terms_at_once`), the
-    bits :func:`eval_scalar_many` gives them.
+    The six probes of every start are evaluated in one
+    :func:`eval_scalar_many` call, at least six points, which a
+    degree-3 polynomial's 20 terms take all at once.
     """
     k = len(current)
     starts = np.arange(k)
@@ -316,7 +317,7 @@ def _compass_refine(
         np.remainder(probes[..., :2], 1.0, out=probes[..., :2])
         np.clip(probes[..., 2], 0.0, 1.0, out=probes[..., 2])
         fp = np.abs(
-            _eval_terms_at_once(p, *_boundary_points(probes.reshape(-1, 3)))
+            eval_scalar_many(p, *_boundary_points(probes.reshape(-1, 3)))
         ).reshape(k, 6)
         bidx = np.argmax(fp, axis=1)
         bval = fp[starts, bidx]

@@ -140,29 +140,26 @@ def poly_from_json(obj) -> Poly3:
     return Poly3(coeffs)
 
 
+# Most entries (terms times points) of the one array in which
+# eval_scalar_many forms every term at once.
+_AT_ONCE_ENTRIES = 8192
+
+
 def eval_scalar_many(p: Poly3, x1, x2, x3) -> np.ndarray:
     """Evaluate at arrays of points (broadcast together).
 
     The coordinates get one cumulative power table over the points
     (:func:`_power_table`), and the terms are multiplied as
-    ((c * x1^m1) * x2^m2) * x3^m3, each factor a view of a table row
-    and each product written into the other of two reused buffers, then
-    summed in ``p.coeffs`` order.  No
-    product is taken in place: numpy rounds an in-place product of
-    one-element arrays differently from its vector loop, and out of
-    place a point gets the same bits alone as in a longer array.
-    """
-    return _eval_stack(p.exp_array, p.coef_array, x1, x2, x3)
-
-
-def _eval_stack(exps: np.ndarray, coefs: np.ndarray, x1, x2, x3) -> np.ndarray:
-    """:func:`eval_scalar_many` for polynomials that share the exponent
-    rows ``exps``: ``coefs[i]`` is term i's coefficient, a scalar per
-    polynomial that broadcasts against the points, for example (t, g, 1)
-    for g polynomials each at its own row of (g, n) points.  Every
-    polynomial's values are the bits :func:`eval_scalar_many` gives it
-    at the same points (numpy's elementwise loops round each point the
-    same in any position of an array).
+    ((c * x1^m1) * x2^m2) * x3^m3, each factor a view of a table row,
+    then summed in ``p.coeffs`` order.  A 1-d array of at least two
+    points, with at most ``_AT_ONCE_ENTRIES`` terms times points, has
+    every term formed in one (terms, points) array and summed by
+    ``np.add.reduce`` over the terms, which adds in order when there is
+    more than one point (at one point it would sum pairwise): a dozen
+    numpy calls instead of three per term, which is what a search
+    evaluating a few dozen points per step spends its time on.  Any
+    other input goes term by term (:func:`_eval_stack`).  Both ways give
+    every point the same bits, alone or in a longer array.
     """
     points = np.stack(
         np.broadcast_arrays(
@@ -171,6 +168,34 @@ def _eval_stack(exps: np.ndarray, coefs: np.ndarray, x1, x2, x3) -> np.ndarray:
             np.asarray(x3, dtype=np.complex128),
         )
     )
+    exps = p.exp_array
+    size = points.shape[-1] if points.ndim == 2 else 0
+    if len(exps) and size >= 2 and len(exps) * size <= _AT_ONCE_ENTRIES:
+        factors = _power_table(points, exps.max())[exps, _COORDS]
+        terms = p.coef_array[:, None] * factors[:, 0]
+        np.multiply(terms, factors[:, 1], out=terms)
+        np.multiply(terms, factors[:, 2], out=terms)
+        return np.add.reduce(terms, axis=0)
+    return _eval_stack(exps, p.coef_array, points)
+
+
+# Coordinate index of each column of an exponent row.
+_COORDS = np.arange(3)
+
+
+def _eval_stack(exps: np.ndarray, coefs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Polynomials that share the exponent rows ``exps``, term by term.
+
+    ``points`` stacks the three coordinates on its first axis, and
+    ``coefs[i]`` is term i's coefficient, a scalar per polynomial that
+    broadcasts against the points, for example (t, g, 1) for g
+    polynomials each at its own row of (3, g, n) points.  Each product
+    is written into the other of two reused buffers: numpy rounds an
+    in-place product of one-element arrays differently from its vector
+    loop, and out of place a point gets the same bits alone as in a
+    longer array, for every polynomial the bits
+    :func:`eval_scalar_many` gives it.
+    """
     shape = np.broadcast_shapes(points.shape[1:], np.shape(coefs)[1:])
     out = np.zeros(shape, dtype=np.complex128)
     if not len(exps):
@@ -197,31 +222,6 @@ def _power_table(points: np.ndarray, degree: int) -> np.ndarray:
     for k in range(1, degree + 1):
         np.multiply(table[k - 1], points, out=table[k])
     return table
-
-
-# Coordinate index of each column of an exponent row.
-_COORDS = np.arange(3)
-
-
-def _eval_terms_at_once(p: Poly3, x1, x2, x3) -> np.ndarray:
-    """p at a short 1-d array of at least two points, all terms at once.
-
-    The products are those of :func:`eval_scalar_many`, taken for every
-    term in one (terms, points) array, and ``np.add.reduce`` over the
-    terms adds them in order when there is more than one point, so |p|
-    at each point is the bits :func:`eval_scalar_many` gives.  (At one
-    point it would sum pairwise.)  A dozen numpy calls replace three
-    per term, which is what a search evaluating a few dozen points per
-    step spends its time on.
-    """
-    points = np.stack((x1, x2, x3)).astype(np.complex128, copy=False)
-    if not p.coeffs:
-        return np.zeros(points.shape[1:], dtype=np.complex128)
-    factors = _power_table(points, p.exp_array.max())[p.exp_array, _COORDS]
-    terms = p.coef_array[:, None] * factors[:, 0]
-    np.multiply(terms, factors[:, 1], out=terms)
-    np.multiply(terms, factors[:, 2], out=terms)
-    return np.add.reduce(terms, axis=0)
 
 
 class MonomialBasis:
@@ -498,9 +498,12 @@ def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
       lower degree's zero coefficients pad the sum at its end, and
       reweights by their magnitudes.
 
-    So a degree's fit is the same bits at any ``top``.  At least two
-    rows are solved (a degree-2 call repeats its row), which keeps the
-    product a matrix-matrix one.
+    So a degree's fit is the same bits at any ``top``, provided the
+    BLAS ``dgemm`` behind ``matmul`` adds each residual's terms in order
+    along the coefficients, as OpenBLAS does here; BLAS does not promise
+    an order, and the pinned tests check it only on the machine they run
+    on.  At least two rows are solved (a degree-2 call repeats its row),
+    which keeps the product a matrix-matrix one.
     """
     n = top - 1
     rows = max(n, 2)
@@ -518,10 +521,14 @@ def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
     aug = np.empty(index.shape, dtype=np.complex128)
     # Per pivot k: row k right of the pivot, the pivot, column k, and the
     # block right of column k.  Column k is not read again, and row k is
-    # overwritten by the scaled pivot row, as in full elimination.
+    # overwritten by the scaled pivot row, as in full elimination.  Every
+    # pivot's scaled row and product are contiguous arrays at the start
+    # of one buffer each, so the buffers are O(rows n^2).
+    scaled_buffer = np.empty(rows * n, dtype=np.complex128)
+    prod_buffer = np.empty(rows * n * n, dtype=np.complex128)
     pivots = []
     for k in range(n):
-        scaled = np.empty((rows, 1, n - k), dtype=np.complex128)
+        scaled = scaled_buffer[: rows * (n - k)].reshape(rows, 1, n - k)
         pivots.append(
             (
                 aug[:, k, k + 1 :],
@@ -529,7 +536,7 @@ def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
                 scaled[:, 0],
                 aug[:, :, k, None],
                 scaled,
-                np.empty((rows, n, n - k), dtype=np.complex128),
+                prod_buffer[: rows * n * (n - k)].reshape(rows, n, n - k),
                 aug[:, :, k + 1 :],
             )
         )
@@ -549,14 +556,16 @@ def _lawson_fits(b0: complex, b1: complex, top: int, grid: int) -> np.ndarray:
     flat_coefs, flat_residual = coefs.view(np.float64), residual.view(np.float64)
     nb0, nb1 = -b0, -b1
     w = np.full((rows, grid), 1.0 / grid)
+    # Every index is in range; mode="clip" lets take write into its out
+    # array, where the default mode fills a temporary and copies it.
     for _ in range(_LAWSON_STEPS):
         np.fft.rfft(w, out=spectrum)
         np.conjugate(mirrored, out=mirror)
-        table.take(moment_cols, axis=1, out=moments)
+        table.take(moment_cols, axis=1, out=moments, mode="clip")
         np.multiply(nb0, moments[:, 1:], out=rhs)
         np.multiply(nb1, moments[:, :-1], out=term)
         rhs += term
-        table.take(index, out=aug)
+        table.take(index, out=aug, mode="clip")
         for right, head, pivot, col, pivot_row, prod, block in pivots:
             np.divide(right, head, out=pivot)
             np.multiply(col, pivot_row, out=prod)
@@ -585,8 +594,9 @@ def cf_empirical_inf(b0: complex, b1: complex, degrees, *, grid: int = 512) -> t
     and the tuple of running minima over degrees, starting from
     |b0| + |b1|, at the requested degrees is returned.  A degree's fit
     and score depend only on b0, b1, the degree and ``grid``, so each
-    value equals a separate call's with its degree alone, bit for bit,
-    and is nonincreasing in the degree.  Each is an upper bound on the
+    value equals a separate call's with its degree alone, bit for bit
+    (given a BLAS that sums in order, see :func:`_lawson_fits`), and is
+    nonincreasing in the degree.  Each is an upper bound on the
     sup of an actual polynomial, hence at or above
     :func:`cf_matrix_norm` up to rounding.  Degrees must be below ``grid``.
 

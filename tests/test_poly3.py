@@ -1,6 +1,7 @@
 """Polynomial evaluation and minimal-extension search tests."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tetrablock import (
     poly_to_json,
     random_poly,
 )
-from tetrablock import contractions
+from tetrablock import contractions, poly3
 from tetrablock.contractions import _poly_norms, varopoulos_example, varopoulos_polynomial
 from tetrablock.counterexample import cf_convergence_study
 from tetrablock.geometry import sample_distinguished_boundary
@@ -123,6 +124,26 @@ def test_eval_scalar_many_mixed_batch_at_4096_matches_single():
     x1, x2, x3 = sample_distinguished_boundary(4096, seed=3)
     for p in polys:
         assert_matches_single(p, x1, x2, x3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 409, 410, 1024])
+def test_eval_scalar_many_same_bits_at_once_or_term_by_term(monkeypatch, n):
+    # Up to _AT_ONCE_ENTRIES terms times points (409 points of a
+    # degree-3 polynomial's 20 terms) a 1-d batch of at least two points
+    # has every term formed at once; one point and larger batches go
+    # term by term.  Either way the values are the term-by-term
+    # oracle's, and each point alone gives its bits in the batch.
+    p = random_poly(3, seed=n)
+    x = sample_distinguished_boundary(n, seed=n)
+    calls = []
+    loop = poly3._eval_stack
+    monkeypatch.setattr(poly3, "_eval_stack", lambda *a: calls.append(1) or loop(*a))
+    got = eval_scalar_many(p, *x)
+    assert bool(calls) == (n == 1 or 20 * n > poly3._AT_ONCE_ENTRIES)
+    assert np.array_equal(got, single_eval_scalar_many(p, *x))
+    for j in range(0, n, max(1, n // 7)):
+        alone = eval_scalar_many(p, *(c[j : j + 1] for c in x))
+        assert alone.tobytes() == got[j : j + 1].tobytes()
 
 
 def test_eval_operator_diagonal_reduces_to_scalar(rng):
@@ -704,6 +725,23 @@ def test_cf_fits_do_not_depend_on_the_other_degrees():
     for top in range(2, 8):
         alone = _lawson_fits(b0, b1, top, 512)
         assert np.array_equal(alone, full[: top - 1, : top + 1])
+
+
+def test_cf_fit_buffers_grow_as_the_cube_of_the_degree(monkeypatch):
+    # The index, the augmented systems and the one product buffer the
+    # pivots share take about 40 bytes per entry of an (n, n, n) array;
+    # a product buffer per pivot took about 8 n^4 bytes, 126 MB at top 64.
+    # The buffers are made once per call, so two steps show the peak.
+    monkeypatch.setattr(poly3, "_LAWSON_STEPS", 2)
+    top = 64
+    n = top - 1
+    tracemalloc.start()
+    try:
+        _lawson_fits(0.3 - 0.2j, 0.5j, top, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22 + 48 * n**3
 
 
 def test_cf_empirical_rejects_degrees_at_grid():
