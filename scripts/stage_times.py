@@ -1,9 +1,11 @@
-"""Median wall time of each stage of the witness pipeline.
+"""Median and quartile wall times of each stage of the witness pipeline.
 
 Runs ``run_pipeline(depth, trials=...)`` for every seed, ``--repeats``
-times each after one warm-up run, and prints the median over all runs
-of each stage's wall time, with the whole call and its share.  Nothing
-is written to a verdict document.
+times each after one warm-up run, and prints the quartiles (p25, median,
+p75) over all runs of each stage's wall time, with the whole call and
+the median's share of the whole's median.  The spread between p25 and
+p75 tells a change in a stage from load on the machine, which one
+median cannot.  Nothing is written to a verdict document.
 
 The stages are local to ``run_pipeline``, so their bounds are read off
 the ``counterexample`` module bindings they call.  Each binding below is
@@ -89,6 +91,13 @@ def timed_run(depth: int, trials: int, seed: int) -> dict:
     return times
 
 
+def quartiles(values) -> tuple:
+    """p25, median and p75 of the values, inclusive of their extremes."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depth", type=int, default=32)
@@ -106,12 +115,15 @@ def main(argv=None) -> int:
     total = statistics.median(run["run_pipeline"] for run in runs)
     print(
         f"run_pipeline({args.depth}, trials={args.trials}), seeds "
-        f"{' '.join(map(str, args.seeds))}: median of {len(runs)} runs"
+        f"{' '.join(map(str, args.seeds))}: quartiles of {len(runs)} runs, in ms"
     )
-    print(f"{'stage':<18} {'ms':>9} {'share':>7}")
+    print(f"{'stage':<18} {'p25':>9} {'median':>9} {'p75':>9} {'share':>7}")
     for stage in STAGES + ("run_pipeline",):
-        ms = 1e3 * statistics.median(run[stage] for run in runs)
-        print(f"{stage:<18} {ms:>9.2f} {ms / (1e3 * total):>7.1%}")
+        p25, mid, p75 = (1e3 * q for q in quartiles([run[stage] for run in runs]))
+        print(
+            f"{stage:<18} {p25:>9.2f} {mid:>9.2f} {p75:>9.2f} "
+            f"{mid / (1e3 * total):>7.1%}"
+        )
     return 0
 
 

@@ -41,8 +41,10 @@ from .linalg import (
     op_norm,
 )
 from .poly3 import (
-    MonomialBasis,
     Poly3,
+    _eval_operator_stack,
+    _layouts,
+    _monomials,
     diagonal_blocks,
     distinct_blocks,
     eval_operator,
@@ -84,16 +86,15 @@ class Triple:
     checked by the dedicated report functions so that their defects
     stay observable instead of being swallowed by a constructor.
 
-    Two derived objects are computed once, on first use, and kept on
-    the triple: its :attr:`basis` of memoized monomials and its block
-    form :attr:`parts`.
+    One derived object is computed once, on first use, and kept on the
+    triple: its block form :attr:`parts`.
 
     A triple is built either from its matrices or, with
     :meth:`direct_sum`, from its distinct blocks and where they occur.
-    A direct sum's block form is given, and its dense T1, T2, T3 (and
-    so its basis) are scattered from the blocks only when something
-    reads them: a direct sum of many small blocks is worked on without
-    ever forming a dim x dim matrix.
+    A direct sum's block form is given, and its dense T1, T2, T3 are
+    scattered from the blocks only when something reads them: a direct
+    sum of many small blocks is worked on without ever forming a
+    dim x dim matrix.
 
     The repr reads no matrix, only the dimension, the tolerance and, for
     a direct sum, each block's size and number of copies; two triples
@@ -183,11 +184,6 @@ class Triple:
     @cached_property
     def dim(self) -> int:
         return self.t1.shape[0]
-
-    @cached_property
-    def basis(self) -> MonomialBasis:
-        """The :class:`MonomialBasis` every evaluation on the triple shares."""
-        return MonomialBasis(self.t1, self.t2, self.t3)
 
     @cached_property
     def parts(self) -> list[tuple[Triple, np.ndarray]]:
@@ -607,8 +603,9 @@ def violation_certificate(
 ) -> Certificate:
     """Compare ||p(T)|| against an estimated sup of |p| on the domain.
 
-    The norm is the largest over the triple's distinct blocks
-    (:func:`_poly_norms`).  ``sup_first`` is :func:`sup_on_closure` at
+    The norm is the largest :func:`op_norm` of :func:`eval_operator`
+    over the triple's distinct blocks, the bits :func:`_poly_norms`
+    gives.  ``sup_first`` is :func:`sup_on_closure` at
     ``config.sup_samples`` samples drawn from the first of the two
     :func:`_child_seed` children of ``seed``; it is at least the largest
     |p| over any prefix of that draw, which is what lets
@@ -623,7 +620,7 @@ def violation_certificate(
     Only the opposite outcome is rigorous, up to the margin: lhs <=
     sampled sup + margin <= true sup + margin.
     """
-    lhs = _poly_norms(t, [p])[0]
+    lhs = max(op_norm(eval_operator(p, part)) for part, _ in t.parts)
     sup_first = sup_on_closure(
         p, n_samples=config.sup_samples, seed=_child_seed(seed, 0)
     )
@@ -653,22 +650,28 @@ _STACK_ENTRIES = 1 << 16
 def _poly_norms(t: Triple, polys) -> np.ndarray:
     """||p(T)|| for each polynomial, the largest over the distinct blocks.
 
-    Each polynomial is evaluated on the basis of every distinct block
-    (:attr:`Triple.parts`), and each block's values are normed by
-    stacked SVDs of at most ``_STACK_ENTRIES`` entries: every norm is
-    its matrix's largest singular value, as :func:`op_norm` gives it,
-    with the same ValueError on non-finite entries.
+    On every distinct block (:attr:`Triple.parts`) each exponent layout
+    (:func:`poly3._layouts`) gets one stack of monomials, all from one
+    power table (:func:`poly3._monomials`), and its polynomials are
+    evaluated on it together, at most ``_STACK_ENTRIES`` matrix entries
+    at a time, each the bits :func:`eval_operator` gives it.  Every norm
+    is its matrix's largest singular value from one stacked SVD, as
+    :func:`op_norm` gives it, with the same ValueError on non-finite
+    entries.
     """
     norms = np.zeros(len(polys))
+    layouts = _layouts(polys)
     for part, _ in t.parts:
         step = max(1, _STACK_ENTRIES // part.dim**2)
-        for lo in range(0, len(polys), step):
-            chunk = slice(lo, lo + step)
-            stack = np.stack([eval_operator(p, part.basis) for p in polys[chunk]])
-            if not np.isfinite(stack).all():
-                raise ValueError("matrix contains non-finite entries")
-            sigma = np.linalg.svd(stack, compute_uv=False)
-            norms[chunk] = np.maximum(norms[chunk], sigma.max(axis=-1))
+        stacks = _monomials(part, [exps for exps, _, _ in layouts])
+        for (_, members, coefs), monomials in zip(layouts, stacks):
+            for lo in range(0, len(members), step):
+                chunk = members[lo : lo + step]
+                stack = _eval_operator_stack(monomials, coefs[:, lo : lo + step])
+                if not np.isfinite(stack).all():
+                    raise ValueError("matrix contains non-finite entries")
+                sigma = np.linalg.svd(stack, compute_uv=False)
+                norms[chunk] = np.maximum(norms[chunk], sigma.max(axis=-1))
     return norms
 
 
@@ -729,8 +732,8 @@ def falsify_spectral_set(
     Each trial draws a polynomial of total degree up to ``degree``
     from its own child seed, so trial k is reproducible regardless of
     the trial count.  Every trial's norm ||p(T)|| is the largest over
-    the triple's distinct diagonal blocks (:attr:`Triple.parts`), whose
-    bases multiply out each monomial once for all trials.  The
+    the triple's distinct diagonal blocks (:attr:`Triple.parts`), each
+    of which multiplies out every monomial once for all trials.  The
     triple's commutation defect, the largest over its distinct blocks,
     is reported, not enforced; operator evaluation assumes commutation.
 
@@ -767,6 +770,8 @@ def falsify_spectral_set(
     trials = config.falsify_trials if trials is None else trials
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     seed = config.seed if seed is None else seed
     comm = max(commutation_defect(part) for part, _ in t.parts)
 

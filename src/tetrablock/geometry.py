@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import complex_from_json, complex_to_json
-from .poly3 import Poly3, _eval_stack, eval_scalar_many
+from .poly3 import Poly3, _eval_stack, _layouts, eval_scalar_many
 
 __all__ = [
     "MembershipReport",
@@ -242,27 +242,23 @@ def _prefix_maxima(polys, seeds, n: int) -> np.ndarray:
 
     Polynomial k is scored on the first n rows of the draw
     ``_sample_scores(polys[k], ..., seeds[k])`` takes, n at most
-    ``_CHUNK``.  The polynomials that share exponent rows are scored as
-    stacks of about ``_CHUNK`` points (:func:`poly3._eval_stack`), each
-    with its own row of points and coefficients, so every value is the
-    bits a pass over that polynomial's own draw gives, and a stack's
-    temporaries are one chunk's.
+    ``_CHUNK``.  The polynomials that share exponent rows
+    (:func:`poly3._layouts`) are scored as stacks of about ``_CHUNK``
+    points (:func:`poly3._eval_stack`), each with its own row of points
+    and coefficients, so every value is the bits a pass over that
+    polynomial's own draw gives, and a stack's temporaries are one
+    chunk's.
     """
     per_stack = max(1, _CHUNK // n)
-    layouts: dict[bytes, list[int]] = {}
-    for k, p in enumerate(polys):
-        layouts.setdefault(p.exp_array.tobytes(), []).append(k)
     maxima = np.empty(len(polys))
-    for members in layouts.values():
-        exps = polys[members[0]].exp_array
+    for exps, members, coefs in _layouts(polys):
         for lo in range(0, len(members), per_stack):
             stack = members[lo : lo + per_stack]
             params = np.empty((len(stack), n, 3))
             for row, k in zip(params, stack):
                 np.random.default_rng(seeds[k]).random(out=row)
-            coefs = np.stack([polys[k].coef_array for k in stack], axis=1)
             points = np.stack(_boundary_points(params))
-            vals = _eval_stack(exps, coefs[:, :, None], points)
+            vals = _eval_stack(exps, coefs[:, lo : lo + per_stack, None], points)
             maxima[stack] = np.abs(vals).max(axis=1)
     return maxima
 

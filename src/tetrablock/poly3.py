@@ -4,10 +4,10 @@ minimal-norm extension utilities.
 A polynomial is held sparsely as ``{(m1, m2, m3): coefficient}``.
 Scalar evaluation uses cumulative power tables over a batch of
 points; operator evaluation substitutes a commuting matrix triple,
-ordered as ``T1^m1 T2^m2 T3^m3``.  The triple's monomials come from
-a ``MonomialBasis``, which builds each power and monomial once and
-keeps exactly zero ones as absent, so callers evaluating many
-polynomials on one triple share its basis.
+ordered as ``T1^m1 T2^m2 T3^m3``, with its monomials formed from one
+power table of matrix powers.  Both sum the terms in ``coeffs`` order
+for a whole stack of polynomials that share their exponent rows
+(:func:`_layouts`) at once.
 ``diagonal_blocks`` and ``distinct_blocks`` find the block form of
 square matrices: their block-diagonal partition and its distinct
 blocks with where each occurs.
@@ -29,7 +29,6 @@ __all__ = [
     "poly_to_json",
     "poly_from_json",
     "eval_scalar_many",
-    "MonomialBasis",
     "diagonal_blocks",
     "distinct_blocks",
     "eval_operator",
@@ -210,67 +209,35 @@ def _eval_stack(exps: np.ndarray, coefs: np.ndarray, points: np.ndarray) -> np.n
     return out
 
 
-def _power_table(points: np.ndarray, degree: int) -> np.ndarray:
-    """Cumulative powers x^0..x^degree of every coordinate, one row each.
+def _power_table(base: np.ndarray, degree: int, unit=1.0, times=np.multiply):
+    """Cumulative powers base^0..base^degree, one row each.
 
-    Row k is the previous row times ``points`` (stacked coordinates), so
-    entry [k, i] is coordinate i to the power k at each point, the same
-    bits as multiplying that coordinate out alone.
+    Row 0 is ``unit`` and row k is ``times(row k - 1, base)``, the same
+    bits for each entry of the stacked ``base`` as for it alone: with
+    the defaults, coordinates stacked over points; with the identity
+    and ``np.matmul``, square matrices.
     """
-    table = np.empty((degree + 1,) + points.shape, dtype=np.complex128)
-    table[0] = 1.0
+    table = np.empty((degree + 1,) + base.shape, dtype=np.complex128)
+    table[0] = unit
     for k in range(1, degree + 1):
-        np.multiply(table[k - 1], points, out=table[k])
+        times(table[k - 1], base, out=table[k])
     return table
 
 
-class MonomialBasis:
-    """Memoized monomials ``T1^m1 T2^m2 T3^m3`` of one operator triple.
+def _layouts(polys) -> list[tuple[np.ndarray, list[int], np.ndarray]]:
+    """The polynomials grouped by exponent rows, in order of first occurrence.
 
-    Each variable's power table grows on demand by ``P[k] = P[k-1] @ T``
-    from ``P[0] = I``, and each monomial is formed once as
-    ``(P1[m1] @ P2[m2]) @ P3[m3]``, then reused by every later
-    evaluation.  A power or monomial that comes out exactly zero is
-    stored as ``None`` ("absent"); absent entries are never multiplied
-    again, so a nilpotent triple keeps only its few nonzero monomials.
-    ``monomials`` maps each exponent asked for so far to its matrix or
-    ``None``.  The matrices are taken as given, already validated: a
-    caller gets the basis of a triple as ``Triple.basis``.
+    Each group is its ``exp_array``, the indices of its polynomials in
+    order, and their coefficients as one (terms, members) array whose
+    column j is polynomial ``members[j]``'s ``coef_array``.
     """
-
-    __slots__ = ("mats", "dim", "monomials", "_powers")
-
-    def __init__(self, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray):
-        self.mats = (t1, t2, t3)
-        self.dim = t1.shape[0]
-        self.monomials: dict[tuple[int, int, int], np.ndarray | None] = {}
-        # Power tables start at P[0] = I, formed on first use.
-        self._powers: tuple[list, list, list] = ([], [], [])
-
-    def _power(self, i: int, k: int) -> np.ndarray | None:
-        if not self._powers[0]:
-            eye = np.eye(self.dim, dtype=np.complex128)
-            for table in self._powers:
-                table.append(eye)
-        table = self._powers[i]
-        base = self.mats[i]
-        while len(table) <= k:
-            prev = table[-1]
-            table.append(None if prev is None else _drop_zero(prev @ base))
-        return table[k]
-
-    def monomial(self, exp: tuple[int, int, int]) -> np.ndarray | None:
-        """The monomial for ``exp``, or ``None`` when it is exactly zero."""
-        if exp in self.monomials:
-            return self.monomials[exp]
-        p1, p2, p3 = (self._power(i, m) for i, m in enumerate(exp))
-        mono = None
-        if p1 is not None and p2 is not None and p3 is not None:
-            head = _drop_zero(p1 @ p2)
-            if head is not None:
-                mono = _drop_zero(head @ p3)
-        self.monomials[exp] = mono
-        return mono
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for k, p in enumerate(polys):
+        groups.setdefault(p.exp_array.tobytes(), (p.exp_array, []))[1].append(k)
+    return [
+        (exps, members, np.stack([polys[k].coef_array for k in members], axis=1))
+        for exps, members in groups.values()
+    ]
 
 
 def diagonal_blocks(mats) -> list[np.ndarray]:
@@ -341,32 +308,55 @@ def _components(n: int, rows, cols) -> list[np.ndarray]:
     return np.split(order, starts[1:])
 
 
-def _drop_zero(m: np.ndarray) -> np.ndarray | None:
-    # Stored matrices are shared by every caller, so they are read-only.
-    if not m.any():
-        return None
-    m.flags.writeable = False
-    return m
+def _monomials(t, layouts):
+    """Each exponent array's monomials (T1^m1 T2^m2) T3^m3 of the triple t.
 
-
-def eval_operator(p: Poly3, basis: MonomialBasis) -> np.ndarray:
-    """Substitute a commuting operator triple into the polynomial.
-
-    The triple comes as its :class:`MonomialBasis`, whose memoized
-    monomials are shared across calls.  The sum
-    ``acc += c * T^m`` runs in ``p.coeffs`` order and skips absent
-    (exactly zero) monomials: adding ``c * 0`` would leave ``acc``
-    unchanged, so the result is bit for bit that of multiplying every
-    monomial out.  Monomials are ordered ``T1^m1 T2^m2 T3^m3``; for
-    genuinely commuting triples the order is immaterial.  Commutation
-    is the caller's responsibility and is not re-checked here.
+    One power table of T1, T2, T3 is built to the largest exponent, and
+    each array of ``layouts`` gets its monomials formed term by term
+    into one (terms, d, d) stack, exact zeros included, yielded in turn.
     """
-    acc = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for exp, c in p.coeffs.items():
-        mono = basis.monomial(exp)
-        if mono is not None:
-            acc += c * mono
-    return acc
+    degree = max((int(exps.max(initial=0)) for exps in layouts), default=0)
+    powers = _power_table(
+        np.stack((t.t1, t.t2, t.t3)), degree, np.eye(t.dim), np.matmul
+    )
+    head = np.empty((t.dim, t.dim), dtype=np.complex128)
+    for exps in layouts:
+        stack = np.empty((len(exps), t.dim, t.dim), dtype=np.complex128)
+        for mono, (m1, m2, m3) in zip(stack, exps.tolist()):
+            np.matmul(powers[m1, 0], powers[m2, 1], out=head)
+            np.matmul(head, powers[m3, 2], out=mono)
+        yield stack
+
+
+def _eval_operator_stack(monomials: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Polynomials that share the monomial stack, one matrix each.
+
+    ``coefs`` is (terms, g), column j polynomial j's coefficients.  Each
+    (g, d, d) value starts from zeros and gets c * monomial added term
+    by term in row order, the bits of ``acc += c * mono`` for each
+    polynomial alone.  The product takes the coefficients as (g, 1, 1)
+    and the monomial as (1, d, d), so numpy multiplies one polynomial in
+    the loop it uses for many; a (1, 1, 1) coefficient times a (1, 1)
+    monomial takes another loop, which rounds differently.
+    """
+    out = np.zeros((coefs.shape[1],) + monomials.shape[1:], dtype=np.complex128)
+    term = np.empty_like(out)
+    for mono, c in zip(monomials, coefs):
+        np.multiply(c[:, None, None], mono[None], out=term)
+        out += term
+    return out
+
+
+def eval_operator(p: Poly3, t) -> np.ndarray:
+    """Substitute the commuting triple ``t`` (a ``Triple``) into ``p``.
+
+    The one-polynomial case of the falsifier's stacked evaluation:
+    :func:`_monomials` to ``p``'s degree, then ``acc += c * T^m`` in
+    ``p.coeffs`` order.  Commutation is the caller's responsibility
+    and is not re-checked here.
+    """
+    [monomials] = _monomials(t, [p.exp_array])
+    return _eval_operator_stack(monomials, p.coef_array[:, None])[0]
 
 
 def random_poly(degree: int, *, seed=None) -> Poly3:

@@ -20,11 +20,11 @@ def random_hermitian(rng, n):
     return (g + g.conj().T) / 2.0
 
 
-def power_table_eval_operator(p, basis):
-    # Reference operator evaluation: fresh power tables on every call and
-    # every monomial multiplied out, exact zeros included.  Only the
-    # basis's matrices are read, never its memo.
-    t1, t2, t3 = basis.mats
+def power_table_eval_operator(p, t):
+    # Reference operator evaluation on a triple: fresh power tables on
+    # every call, each variable's only to its own degree, and every
+    # monomial multiplied out and added, exact zeros included.
+    t1, t2, t3 = t.t1, t.t2, t.t3
     n = t1.shape[0]
     acc = np.zeros((n, n), dtype=np.complex128)
     if not p.coeffs:

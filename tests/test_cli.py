@@ -531,6 +531,21 @@ def test_nonpositive_counts_exit_two(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith("error: "), argv[0]
 
 
+@pytest.mark.parametrize("trials", ["0", "3"])
+def test_negative_degree_exits_two_before_any_trial(capsys, tmp_path, trials):
+    # Before, with no trial to draw a polynomial nothing read the degree:
+    # falsify exited 0 with "degree": -1 in its document, and
+    # counterexample 1 (Obstructed).
+    triple = write_json(tmp_path / "t.json", triple_to_json(build_witness(3).triple))
+    for argv in (
+        ["falsify", "--triple", triple],
+        ["counterexample", "--blocks", "3"],
+    ):
+        assert main(argv + ["--trials", trials, "--degree", "-1"]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degree must be nonnegative" in captured.err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

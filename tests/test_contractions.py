@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tetrablock import contractions, poly3
+from tetrablock import contractions
 from tetrablock import (
     BadSplitError,
     DimensionMismatchError,
@@ -62,14 +62,13 @@ def test_direct_sum_is_given_its_parts_and_scatters_on_read(rng):
     t = Triple.direct_sum(given, tol=1e-7)
     assert t.dim == 5 and t.tol == 1e-7 and len(t.parts) == 2
     assert all(p is q and w is v for (p, w), (q, v) in zip(t.parts, given))
-    assert not {"t1", "t2", "t3", "basis"} & set(vars(t))
+    assert not {"t1", "t2", "t3"} & set(vars(t))
     for name in ("t1", "t2", "t3"):
         want = np.zeros((5, 5), dtype=np.complex128)
         for part, occurrences in t.parts:
             for idx in occurrences:
                 want[np.ix_(idx, idx)] = getattr(part, name)
         assert np.array_equal(getattr(t, name), want)
-    assert t.basis.mats == (t.t1, t.t2, t.t3)
     u = triple_from_json(triple_to_json(t))
     assert [w.tolist() for _, w in u.parts] == [[[0, 3], [1, 4]], [[2]]]
 
@@ -636,10 +635,18 @@ def test_falsifier_reproducible():
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_pipeline_document_unchanged_by_shared_basis(monkeypatch, seed):
-    # The falsifier's shared monomial basis must give the same verdict
-    # document, byte for byte, as per-call power tables.
+    # The falsifier's monomials, shared by every trial of a layout, must
+    # give the same verdict document, byte for byte, as per-call power
+    # tables for each trial and certificate.
+    def per_trial_norms(t, polys):
+        return np.array([
+            max(op_norm(power_table_eval_operator(p, part)) for part, _ in t.parts)
+            for p in polys
+        ])
+
     fast = json.dumps(pipeline_report_to_json(run_pipeline(4, trials=5, seed=seed)))
     monkeypatch.setattr(contractions, "eval_operator", power_table_eval_operator)
+    monkeypatch.setattr(contractions, "_poly_norms", per_trial_norms)
     slow = json.dumps(pipeline_report_to_json(run_pipeline(4, trials=5, seed=seed)))
     assert fast == slow
 
@@ -798,11 +805,11 @@ def test_falsifier_reports_the_largest_block_commutation_defect(rng):
     assert abs(rep.commutation_defect - dense) <= 1e-15 * dense
 
 
-def test_triple_keeps_its_block_form_and_monomials(monkeypatch):
-    # Triple.parts and each part's basis are computed once: a second
-    # falsifier call on the same triple finds every monomial it needs
-    # already multiplied out.  The witness itself is given its parts
-    # and never looks for blocks; its dense-built copy finds them once.
+def test_triple_keeps_its_block_form(monkeypatch):
+    # Triple.parts is computed once: a second falsifier call on the same
+    # triple finds its blocks already split, and reports the same.  The
+    # witness itself is given its parts and never looks for blocks; its
+    # dense-built copy finds them once.
     calls = []
     blocks = contractions.diagonal_blocks
     monkeypatch.setattr(
@@ -813,18 +820,9 @@ def test_triple_keeps_its_block_form_and_monomials(monkeypatch):
     assert calls == []
     t = dense_built(w.triple)
     parts = t.parts
-    assert t.parts is parts and t.basis is t.basis and len(calls) == 1
-    first = falsify_spectral_set(t, trials=6, degree=3, seed=2)
     assert t.parts is parts and len(calls) == 1
-    memo = [dict(part.basis.monomials) for part, _ in parts]
-    assert all(memo)
-    products = []
-    drop_zero = poly3._drop_zero
-    monkeypatch.setattr(
-        poly3, "_drop_zero", lambda m: products.append(1) or drop_zero(m)
-    )
+    first = falsify_spectral_set(t, trials=6, degree=3, seed=2)
     assert falsify_spectral_set(t, trials=6, degree=3, seed=2) == first
-    assert products == []
-    for (part, _), before in zip(parts, memo):
-        assert part.basis.monomials.keys() == before.keys()
-        assert all(part.basis.monomials[e] is m for e, m in before.items())
+    assert t.parts is parts and len(calls) == 1
+    # The block form is the one derived object the triple keeps.
+    assert set(vars(t)) - {"t1", "t2", "t3", "tol", "dim"} == {"parts"}

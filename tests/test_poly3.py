@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tetrablock import (
     Poly3,
     Triple,
+    build_hardy_model,
     build_witness,
     witness_symbol,
     cf_empirical_inf,
@@ -20,6 +21,7 @@ from tetrablock import (
     poly_from_json,
     poly_to_json,
     random_poly,
+    random_symbol_pair,
 )
 from tetrablock import contractions, poly3
 from tetrablock.contractions import _poly_norms, varopoulos_example, varopoulos_polynomial
@@ -154,7 +156,7 @@ def test_eval_operator_diagonal_reduces_to_scalar(rng):
     e2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     e3 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     t = Triple(np.diag(e1), np.diag(e2), np.diag(e3))
-    val = eval_operator(p, t.basis)
+    val = eval_operator(p, t)
     want = np.diag(eval_scalar_many(p, e1, e2, e3))
     assert op_norm(val - want) <= 1e-9 * (1.0 + op_norm(want))
 
@@ -168,48 +170,53 @@ def _dense_triple(rng, n=6, scale=1.0):
 def test_eval_operator_empty_poly_is_zero(rng):
     p = Poly3({})
     z = np.zeros((3, 3))
-    assert op_norm(eval_operator(p, Triple(z, z, z).basis)) == 0.0
-    # On a dense triple too, and no monomial is formed for it.
-    basis = _dense_triple(rng).basis
-    assert np.array_equal(eval_operator(p, basis), np.zeros((6, 6)))
-    assert basis.monomials == {}
+    assert op_norm(eval_operator(p, Triple(z, z, z))) == 0.0
+    # On a dense triple too.
+    assert np.array_equal(eval_operator(p, _dense_triple(rng)), np.zeros((6, 6)))
+
+
+# Polynomials whose degrees differ per variable, up to 7 in one.
+MIXED_DEGREES = [
+    Poly3({(4, 0, 0): 1.0 - 2.0j, (0, 3, 2): 0.5, (1, 1, 5): -1.5j}),
+    Poly3({(6, 1, 0): 2.0, (0, 0, 7): 1.0j}),
+]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6])
 def test_basis_matches_power_tables_on_dense_triple(rng, scale):
-    # At the small scale the cubic monomials are ~1e-18 but not zero,
-    # so they must still be kept.
-    basis = _dense_triple(rng, scale=scale).basis
-    for k in range(6):
-        p = random_poly(3, seed=k)
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
-    assert len(basis.monomials) == 20
-    assert all(m is not None for m in basis.monomials.values())
+    # At the small scale the cubic monomials are ~1e-18 but not zero.
+    # The table is built to the largest exponent of any variable, the
+    # reference's to each variable's own.
+    t = _dense_triple(rng, scale=scale)
+    polys = [random_poly(3, seed=k) for k in range(6)] + [random_poly(1, seed=3)]
+    for p in polys + MIXED_DEGREES:
+        assert np.array_equal(eval_operator(p, t), power_table_eval_operator(p, t))
 
 
 def test_basis_matches_power_tables_on_witness():
-    basis = build_witness(8).triple.basis
+    t = build_witness(8).triple
     for k in range(4):
         p = random_poly(3, seed=k)
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
+        assert np.array_equal(eval_operator(p, t), power_table_eval_operator(p, t))
 
 
-def test_basis_keeps_only_nonzero_witness_monomials():
-    # Every pairwise product of the witness operators is exactly zero and
-    # T2 itself is zero, so of the 20 degree-3 monomials only I, T1 and
-    # T3 survive.
-    basis = build_witness(8).triple.basis
-    p = random_poly(3, seed=1)
-    eval_operator(p, basis)
-    assert set(basis.monomials) == set(p.coeffs)
-    kept = {exp for exp, m in basis.monomials.items() if m is not None}
-    assert kept == {(0, 0, 0), (1, 0, 0), (0, 0, 1)}
-    for exp, m in basis.monomials.items():
-        dense = power_table_eval_operator(Poly3({exp: 1.0}), basis)
-        if m is None:
-            assert not dense.any()
-        else:
-            assert dense.any() and np.array_equal(m, dense)
+def test_eval_operator_matches_power_tables_through_zero_products(rng):
+    # T1 is nilpotent of order 3 and T1 T2 = 0 while T2, T3 are dense
+    # and nonsingular, so zero heads and zero powers both occur.  They
+    # are multiplied out and added like any other monomial, and the sum
+    # is still the reference's bits.
+    n = 4
+    t1 = np.zeros((n, n), dtype=np.complex128)
+    t1[0, 1] = t1[1, 2] = 0.5
+    t2 = np.zeros((n, n), dtype=np.complex128)
+    t2[3, :] = random_complex(rng, n)
+    t = Triple(t1, t2, random_complex(rng, (n, n)) / 4.0)
+    for exp, zero in [((3, 0, 0), True), ((1, 1, 0), True), ((0, 1, 1), False)]:
+        want = power_table_eval_operator(Poly3({exp: 1.0}), t)
+        assert want.any() != zero
+        assert np.array_equal(eval_operator(Poly3({exp: 1.0}), t), want)
+    for p in [random_poly(4, seed=9)] + MIXED_DEGREES:
+        assert np.array_equal(eval_operator(p, t), power_table_eval_operator(p, t))
 
 
 def triple_blocks(t):
@@ -234,9 +241,7 @@ def test_dense_triple_is_one_block_with_unchanged_norm(rng):
     assert part is t and where.tolist() == [list(range(t.dim))]
     polys = [random_poly(3, seed=k) for k in range(4)]
     norms = _poly_norms(t, polys)
-    assert [float(x) for x in norms] == [
-        op_norm(eval_operator(p, t.basis)) for p in polys
-    ]
+    assert [float(x) for x in norms] == [op_norm(eval_operator(p, t)) for p in polys]
 
 
 def test_triple_coupled_only_through_t2_is_one_block(rng):
@@ -261,7 +266,7 @@ def test_interleaved_blocks_and_off_block_entries(rng):
     assert np.array_equal(parts[0][0].t1, [[0.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(parts[1][0].t1, [[0.0, 0.5], [0.0, 0.0]])
     p = Poly3({(0, 0, 0): 3.0, (1, 0, 0): random_complex(rng, ())})
-    full = op_norm(eval_operator(p, t.basis))
+    full = op_norm(eval_operator(p, t))
     assert abs(_poly_norms(t, [p])[0] - full) <= 1e-13 * full
     assert _poly_norms(t, []).shape == (0,)
 
@@ -375,7 +380,7 @@ def test_block_norm_matches_full_norm_on_witness(depth):
     polys = [random_poly(3, seed=depth + k) for k in range(5)]
     norms = _poly_norms(t, polys)
     for p, got in zip(polys, norms):
-        full = op_norm(eval_operator(p, t.basis))
+        full = op_norm(eval_operator(p, t))
         assert abs(got - full) <= 1e-13 * full
 
 
@@ -391,21 +396,39 @@ def _multi_block_triple(rng):
 
 
 @pytest.mark.parametrize("stack_entries", [None, 8], ids=["one-stack", "chunked"])
-@pytest.mark.parametrize("which", ["witness", "varopoulos", "multi-block"])
+@pytest.mark.parametrize(
+    "which",
+    ["witness", "varopoulos", "multi-block", "interleaved", "interleaved-1x1"],
+)
 def test_poly_norms_are_the_largest_block_op_norm(monkeypatch, which, stack_entries):
-    # Stacked SVDs, one or several per block, give op_norm's value bit
-    # for bit.
+    # Stacked evaluation and SVDs, one or several stacks per layout and
+    # block, give op_norm of the reference evaluation bit for bit.  The
+    # interleaved input's layouts take turns, so each layout's members
+    # are scattered over the list.  A chunked stack holds two matrices of
+    # the multi-block triple's 2x2 block, which splits every layout, and
+    # on a 1x1 triple the layouts of one polynomial are stacks of one
+    # 1x1 matrix, which numpy multiplies by another loop than longer
+    # stacks unless both operands have three axes.
     if stack_entries is not None:
         monkeypatch.setattr(contractions, "_STACK_ENTRIES", stack_entries)
     t = {
         "witness": lambda: build_witness(32).triple,
         "varopoulos": lambda: varopoulos_example()[0],
         "multi-block": lambda: _multi_block_triple(np.random.default_rng(6)),
+        "interleaved": lambda: _multi_block_triple(np.random.default_rng(7)),
+        "interleaved-1x1": lambda: Triple([[0.3 - 0.5j]], [[0.6j]], [[-0.7 + 0.1j]]),
     }[which]()
-    polys = [random_poly(d, seed=10 * d + k) for d in range(4) for k in range(5)]
-    polys += [Poly3({}), varopoulos_polynomial()]
+    if which.startswith("interleaved"):
+        polys = [random_poly(d, seed=10 * d + k) for k in range(5) for d in (3, 1, 2)]
+        polys[4:4] = [Poly3({}), varopoulos_polynomial(), Poly3({})]
+        polys += [random_poly(d, seed=d) for d in (4, 5)] + MIXED_DEGREES
+        layouts = poly3._layouts(polys)
+        assert [len(m) for _, m, _ in layouts] == [5, 5, 5, 2, 1, 1, 1, 1, 1]
+    else:
+        polys = [random_poly(d, seed=10 * d + k) for d in range(4) for k in range(5)]
+        polys += [Poly3({}), varopoulos_polynomial()]
     want = [
-        max(op_norm(eval_operator(p, part.basis)) for part, _ in t.parts)
+        max(op_norm(power_table_eval_operator(p, part)) for part, _ in t.parts)
         for p in polys
     ]
     assert _poly_norms(t, polys).tolist() == want
@@ -417,33 +440,22 @@ def test_poly_norms_reject_non_finite_values():
         _poly_norms(t, [Poly3({(0, 0, 0): 1e308, (1, 0, 0): 1e308})])
 
 
-def test_basis_grows_power_tables_after_first_use(rng):
-    basis = _dense_triple(rng).basis
-    polys = [
-        random_poly(1, seed=3),
-        Poly3({(4, 0, 0): 1.0 - 2.0j, (0, 3, 2): 0.5, (1, 1, 5): -1.5j}),
-        random_poly(3, seed=4),
-        Poly3({(6, 1, 0): 2.0, (0, 0, 7): 1.0j}),
-    ]
-    for p in polys:
-        assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
-
-
-def test_basis_skips_partially_nilpotent_products(rng):
-    # T1 is nilpotent of order 3 and T1 T2 = 0 while T2, T3 are dense
-    # and nonsingular, so zero heads and zero powers both occur.
-    n = 4
-    t1 = np.zeros((n, n), dtype=np.complex128)
-    t1[0, 1] = t1[1, 2] = 0.5
-    t2 = np.zeros((n, n), dtype=np.complex128)
-    t2[3, :] = random_complex(rng, n)
-    t3 = random_complex(rng, (n, n)) / 4.0
-    basis = Triple(t1, t2, t3).basis
-    p = random_poly(4, seed=9)
-    assert np.array_equal(eval_operator(p, basis), power_table_eval_operator(p, basis))
-    assert basis.monomials[(3, 0, 0)] is None
-    assert basis.monomials[(1, 1, 0)] is None
-    assert basis.monomials[(0, 1, 1)] is not None
+def test_poly_norms_memory_is_one_monomial_stack():
+    # A dense 256-dim block: the power table (12 matrices) and the 20
+    # monomials, each multiplied out on its own into the stack, stay
+    # under 2.5 stacks; forming every term's three factors at once by
+    # fancy indexing, a (terms, 3, d, d) array, would not.
+    t = build_hardy_model(*random_symbol_pair(8, seed=2), 32).as_triple()
+    assert t.dim == 256 and len(t.parts) == 1
+    polys = [random_poly(3, seed=k) for k in range(50)]
+    terms = len(polys[0].coeffs)
+    tracemalloc.start()
+    try:
+        _poly_norms(t, polys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * terms * t.dim**2 * 16
 
 
 def test_poly_json_round_trip():

@@ -88,10 +88,16 @@ def test_verdict_digest_hashes_each_document(tmp_path, capsys):
 
 def test_stage_times_prints_every_stage(capsys):
     script = load_script("stage_times")
-    argv = ["--depth", "4", "--trials", "2", "--seeds", "3", "--repeats", "1"]
-    assert script.main(argv) == 0
-    out = capsys.readouterr().out
-    names = {line.split()[0] for line in out.splitlines()[2:]}
-    assert names == set(script.STAGES) | {"run_pipeline"}
+    for repeats in ("1", "3"):
+        argv = ["--depth", "4", "--trials", "2", "--seeds", "3", "--repeats", repeats]
+        assert script.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["stage", "p25", "median", "p75", "share"]
+        rows = [line.split() for line in lines[2:]]
+        assert {row[0] for row in rows} == set(script.STAGES) | {"run_pipeline"}
+        for name, p25, mid, p75, share in rows:
+            assert 0.0 <= float(p25) <= float(mid) <= float(p75), name
+            assert share.endswith("%"), name
+        assert rows[-1][0] == "run_pipeline" and rows[-1][-1] == "100.0%"
     # The wrapped bindings are put back.
     assert counterexample.falsify_spectral_set is contractions.falsify_spectral_set
